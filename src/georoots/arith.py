@@ -221,6 +221,19 @@ def sqrt_mod_prime_power(D: int, p: int, e: int) -> list[int]:
     return sorted(out)
 
 
+def xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, s, t) with g = gcd(a, b) = s a + t b (extended Euclid)."""
+    old_r, r = a, b
+    old_s, s = 1, 0
+    old_t, t = 0, 1
+    while r:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_s, s = s, old_s - q * s
+        old_t, t = t, old_t - q * t
+    return old_r, old_s, old_t
+
+
 def crt_combine(parts: list[tuple[list[int], int]]) -> tuple[list[int], int]:
     """Combine residue lists: parts [(residues_i, mod_i)] with coprime mods.
 

@@ -26,13 +26,7 @@ import numpy as np
 from .csvio import fmt_float, write_table
 from .density import default_grid, omega
 from .geodesics import base_geodesic_set, enumerate_tops
-from .negdisc import (
-    class_forms,
-    enumerate_orbit_points,
-    sieve_roots_neg,
-    take_n_neg,
-    validate_negative_discriminant,
-)
+from .negdisc import class_forms, enumerate_orbit_points, sieve_roots_neg
 from .orders import (
     OrderTag,
     ideal_conjugate,
@@ -42,8 +36,9 @@ from .orders import (
     narrow_class_group,
     unit_relation,
     validate_discriminant,
+    validate_negative_discriminant,
 )
-from .roots import RootFilter, SequenceExhausted, sieve_roots, take_n
+from .roots import RootFilter, first_n, sieve_roots
 from .statistics import pair_correlation
 
 
@@ -68,7 +63,6 @@ class RunConfig:
     out: str = None
     outdir: str = "."
     format: str = "csv"
-    seed: int = 0
     threads: int = None
     figure: int = None
 
@@ -134,22 +128,11 @@ def _sieve_fn(D):
 
 def _first_n_points(cfg: RunConfig):
     """First N roots, restricted to one order's subsequence if asked."""
-    filt = cfg.root_filter()
-    if cfg.class_filter == "total":
-        take = take_n_neg if cfg.D < 0 else take_n
-        return take(cfg.D, cfg.N, filt)
-    want_o1 = cfg.class_filter == "O1"
-    sieve = _sieve_fn(cfg.D)
-    M = max(32, 4 * cfg.N * filt.n)
-    for _ in range(24):
-        seq = sieve(cfg.D, M, filt)
-        tags = seq.class_tags()
-        sub = seq.subset(tags if want_o1 else ~tags)
-        if len(sub) >= cfg.N:
-            return sub.head(cfg.N)
-        M *= 2
-    raise SequenceExhausted(
-        f"fewer than {cfg.N} {cfg.class_filter} roots below m = {M}")
+    keep = None
+    if cfg.class_filter != "total":
+        want_o1 = cfg.class_filter == "O1"
+        keep = lambda seq: seq.class_tags() == want_o1
+    return first_n(cfg.D, cfg.N, cfg.root_filter(), keep)
 
 
 def _class_mask(base, class_filter):
@@ -404,7 +387,6 @@ def _add_common(sp, *, disc=True, filt=True, table_out=True):
         sp.add_argument("--out", default=None, help="output path (stdout)")
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
     sp.add_argument("--threads", type=int, default=None)
-    sp.add_argument("--seed", type=int, default=0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -445,7 +427,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--N", type=int, default=1_000_000)
     sp.add_argument("--outdir", default=".")
     sp.add_argument("--threads", type=int, default=None)
-    sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(func=cmd_figure)
 
     sp = sub.add_parser("verify", help="correspondence test battery")

@@ -373,10 +373,6 @@ class DensityTable:
     tail_estimate: float
     skipped: int = 0
 
-    def at(self, v: float) -> float:
-        i = int(np.argmin(np.abs(self.grid - v)))
-        return float(self.omega[i])
-
 
 def default_grid(lo: float = -5.0, hi: float = 5.0, step: float = 0.01,
                  v_min: float = 0.01) -> np.ndarray:

@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .arith import xgcd
 from .forms import (
     MAT_ID,
     MAT_S,
@@ -298,7 +299,7 @@ def extra_coset_copies(n: int, count: int):
             pt = _p1_normalize(c, d, n)
             if pt in seen_pts:
                 continue
-            g, u, v = _xgcd(d, c)
+            g, u, v = xgcd(d, c)
             if g != 1:
                 continue
             seen_pts.add(pt)
@@ -306,18 +307,6 @@ def extra_coset_copies(n: int, count: int):
             if len(found) == count:
                 return found
     raise RuntimeError(f"could not find {count} coset copies for n={n}")
-
-
-def _xgcd(a, b):
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    return old_r, old_s, old_t
 
 
 # ----------------------------------------------------------------------

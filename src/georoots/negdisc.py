@@ -14,8 +14,8 @@ the sign of D.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import SpfTable, factorize
-from .forms import act, reduced_forms_definite, tshift, tshift_canonical
+from .arith import SpfTable
+from .forms import MAT_ID, act, reduced_forms_definite, tshift, tshift_canonical
 from .geodesics import (
     BudgetExceeded,
     EnumerationResult,
@@ -23,18 +23,8 @@ from .geodesics import (
     gamma0_coset_transversal,
     gamma0_generators,
 )
-from .orders import OrderTag
-from .roots import RootFilter, RootSequence, SequenceExhausted, _sieve
-
-MAT_ID = (1, 0, 0, 1)
-
-
-def validate_negative_discriminant(D: int):
-    """Require squarefree D < 0 with D = 1 (mod 4)."""
-    if D >= 0 or D % 4 != 1:
-        raise ValueError("D must be a squarefree integer < 0 with D = 1 mod 4")
-    if any(e > 1 for _, e in factorize(-D)):
-        raise ValueError("D must be squarefree")
+from .orders import OrderTag, validate_negative_discriminant
+from .roots import RootFilter, RootSequence, _sieve, first_n
 
 
 @dataclass(frozen=True)
@@ -70,17 +60,8 @@ def sieve_roots_neg(D: int, M: int, filt: RootFilter = RootFilter(),
 def take_n_neg(D: int, N: int, filt: RootFilter = RootFilter(),
                spf: SpfTable = None) -> RootSequence:
     """The first N filtered roots for negative D (ordered by modulus)."""
-    if N < 1:
-        raise ValueError("N >= 1 required")
     validate_negative_discriminant(D)
-    M = max(32, 2 * N * filt.n)
-    for _ in range(24):
-        seq = _sieve(D, M, filt, spf)
-        if len(seq) >= N:
-            return seq.head(N)
-        M *= 2
-    raise SequenceExhausted(
-        f"fewer than {N} roots below m = {M} for D={D}, filter {filt}")
+    return first_n(D, N, filt, spf=spf)
 
 
 def class_forms(D: int, order: OrderTag) -> list:

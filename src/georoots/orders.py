@@ -17,7 +17,7 @@ from enum import Enum
 from fractions import Fraction
 from math import gcd, isqrt
 
-from .arith import factorize, pell_fundamental, sqrt_mod
+from .arith import factorize, pell_fundamental, sqrt_mod, xgcd
 from .forms import reduce_indefinite, reduction_cycles
 from .quadnum import QuadNum
 
@@ -40,6 +40,14 @@ def validate_discriminant(D: int):
     if D <= 1 or D % 4 != 1:
         raise ValueError("D must be a squarefree integer > 1 with D = 1 mod 4")
     if any(e > 1 for _, e in factorize(D)):
+        raise ValueError("D must be squarefree")
+
+
+def validate_negative_discriminant(D: int):
+    """Require squarefree D < 0 with D = 1 (mod 4)."""
+    if D >= 0 or D % 4 != 1:
+        raise ValueError("D must be a squarefree integer < 0 with D = 1 mod 4")
+    if any(e > 1 for _, e in factorize(-D)):
         raise ValueError("D must be squarefree")
 
 
@@ -128,7 +136,7 @@ def _lattice_hnf(vecs):
         if c == 0:
             x0, c = x, y
         else:
-            g, s, t = _xgcd(c, y)
+            g, s, t = xgcd(c, y)
             x0, c = s * x0 + t * x, g
     if c < 0:
         x0, c = -x0, -c
@@ -139,18 +147,6 @@ def _lattice_hnf(vecs):
     if a == 0 or c == 0:
         raise ValueError("vectors do not span a rank-2 lattice")
     return a, x0 % a, c
-
-
-def _xgcd(a, b):
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    return old_r, old_s, old_t
 
 
 def ideal_mul(A: IdealHNF, B: IdealHNF) -> IdealHNF:

@@ -6,23 +6,42 @@ mu = nu (mod n), and every root is tagged with the order it belongs to:
 O1 when the ideal (m, mu + sqrt(D)) is invertible in Z[sqrt(D)], O2 when
 both m and (D - mu^2)/m are even.
 
-The sieve walks m = 2..M once, splitting off the full power q = p^e of
-the smallest prime factor and combining cached local solutions mod q with
-the already-computed solutions mod m/q by CRT, so the per-modulus cost is
-a handful of integer operations.
+The sieve is vectorised with numpy and keeps the roots of all m <= M in
+one CSR layout: mus[off[m]:off[m + 1]] are the sorted roots mod m, with
+off = cumsum(rho) and rho(m) the number of roots.  Each m > 1 splits as
+m = q * m2, q = p^e the full power of its smallest prime p, every prime
+of m2 above p; so rho(m) = rho(q) rho(m2), and the roots mod m are the
+CRT combinations of the roots mod q and mod m2.  An odd prime p > sqrt(M)
+only occurs as m = p; all of those are solved at once by a vectorised
+Euler test and Tonelli-Shanks.  The primes p <= sqrt(M), and 2, are
+walked in descending order, so the roots mod m2 are always known first:
+
+1. pass one fills rho (the groups m = q * m2 come from the
+   smallest-prime-factor table as m2 <= M/q with spf(m2) > p);
+2. pass two takes the cofactors of one group with the same rho(m2)
+   together, gathers their roots, CRT-combines them with the roots mod q,
+   sorts each m's row and scatters the rows into place.
+
+Every residue is below M < 2^31, so each product of two residues (the
+CRT step, the modular powers) is below 2^62 and exact in int64.
 """
 
-from array import array
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .arith import SpfTable, sqrt_mod, sqrt_mod_prime_power
-from .orders import OrderTag, is_invertible, validate_discriminant
+from .orders import (
+    OrderTag,
+    is_invertible,
+    validate_discriminant,
+    validate_negative_discriminant,
+)
 
 
 class SequenceExhausted(RuntimeError):
-    """take_n could not reach N roots (finite or absurdly sparse sequence)."""
+    """first_n could not reach N roots (finite or absurdly sparse sequence)."""
 
 
 def roots_mod_m(D: int, m: int) -> list:
@@ -124,68 +143,176 @@ def _sieve(D, M, filt, spf):
                             np.empty(0, np.int64))
     if spf is None or spf.limit < M:
         spf = SpfTable(max(M, 2))
-    spf_arr = spf.spf
+    spf = spf.spf[:M + 1]
+    s = max(math.isqrt(M), 2)
 
-    offsets = array("q", [0, 0, 1])  # roots(1) = [0]
-    flat = array("q", [0])
-    local_cache = {}
-    append = flat.extend
-    off_append = offsets.append
-
-    for m in range(2, M + 1):
-        p = int(spf_arr[m])
-        q = p
-        m2 = m // p
-        while m2 % p == 0:
-            q *= p
-            m2 //= p
-        key = (p, q)
-        loc = local_cache.get(key)
-        if loc is None:
-            e = 0
-            t = q
-            while t > 1:
-                t //= p
-                e += 1
-            loc = local_cache[key] = sqrt_mod_prime_power(D, p, e)
-        if not loc:
-            off_append(offsets[-1])
+    # pass 1: root counts.  Odd primes above sqrt(M) occur only as m = p.
+    big = np.flatnonzero(spf[s + 1:] > s) + (s + 1)
+    r = _sqrt_mod_primes(_mod_each(D, big), big)
+    rho = np.zeros(M + 1, np.int16)   # at most 4 * 2^8 roots below 2^31
+    rho[1] = 1
+    rho[big] = np.sign(r) + 1         # r = -1: no root, r = 0: p | D
+    groups = []
+    for p in range(min(s, M), 1, -1):
+        if spf[p] != p:
             continue
-        if m2 == 1:
-            rs = loc
-        else:
-            lo, hi = offsets[m2], offsets[m2 + 1]
-            if lo == hi:
-                off_append(offsets[-1])
-                continue
-            prev = flat[lo:hi]
-            inv = pow(m2, -1, q)
-            rs = sorted(r2 + m2 * ((r - r2) * inv % q)
-                        for r in loc for r2 in prev)
-        append(array("q", rs))
-        off_append(offsets[-1] + len(rs))
+        q, e = p, 1
+        while q <= M:
+            loc = sqrt_mod_prime_power(D, p, e)
+            if not loc:
+                break   # no root mod p^e, so none mod any higher power
+            m2 = np.flatnonzero(spf[:M // q + 1] > p).astype(np.int32)
+            m2 = m2[rho[m2] > 0]
+            rho[q] = len(loc)
+            rho[q * m2] = len(loc) * rho[m2]
+            groups.append((p, q, np.array(loc, np.int64), m2))
+            q, e = q * p, e + 1
 
-    counts = np.diff(np.frombuffer(offsets, np.int64))[1:]
-    ms = np.repeat(np.arange(1, M + 1, dtype=np.int64), counts)
-    mus = np.frombuffer(flat, np.int64).copy()
+    # pass 2: roots, in CSR order.  Every group's cofactors m2 have their
+    # prime factors above p, so their roots are in place before use.
+    total = int(rho.sum(dtype=np.int64))
+    off = np.zeros(M + 2, np.int32 if total < 2**31 else np.int64)
+    np.cumsum(rho, dtype=off.dtype, out=off[1:])
+    mus = np.empty(total, np.int64)
+    mus[0] = 0                         # the root of m = 1
+    found = r >= 0
+    at, big, r = off[big[found]], big[found], r[found]
+    mus[at] = np.minimum(r, big - r)
+    mus[at[r > 0] + 1] = np.maximum(r, big - r)[r > 0]
+    for p, q, loc, m2 in groups:
+        mus[off[q]:off[q] + len(loc)] = loc
+        if not len(m2):
+            continue
+        inv = _powmod(m2.astype(np.int64) % q, q // p * (p - 1) - 1, q)
+        k2 = rho[m2]
+        for k in np.flatnonzero(np.bincount(k2)):
+            sel = k2 == k
+            j = m2[sel]
+            r2 = mus[off[j][:, None] + np.arange(k)][:, :, None]
+            t = (loc - r2 % q) % q * inv[sel][:, None, None] % q
+            rows = (r2 + j[:, None, None] * t).reshape(len(j), -1)
+            rows.sort(axis=1)
+            mus[off[q * j][:, None] + np.arange(rows.shape[1])] = rows
+    del off, groups                    # freed before ms is built
+
+    nz = np.flatnonzero(rho)
+    ms = np.repeat(nz, rho[nz])
     if filt.n > 1:
         keep = (ms % filt.n == 0) & (mus % filt.n == filt.nu)
         ms, mus = ms[keep], mus[keep]
     return RootSequence(D, filt, ms, mus)
 
 
-def take_n(D: int, N: int, filt: RootFilter = None,
-           spf: SpfTable = None) -> RootSequence:
-    """The first N filtered roots (ordered by modulus), however far that is."""
+def _mod_each(D, p):
+    """D mod p for an int64 array of moduli p < 2^31, exact for any int D."""
+    a = np.zeros_like(p)
+    n = abs(D)
+    for k in range((n.bit_length() - 1) // 31, -1, -1):
+        a = ((a << 31) + ((n >> (31 * k)) & (2**31 - 1))) % p
+    return a if D > 0 else -a % p
+
+
+def _powmod(b, e, m):
+    """b^e mod m elementwise (int64 arrays or scalars, m < 2^31)."""
+    b = b % m
+    e = np.asarray(e)
+    r = np.ones_like(b)
+    while True:
+        r = r * ((b - 1) * (e & 1) + 1) % m   # branch-free r *= b if e odd
+        e = e >> 1
+        if not e.any():
+            return r
+        b = b * b % m
+
+
+def _sqrt_mod_primes(a, p):
+    """r with r^2 = a (mod p) per odd prime p, or -1 where a is no square.
+
+    Vectorised Tonelli-Shanks.  With p - 1 = q 2^s, q odd, r = a^((q+1)/2)
+    and t = a^q satisfy r^2 = a t, and t has order 2^k, k <= s; k = s
+    exactly when a is no square.  Each round multiplies r by an element b
+    of order 2^(k+1), which lowers k, until t = 1.
+    """
+    q, s = p - 1, np.zeros_like(p)
+    while (q & 1 == 0).any():
+        even = q & 1 == 0
+        q, s = np.where(even, q >> 1, q), s + even
+    x = _powmod(a, q >> 1, p)
+    r = x * a % p
+    t = np.where(a == 0, 1, x * r % p)
+    k = _two_order(t, p)
+    r[k == s] = -1
+    i = np.flatnonzero((0 < k) & (k < s))
+    p, m, t, k = p[i], s[i], t[i], k[i]
+    c = _powmod(_non_squares(p), q[i], p)   # order 2^m
+    while i.size:
+        b = c
+        for step in range(int((m - k - 1).max())):
+            b = np.where(m - k - 1 > step, b * b % p, b)
+        c = b * b % p
+        t = t * c % p
+        r[i] = r[i] * b % p
+        m, k = k, _two_order(t, p)
+        live = k > 0
+        i, p, m, t, k, c = i[live], p[live], m[live], t[live], k[live], c[live]
+    return r
+
+
+def _two_order(t, p):
+    """Least k >= 0 with t^(2^k) = 1 (mod p), for t of 2-power order."""
+    k = np.zeros_like(t)
+    i = np.flatnonzero(t != 1)
+    u = t[i]
+    while i.size:
+        k[i] += 1
+        u = u * u % p[i]
+        live = u != 1
+        i, u = i[live], u[live]
+    return k
+
+
+def _non_squares(p):
+    """The least non-square mod p per odd prime p."""
+    z = np.full_like(p, 2)
+    i = np.arange(len(p))
+    while i.size:
+        pi = p[i]
+        i = i[_powmod(z[i], pi >> 1, pi) != pi - 1]
+        z[i] += 1
+    return z
+
+
+def first_n(D: int, N: int, filt: RootFilter = None, keep=None,
+            spf: SpfTable = None) -> RootSequence:
+    """The first N filtered roots (ordered by modulus) of either sign of D.
+
+    `keep`, if given, maps a RootSequence to a boolean mask and restricts
+    the sequence to the marked roots (order preserved), e.g. one order
+    class.  The bound M starts at 2 N n (4 N n with a mask) and doubles
+    until N roots are found, at most 24 times.
+    """
     if N < 1:
         raise ValueError("N >= 1 required")
+    if D < 0:
+        validate_negative_discriminant(D)
+    else:
+        validate_discriminant(D)
     if filt is None:
         filt = RootFilter()
-    M = max(32, 2 * N * filt.n)
+    M = max(32, (2 if keep is None else 4) * N * filt.n)
     for _ in range(24):
-        seq = sieve_roots(D, M, filt, spf)
+        seq = _sieve(D, M, filt, spf)
+        if keep is not None:
+            seq = seq.subset(keep(seq))
         if len(seq) >= N:
             return seq.head(N)
         M *= 2
     raise SequenceExhausted(
         f"fewer than {N} roots below m = {M} for D={D}, filter {filt}")
+
+
+def take_n(D: int, N: int, filt: RootFilter = None,
+           spf: SpfTable = None) -> RootSequence:
+    """The first N filtered roots (ordered by modulus), however far that is."""
+    validate_discriminant(D)
+    return first_n(D, N, filt, spf=spf)

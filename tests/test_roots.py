@@ -1,13 +1,21 @@
+import hashlib
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from georoots.arith import SpfTable, sqrt_mod
+from georoots.cli import RunConfig, _first_n_points
+from georoots.negdisc import sieve_roots_neg
 from georoots.orders import OrderTag
 from georoots.roots import (
     Root,
     RootFilter,
+    _sieve,
     classify_root,
+    first_n,
     roots_mod_m,
     sieve_roots,
     take_n,
@@ -137,3 +145,75 @@ def test_class_partition_counts():
     # D = 5 mod 8: O1 roots outnumber O2 roots 3:1 asymptotically
     ratio = tags.sum() / (~tags).sum()
     assert 2.7 < ratio < 3.3
+
+
+# D = 1 and 5 (mod 8), both signs, and D with two or three ramified primes
+SWEEP_D = (5, 13, 17, 41, 65, 105, -3, -7, -15, -39)
+
+
+@st.composite
+def sieve_cases(draw):
+    D = draw(st.sampled_from(SWEEP_D))
+    M = draw(st.integers(0, 3000))
+    n = draw(st.sampled_from((1, 1, 2, 3, 4, 5, 8, 12)))
+    nus = [nu for nu in range(n) if (nu * nu - D) % n == 0] or [None]
+    nu = draw(st.sampled_from(nus))
+    spf_extra = draw(st.sampled_from((None, 0, 1, 500)))
+    return D, M, (RootFilter() if nu is None else RootFilter(n, nu)), spf_extra
+
+
+@given(sieve_cases())
+@settings(max_examples=200)
+def test_sieve_matches_sqrt_mod(case):
+    D, M, filt, spf_extra = case
+    spf = None if spf_extra is None else SpfTable(M + spf_extra)
+    seq = _sieve(D, M, filt, spf)
+    assert seq.ms.dtype == seq.mus.dtype == np.int64
+    want = [(m, mu) for m in range(filt.n, M + 1, filt.n)
+            for mu in sqrt_mod(D, m) if mu % filt.n == filt.nu]
+    assert list(zip(seq.ms.tolist(), seq.mus.tolist())) == want
+
+
+@pytest.mark.parametrize("D", [5, 17, 65, -3, -15])
+@pytest.mark.parametrize("M", [0, 1, 2, 3, 4, 8])
+def test_sieve_tiny_bounds(D, M):
+    seq = _sieve(D, M, RootFilter(), None)
+    assert list(zip(seq.ms.tolist(), seq.mus.tolist())) == brute(D, M)
+
+
+@pytest.mark.parametrize("D,M,digest", [
+    (5, 600_000,
+     "435e5f45a331194957deaa8f20a4fc8f6d9e98b95425077007eedd7ddd8df63f"),
+    (-15, 200_000,
+     "9997e84494691803af56200f64ca145b068162266e3495e9c923ed8fe4456239"),
+])
+def test_sieve_digest_pinned(D, M, digest):
+    # SHA-256 of ms || mus as little-endian int64: the exact arrays at
+    # sizes the sweep above does not reach
+    seq = _sieve(D, M, RootFilter(), None)
+    data = seq.ms.astype("<i8").tobytes() + seq.mus.astype("<i8").tobytes()
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
+@pytest.mark.parametrize("D", [5, 17, -15])
+@pytest.mark.parametrize("cls", ["O1", "O2"])
+def test_first_n_points_is_class_prefix(D, cls):
+    N = 5000
+    got = _first_n_points(RunConfig(D=D, N=N, class_filter=cls))
+    pool = (sieve_roots_neg if D < 0 else sieve_roots)(D, 200_000)
+    tags = pool.class_tags()
+    want = pool.subset(tags if cls == "O1" else ~tags)
+    assert len(want) >= N
+    assert np.array_equal(got.ms, want.ms[:N])
+    assert np.array_equal(got.mus, want.mus[:N])
+
+
+def test_first_n_validates_by_sign():
+    assert len(first_n(-15, 10)) == 10
+    with pytest.raises(ValueError):
+        take_n(-15, 10)
+    for D in (-4, 45, 6):
+        with pytest.raises(ValueError):
+            first_n(D, 10)
+    with pytest.raises(ValueError):
+        first_n(5, 0)
