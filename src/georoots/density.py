@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from .arith import factorize
-from .forms import act, mat_inv
+from .forms import MAT_ID, act, mat_inv, mat_mul
 from .geodesics import (
     BaseGeodesicSet,
     BudgetExceeded,
@@ -226,26 +226,118 @@ class CosetTerm:
     state: tuple    # canonical form triple of gamma c_l (dedup witness)
 
 
-def _size_key(f):
-    a, b, c = f
-    return (a * a + b * b + c * c, f)
+class _SigmaFrame:
+    """The stabilizer <sigma> of one geodesic, set up for _canon.
+
+    (A, B, C) is the primitive form fixed by sigma = (p, q, r, s),
+    normalized to A > 0: its roots are sigma's fixed points, which solve
+    r w^2 + (s - p) w - q = 0.  disc = B^2 - 4AC.  up is whichever of
+    sigma^{+-1} raises |R| (see _canon): it multiplies P + Q sqrt(disc)
+    by omega = (u + v sqrt(disc))/2 with u = tr^2 - 2, v > 0, and down
+    by the conjugate 1/omega.  log_lam = log Lambda = 2 log omega.
+    Only the group <-sigma, sigma> enters, so sig and sig_inv may be
+    swapped or negated.  Powers of up and down are kept as they are
+    asked for, so build one frame per stabilizer and reuse it.
+    """
+
+    __slots__ = ("A", "B", "disc", "u", "v", "log_lam", "_up", "_down")
+
+    def __init__(self, sig, sig_inv):
+        p, q, r, s = sig
+        g = math.gcd(r, s - p, q)
+        A, B, C = r // g, (s - p) // g, -q // g
+        if A < 0:
+            A, B, C = -A, -B, -C
+        tr = p + s
+        # sigma^{-1} scales (alpha_+, 1) by lambda = p - r alpha_+ =
+        # (A tr - r sqrt disc)/(2A), and r^2 disc = A^2 (tr^2 - 4), so
+        # omega = lambda^2 = (tr^2 - 2 - tr (r/A) sqrt disc)/2
+        v = -tr * (r // A)
+        up, down = (sig, sig_inv) if v > 0 else (sig_inv, sig)
+        self.A, self.B, self.disc = A, B, B * B - 4 * A * C
+        self.u, self.v = tr * tr - 2, abs(v)
+        self.log_lam = 2.0 * math.log((self.u + self.v
+                                       * math.sqrt(self.disc)) / 2.0)
+        self._up = [MAT_ID, up]
+        self._down = [MAT_ID, down]
+
+    def power(self, j):
+        """up^j as a matrix, for any integer j."""
+        pows = self._up if j >= 0 else self._down
+        j = abs(j)
+        while len(pows) <= j:
+            pows.append(mat_mul(pows[-1], pows[1]))
+        return pows[j]
 
 
-def _sigma_canonical(G, sig, sig_inv, window: int = 16):
-    """Unique representative of {sigma^t G}: global minimum of the
-    coefficient size along the (bitonic) stabilizer orbit, walked until
-    `window` consecutive non-improvements in both directions."""
-    best, bestk = G, _size_key(G)
-    for mat in (sig, sig_inv):
-        cur, bad = G, 0
-        while bad < window:
-            cur = act(mat, cur)
-            k = _size_key(cur)
-            if k < bestk:
-                best, bestk, bad = cur, k, 0
-            else:
-                bad += 1
-    return best
+def _canon(G, fr):
+    """Unique representative of {sigma^t G : t in Z}, exactly, in O(1).
+
+    Coordinates.  Let f = (A, B, C) be the form of the frame fr, with
+    discriminant Delta (not a square) and roots alpha_+- = (-B +-
+    sqrt Delta)/(2A).  For G = (a, b, c) put
+
+        P = a (B^2 + Delta) - 2 A B b + 4 A^2 c,    Q = 2 (A b - a B),
+
+    so that 4 A^2 G(alpha_+, 1) = P + Q sqrt Delta and G(alpha_-, 1) is
+    its conjugate.  P = Q = 0 only when G vanishes at both roots, i.e.
+    G is a multiple of f, and sigma fixes those.
+
+    Invariant.  sigma fixes alpha_+ and alpha_- and (sigma . G)(x, y) =
+    G(sigma^{-1}(x, y)), so sigma . G takes the value lambda_+-^2
+    G(alpha_+-, 1) at alpha_+-, where lambda_+ lambda_- = 1 are the
+    eigenvalues of sigma^{-1}.  Hence R = G(alpha_+, 1)/G(alpha_-, 1),
+    finite and nonzero unless P = Q = 0, is multiplied by lambda_+^4 =
+    Lambda^{+-1} per step, and log|R| runs through an arithmetic
+    progression of step log Lambda > 0 along the orbit.  Since
+    (P + Q sqrt Delta)^2 - (P - Q sqrt Delta)^2 = 4 P Q sqrt Delta,
+    |R| >= 1 exactly when P Q >= 0.
+
+    Representative.  Walking the orbit in the direction up that raises
+    |R|, log|R| is strictly increasing, so exactly one orbit member H has
+    P Q >= 0 (log|R| >= 0) while down . H has P Q < 0 (log|R| < 0): the
+    one with log|R| in [0, log Lambda).  The condition refers only to
+    the orbit, so sigma^t G and G get the same H, and H is canonical.
+
+    Finding it.  log|R| = +-(2 log(|P| + |Q| sqrt Delta) - log|P^2 -
+    Q^2 Delta|), + when P Q >= 0, gives the step count from one float
+    log; exact integer sign tests of P Q then move the guess until the
+    defining condition holds, so rounding costs steps, never exactness.
+    A step multiplies P + Q sqrt Delta by omega^{+-1} (see _SigmaFrame),
+    so the tests need no further forms.
+    """
+    A, B, disc, u, v = fr.A, fr.B, fr.disc, fr.u, fr.v
+    P, Q = _pq(G, A, B, disc)
+    if P == 0 and Q == 0:
+        return G
+    log_r = (2.0 * math.log(abs(P) + math.isqrt(Q * Q * disc))
+             - math.log(abs(P * P - Q * Q * disc)))
+    if P * Q < 0:
+        log_r = -log_r
+    j = math.ceil(-log_r / fr.log_lam)
+    if j:
+        G = act(fr.power(j), G)
+        P, Q = _pq(G, A, B, disc)
+    while P * Q < 0:
+        G = act(fr.power(1), G)
+        P, Q = (u * P + v * Q * disc) // 2, (u * Q + v * P) // 2
+    while True:
+        Pd, Qd = (u * P - v * Q * disc) // 2, (u * Q - v * P) // 2
+        if Pd * Qd < 0:
+            return G
+        G, P, Q = act(fr.power(-1), G), Pd, Qd
+
+
+def _pq(G, A, B, disc):
+    """(P, Q) of G in the coordinates of _canon."""
+    a, b, c = G
+    return (a * (B * B + disc) - 2 * A * B * b + 4 * A * A * c,
+            2 * (A * b - a * B))
+
+
+def _sigma_canonical(G, sig, sig_inv):
+    """Unique representative of {sigma^t G}; see _canon for the proof."""
+    return _canon(G, _SigmaFrame(sig, sig_inv))
 
 
 def _geodesic_data(base):
@@ -289,9 +381,9 @@ def enumerate_coset_terms(base: BaseGeodesicSet, q_max: float,
     for k in idx:
         fk, sk, (sig_k, sig_k_inv), minus_k, plus_k = data[k]
         pos_k = fk[0] > 0
-        canon_self = _sigma_canonical(fk, sig_k, sig_k_inv)
-        canon_rev = _sigma_canonical(
-            (-fk[0], -fk[1], -fk[2]), sig_k, sig_k_inv)
+        frame = _SigmaFrame(sig_k, sig_k_inv)
+        canon_self = _canon(fk, frame)
+        canon_rev = _canon((-fk[0], -fk[1], -fk[2]), frame)
         for l in idx:
             fl, sl, _, _, _ = data[l]
             den_kl = sk * sl * base.D
@@ -300,7 +392,7 @@ def enumerate_coset_terms(base: BaseGeodesicSet, q_max: float,
             def qval(G):
                 return (bk * G[1] - 2 * ak * G[2] - 2 * G[0] * ck) / den_kl
 
-            start = _sigma_canonical(fl, sig_k, sig_k_inv)
+            start = _canon(fl, frame)
             seen = {start}
             stack = [start]
             while stack:
@@ -328,7 +420,7 @@ def enumerate_coset_terms(base: BaseGeodesicSet, q_max: float,
                 for g in gens:
                     for Gt in _stab_translates(G, g, sig_k, sig_k_inv,
                                                qval, prune, t_cap):
-                        C = _sigma_canonical(Gt, sig_k, sig_k_inv)
+                        C = _canon(Gt, frame)
                         if C not in seen:
                             seen.add(C)
                             stack.append(C)
@@ -417,7 +509,8 @@ def omega(base: BaseGeodesicSet, grid: np.ndarray = None,
         skipped = 0
     total = np.zeros_like(grid)
     vk = grid / kappa
-    for t in terms:
+    # a fixed summation order, so the floats depend only on the multiset
+    for t in sorted(terms, key=lambda t: (t.q, t.sign, t.k, t.l)):
         total += _H_on_grid(t.sign, t.q, vk)
     # the sum normalizes by the volume of the unit tangent bundle,
     # 2 pi times the surface area

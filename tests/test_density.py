@@ -1,12 +1,17 @@
 """Theoretical pair-correlation density: H functions, pair invariants,
 double-coset enumeration, and the assembled density table."""
 
+import hashlib
 import math
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+import georoots.density as density
 
 from georoots.density import (
     CosetTerm,
@@ -16,7 +21,10 @@ from georoots.density import (
     H_plus,
     H_raw_minus,
     H_raw_plus,
+    _SigmaFrame,
+    _canon,
     _geodesic_data,
+    _pq,
     _sigma_canonical,
     cross_ratio_q,
     default_grid,
@@ -27,7 +35,7 @@ from georoots.density import (
     kappa_and_vol,
     omega,
 )
-from georoots.forms import act, mat_mul
+from georoots.forms import act, mat_mul, mat_pow
 from georoots.geodesics import (
     BudgetExceeded,
     Geodesic,
@@ -258,6 +266,145 @@ def test_coset_terms_match_brute_force():
         assert mine == brute
 
 
+GENS = [(0, -1, 1, 0), (1, 1, 0, 1), (0, 1, -1, 0), (1, -1, 0, 1)]
+
+
+def _windowed_canonical(G, sig, sig_inv, window=16):
+    """The earlier canonicalizer, kept as an oracle: the coefficient-size
+    minimum along the stabilizer orbit, walked until `window` consecutive
+    non-improvements in each direction."""
+    def size_key(f):
+        a, b, c = f
+        return (a * a + b * b + c * c, f)
+
+    best, bestk = G, size_key(G)
+    for mat in (sig, sig_inv):
+        cur, bad = G, 0
+        while bad < window:
+            cur = act(mat, cur)
+            k = size_key(cur)
+            if k < bestk:
+                best, bestk, bad = cur, k, 0
+            else:
+                bad += 1
+    return best
+
+
+@st.composite
+def orbit_cases(draw):
+    """(sigma pair of a base geodesic, a short Gamma word applied to a
+    base form, a stabilizer power t)."""
+    D = draw(st.sampled_from([5, 13, 17, 21, 65]))
+    data = _geodesic_data(base_geodesic_set(D))
+    k = draw(st.integers(0, len(data) - 1))
+    G = data[draw(st.integers(0, len(data) - 1))][0]
+    for g in draw(st.lists(st.sampled_from(GENS), max_size=8)):
+        G = act(g, G)
+    return data[k][2], G, draw(st.integers(-12, 12))
+
+
+@given(orbit_cases())
+def test_sigma_canonical_is_a_unique_orbit_representative(case):
+    (sig, sig_inv), G, t = case
+    C = _sigma_canonical(G, sig, sig_inv)
+    moved = act(mat_pow(sig, t), G)
+    assert _sigma_canonical(moved, sig, sig_inv) == C
+    assert _sigma_canonical(C, sig, sig_inv) == C
+    assert _windowed_canonical(C, sig, sig_inv) == \
+        _windowed_canonical(G, sig, sig_inv)
+    # a wrong step-count guess costs correction steps, never exactness
+    for factor in (0.6, 1.7):
+        fr = _SigmaFrame(sig, sig_inv)
+        fr.log_lam *= factor
+        assert _canon(moved, fr) == C
+
+
+@given(orbit_cases())
+def test_sigma_frame_step_scales_pq_by_omega(case):
+    """One up step multiplies P + Q sqrt(disc) by (u + v sqrt(disc))/2,
+    the identity _canon's exact correction steps rest on."""
+    (sig, sig_inv), G, _ = case
+    fr = _SigmaFrame(sig, sig_inv)
+    P, Q = _pq(G, fr.A, fr.B, fr.disc)
+    P1, Q1 = _pq(act(fr.power(1), G), fr.A, fr.B, fr.disc)
+    assert (2 * P1, 2 * Q1) == (fr.u * P + fr.v * Q * fr.disc,
+                                fr.u * Q + fr.v * P)
+    assert fr.u * fr.u - fr.v * fr.v * fr.disc == 4 and fr.v > 0
+    assert fr.power(-3) == mat_pow(fr.power(-1), 3)
+
+
+@pytest.mark.parametrize("D", [5, 13, 17, 21, 65])
+def test_sigma_canonical_fixes_the_reference_forms(D):
+    for f, _, (sig, sig_inv), _, _ in _geodesic_data(base_geodesic_set(D)):
+        assert act(sig, f) == f
+        fr = _SigmaFrame(sig, sig_inv)
+        C = (fr.B * fr.B - fr.disc) // (4 * fr.A)
+        assert f in {(fr.A, fr.B, C), (-fr.A, -fr.B, -C)}
+        assert _sigma_canonical(f, sig, sig_inv) == f
+        # the frame depends only on the group <-sigma, sigma>
+        neg = tuple(-x for x in sig)
+        for pair in ((sig_inv, sig), (neg, tuple(-x for x in sig_inv))):
+            fr2 = _SigmaFrame(*pair)
+            assert (fr2.A, fr2.B, fr2.disc, fr2.u, fr2.v) == \
+                (fr.A, fr.B, fr.disc, fr.u, fr.v)
+
+
+def _terms_digest(terms):
+    rows = sorted((t.q, t.sign, t.k, t.l) for t in terms)
+    return hashlib.sha256("".join(f"{q!r},{s},{k},{l}\n"
+                                  for q, s, k, l in rows).encode()).hexdigest()
+
+
+# (count, SHA-256) of the sorted (q, sign, k, l) multisets at q_max = 10,
+# recorded with the earlier size-minimizing canonicalizer
+PINNED_TERMS = {
+    5: (384,
+        "56e641edfcc801906cea4570fcd1e2ba2ab9441a7edb09ab8de39a6de48b92dd"),
+    13: (1434,
+         "648d3dfc9a9ce8c8e17540bb55c7987b99940adf9da41e4ced7932ad55a55c3d"),
+    17: (1546,
+         "6a1ca0e405594a79a2d8f55e101bec521d743f2cc11b387983f9e622bbbc7e6e"),
+    21: (3312,
+         "75ecc1c6d7a6a2f8d41c599f0cbc24588e26d5720e66dc2f421c6cfd14bead90"),
+    65: (8626,
+         "19da3bd461a180b61af91519142f559b2a6f19233f773999f7735e49c777c50f"),
+}
+
+
+@pytest.mark.parametrize("D", sorted(PINNED_TERMS))
+def test_coset_term_multisets_pinned(D):
+    terms, skipped = enumerate_coset_terms(base_geodesic_set(D), 10.0)
+    count, digest = PINNED_TERMS[D]
+    assert (len(terms), skipped) == (count, 0)
+    assert _terms_digest(terms) == digest
+
+
+def _full_scan(G, g, sig, sig_inv, qval, prune, t_cap):
+    """Every neighbor act(g, sigma^t G) with |t| <= 20 and |q| <= prune."""
+    out = []
+    for mat, first in ((sig, True), (sig_inv, False)):
+        cur = G
+        for t in range(21):
+            if t > 0 or first:
+                cand = act(g, cur)
+                if abs(qval(cand)) <= prune:
+                    out.append(cand)
+            cur = act(mat, cur)
+    return out
+
+
+@pytest.mark.parametrize("D,mask", [(5, None), (13, None), (17, None),
+                                    (21, [0, 2]), (65, [0, 2])])
+def test_stab_translates_window_misses_nothing(D, mask, monkeypatch):
+    """The three-miss rule finds the same terms as a scan of every
+    stabilizer translate with |t| <= 20."""
+    base = base_geodesic_set(D)
+    windowed, _ = enumerate_coset_terms(base, 4.0, mask)
+    monkeypatch.setattr(density, "_stab_translates", _full_scan)
+    scanned, _ = enumerate_coset_terms(base, 4.0, mask)
+    assert _terms_digest(windowed) == _terms_digest(scanned)
+
+
 def test_coset_terms_monotone_in_q_max():
     base = base_geodesic_set(5)
     small, _ = enumerate_coset_terms(base, 12.0)
@@ -340,6 +487,17 @@ def test_omega_accepts_precomputed_terms():
     b = omega(base, grid, q_max=20.0, terms=terms)
     assert np.array_equal(a.omega, b.omega)
     assert a.terms_used == b.terms_used == len(terms)
+
+
+def test_omega_independent_of_term_order():
+    base = base_geodesic_set(5)
+    grid = np.array([-2.0, -0.5, 0.5, 1.0, 2.0, 4.0])
+    terms, _ = enumerate_coset_terms(base, 20.0)
+    shuffled = list(terms)
+    random.Random(4).shuffle(shuffled)
+    a = omega(base, grid, q_max=20.0, terms=terms)
+    b = omega(base, grid, q_max=20.0, terms=shuffled)
+    assert a.omega.tobytes() == b.omega.tobytes()
 
 
 def test_omega_mask_uses_restricted_kappa():
