@@ -66,7 +66,7 @@ def orbit_vs_sieve(D: int, n: int, nu: int, M: int) -> None:
     seq = sieve_roots(D, M, RootFilter(n, nu))
     sieved = set(zip(seq.ms.tolist(), seq.mus.tolist()))
     ok_line(got.roots == sieved, "tops of the orbit = sieved roots",
-            f"{len(sieved)} roots, {got.visited} states visited")
+            f"{len(sieved)} roots, {got.visited} candidates examined")
     ok_line(got.duplicates == 0, "each root appears exactly once")
 
 

@@ -73,8 +73,8 @@ class SpfTable:
             if spf[i] == 0:
                 seg = spf[i * i :: i]
                 seg[seg == 0] = i
-        unset = spf == 0
-        spf[unset] = np.arange(limit + 1, dtype=np.int64)[unset]
+        unset = np.flatnonzero(spf == 0)   # 0, 1 and the primes
+        spf[unset] = unset
         spf[:2] = (0, 1)
         self.spf = spf
 
@@ -232,6 +232,32 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
         old_s, s = s, old_s - q * s
         old_t, t = t, old_t - q * t
     return old_r, old_s, old_t
+
+
+def xgcd_array(a: np.ndarray, b: np.ndarray):
+    """Elementwise xgcd of int64 arrays: the (g, s, t) that xgcd returns.
+
+    Runs the same Euclid steps on every pair at once and retires a pair
+    when its remainder reaches zero, so each pair costs its own number of
+    steps.
+    """
+    g, s, t = (np.empty(len(a), dtype=np.int64) for _ in range(3))
+    live = np.arange(len(a))
+    r0, r1 = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+    s0, s1 = np.ones_like(r0), np.zeros_like(r0)
+    t0, t1 = np.zeros_like(r0), np.ones_like(r0)
+    while live.size:
+        done = r1 == 0
+        out = live[done]
+        g[out], s[out], t[out] = r0[done], s0[done], t0[done]
+        keep = ~done
+        live, r0, r1, s0, s1, t0, t1 = (
+            v[keep] for v in (live, r0, r1, s0, s1, t0, t1))
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    return g, s, t
 
 
 def crt_combine(parts: list[tuple[list[int], int]]) -> tuple[list[int], int]:

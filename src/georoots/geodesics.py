@@ -6,26 +6,27 @@ mu/m + i sqrt(D)/m, so the normalized root mu/m is read off a geodesic by
 taking the top modulo horizontal integer translation.  This module makes
 that correspondence executable in both directions: build geodesics from
 the narrow-class machinery, then enumerate every top of bounded modulus
-in their Gamma_0(n) orbits by exact breadth-first search over binary
-quadratic forms.
+in their Gamma_0(n) orbits exactly, as the primitive lattice points of
+the Zagier-reduced cones of each base form.
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import xgcd
+import numpy as np
+
+from .arith import xgcd, xgcd_array
 from .forms import (
     MAT_ID,
     MAT_S,
     MAT_T,
     act,
+    disc,
     form_value,
     mat_det,
     mat_inv,
     mat_mul,
-    tshift,
-    tshift_canonical,
 )
 from .orders import (
     OrderTag,
@@ -441,7 +442,12 @@ class EnumerationResult:
     roots: set        # {(m, mu)}
     produced: int     # tops encountered, duplicates included
     duplicates: int   # produced - len(roots)
-    visited: int      # BFS states expanded over all base geodesics
+    visited: int      # candidates examined: lattice points of the cones
+
+    @classmethod
+    def from_arrays(cls, ms, mus, visited):
+        roots = set(zip(ms.tolist(), mus.tolist()))
+        return cls(roots, len(ms), len(ms) - len(roots), visited)
 
     def as_sorted_list(self):
         return sorted(self.roots)
@@ -455,74 +461,191 @@ def start_form(D, g: BaseGeodesic):
     return act(g.conjugator.as_tuple(), f), (1 if order is OrderTag.O1 else 2)
 
 
-def enumerate_tops(base: BaseGeodesicSet, M: int, safety: int = 4,
+def enumerate_tops(base: BaseGeodesicSet, M: int,
                    budget: int = 10_000_000) -> EnumerationResult:
-    """Exact BFS over each base geodesic's Gamma_0(n) orbit.
+    """Every top of modulus at most M in the Gamma_0(n) orbits, exactly.
 
-    States are T-orbit-canonical forms; a state with leading coefficient
-    a > 0 and modulus (a or 2a, by order side) at most M contributes the
-    top root read off its coefficients.  States whose modulus exceeds
-    safety*M times a corridor factor are not expanded.  The corridor
-    factor max(1, n^2/4) accounts for the group's generators: hopping
-    between two moderate states of a Gamma_0(n) orbit can force an
-    intermediate state roughly n^2/4 times larger (measured up to
-    n = 16; plain safety*M is enough for n <= 6).
+    Tops are lattice points.  For gamma = (p, q, r, s) in Gamma_0(n),
+    act(gamma, f0)(x, y) = f0(x v + y w) with v = (s, -r), w = (-q, p)
+    and det[v w] = 1: the state's leading coefficient is f0(v), its middle
+    one the bilinear value B(v, w) = f0(v + w) - f0(v) - f0(w).  A left
+    factor T^j keeps v and moves w by j v, so T-classes of states are
+    bottom rows; gamma lies in Gamma_0(n) iff n | v_2, and every primitive
+    v is a bottom row.  A right factor sigma (the stabilizer, which fixes
+    f0) sends v to sigma* v, sigma* = (s', -q', -r', p'), and -gamma acts
+    as gamma.  Since +-<sigma> is the whole stabilizer of f0 in
+    Gamma_0(n), the states are the primitive v with n | v_2 modulo
+    +-<sigma*>, each once, and the tops are those with f0(v) > 0.
+
+    The v with f0(v) > 0 fill two opposite open sectors +-P between the
+    irrational null lines of f0, swapped by -1.  `zagier_cones` tiles P
+    modulo sigma* by unimodular cones, and `cone_roots` reads off their
+    primitive points; the proofs sit there.  Work is counted in
+    candidates (lattice points of the cones); more than `budget` raises
+    BudgetExceeded before the candidate arrays are built.
     """
     if M < 1:
         raise ValueError("M >= 1 required")
-    gens = [g for g in gamma0_generators(base.n) if g[2] != 0]
-    corridor = safety * M * max(1, base.n * base.n // 4)
-    produced = 0
-    counts = {}
-    visited_total = 0
+    cones = []
     for bg in base.geodesics:
         f0, mult = start_form(base.D, bg)
-        amax = max(corridor, mult * abs(f0[0])) // mult
-        start = tshift_canonical(f0)
-        seen = {start}
-        stack = [start]
-        while stack:
-            visited_total += 1
-            if visited_total > budget:
-                raise BudgetExceeded(
-                    f"orbit of {bg.source} passed {budget} states")
-            F = stack.pop()
-            a, b, c = F
-            if a > 0 and mult * a <= M:
-                mroot = mult * a
-                mu = (-b // 2) % mroot if mult == 1 else (-b) % mroot
-                produced += 1
-                counts[(mroot, mu)] = counts.get((mroot, mu), 0) + 1
-            if abs(a) > amax:
-                continue
-            for g in gens:
-                p, q, r, s = g
-                A = a * r * r
-                B = 2 * a * s * r - b * r * r
-                C = a * s * s - b * s * r + c * r * r
-                for t in _window(A, B, C, amax):
-                    G = tshift_canonical(act(g, tshift(F, t)))
-                    if G not in seen:
-                        seen.add(G)
-                        stack.append(G)
-    roots = set(counts)
-    return EnumerationResult(roots, produced, produced - len(roots),
-                             visited_total)
+        cones += [(f0, U, mult)
+                  for U in zagier_cones(f0, bg.stabilizer.as_tuple())]
+    ms, mus, visited = cone_roots(cones, M, base.n, budget)
+    return EnumerationResult.from_arrays(ms, mus, visited)
 
 
-def _window(A, B, C, amax):
-    """Integer t with |A t^2 + B t + C| <= amax (A != 0): bounded band."""
-    # outermost crossings of the parabola with +-amax
-    lim = amax if A > 0 else -amax
-    disc = B * B - 4 * A * (C - lim)
-    if disc < 0:
-        return
-    rad = math.sqrt(disc)
-    lo = math.floor((-B - rad) / (2 * A) if A > 0 else (-B + rad) / (2 * A))
-    hi = math.ceil((-B + rad) / (2 * A) if A > 0 else (-B - rad) / (2 * A))
-    for t in range(lo - 1, hi + 2):
-        if abs((A * t + B) * t + C) <= amax:
-            yield t
+def _zagier_step(U, g, rt):
+    """Next Zagier cone: basis (u', k u' - u) and the form g in it.
+
+    k = ceil((B + sqrt disc)/(2C)) from rt = isqrt(disc): the quotient is
+    irrational, so k is floor((B + rt)/(2C)) + 1 for C > 0 and
+    -floor((B + rt)/(-2C)) for C < 0.
+    """
+    A, B, C = g
+    k = (B + rt) // (2 * C) + 1 if C > 0 else -((B + rt) // (-2 * C))
+    return mat_mul(U, (0, -1, 1, k)), (C, 2 * C * k - B, (C * k - B) * k + A)
+
+
+def zagier_cones(f, sigma):
+    """Bases U_0 .. U_{K-1} of the Zagier cones of f over one period of
+    sigma, as matrices (p, q, r, s) with columns u_i = (p, r) and
+    u_{i+1} = (q, s).
+
+    f is indefinite with non-square discriminant and act(sigma, f) = f.
+    Write g = f o U = (A, B, C); g is Zagier-reduced when A > 0, C > 0
+    and B > A + C.  Then g > 0 on the closed quadrant, so the cone of U
+    lies in the sector P where f > 0.
+
+    Step.  U -> U (0, -1; 1, k) is the basis (u', k u' - u) of det 1,
+    with g' = (C, 2Ck - B, Ck^2 - Bk + A).  In terms of the root
+    w = (B + sqrt disc)/(2C) of C t^2 - B t + A it is w -> 1/(k - w),
+    k = ceil(w): the minus continued fraction.  Reduced means
+    w > 1 > w' > 0, i.e. 1 lies strictly between the two roots; then
+    C' = C (k - w)(k - w') > 0 and B' - A' - C' = -C (k-1-w)(k-1-w') > 0
+    since w' < 1 <= k - 1 < w, so the step keeps g reduced.
+
+    Reduction terminates.  The minus continued fraction of a real
+    quadratic irrational is eventually periodic, and the periodic part
+    is exactly its reduced tail (Zagier, Nombres de classes et fractions
+    continues, 1975), so stepping from f reaches a reduced g.
+
+    Tiling.  Consecutive cones share the ray u_{i+1} and turn the same way
+    (det 1), so the half-open cones {x u_i + y u_{i+1}: x > 0, y >= 0} are
+    disjoint.  The reduced forms of a class make one cycle, so g_i
+    returns to g_0 exactly when U_i = E^k U_0 for the fundamental
+    automorph E of f that preserves P; the union of the cones, carried
+    by the powers of E towards E's eigenlines (the null lines of f), is
+    all of P.
+
+    Closing.  sigma realizes eps^j for a totally positive unit eps, so
+    its trace eps^j + eps^-j is positive and sigma* = (s', -q', -r', p')
+    maps P to itself: sigma* = E^(+-j), j in {1, 3}.  The walk stops at
+    the first K with U_K = sigma*^(+-1) U_0 (sigma*^-1 is sigma as a
+    matrix), and the cones U_0 .. U_{K-1} tile P modulo sigma* once.
+    The step is a bijection of the finitely many reduced forms, so g_i
+    does return to g_0; a third return without closing, a step off the
+    reduced forms or a reduction longer than 10,000 steps raises.
+    """
+    rt = math.isqrt(disc(f))
+    U, g, steps = MAT_ID, f, 0
+    while not _zagier_reduced(g):
+        U, g = _zagier_step(U, g, rt)
+        steps += 1
+        if steps > 10_000:
+            raise RuntimeError(f"Zagier reduction of {f} did not terminate")
+    p, q, r, s = sigma
+    closers = {mat_mul(h, U) for h in ((s, -q, -r, p), sigma)}
+    g0, cones, returns = g, [U], 0
+    while True:
+        U, g = _zagier_step(U, g, rt)
+        if U in closers:
+            return cones
+        returns += g == g0
+        if returns == 3 or not _zagier_reduced(g):
+            raise RuntimeError(f"cone walk of {f} does not close on sigma "
+                               f"{sigma}")
+        cones.append(U)
+
+
+def _zagier_reduced(g):
+    return g[0] > 0 and g[2] > 0 and g[1] > g[0] + g[2]
+
+
+def cone_roots(cones, M, n, budget):
+    """Roots (m, mu) of the primitive points of half-open lattice cones.
+
+    Each cone is (f, U, mult): a form f, a basis U = (p, q, r, s) of det 1
+    with columns u = (p, r), u' = (q, s) such that g = f o U = (A, B, C)
+    is positive on the closed quadrant, and the modulus multiplier.  Its
+    candidates are the (x, y) with x >= 1, y >= 0 and g(x, y) <= M//mult,
+    a finite set because g >= c (x^2 + y^2) there for some c > 0.  The
+    rows y run up to where the ellipse g <= M//mult ends (disc < 0) or
+    where g(1, y) <= M//mult holds (disc > 0: positivity on the quadrant
+    forces B > 0, so g increases in x).  In each row the admissible x form
+    an interval (g is convex in x), taken from the float roots and then
+    settled by exact int64 tests.  Their count is the work, checked
+    against `budget` before the candidate arrays are built.  All cones
+    are enumerated together, one array entry per row, then per candidate.
+
+    A candidate gives v = x u + y u', primitive iff gcd(x, y) = 1 because
+    U is unimodular; it is kept when also n | v_2.  Extended Euclid gives
+    (x', y') with x y' - y x' = 1, hence w = x' u + y' u' with
+    det[v w] = 1, and b = B(v, w) is the bilinear value of g at
+    (x, y), (x', y').  The root is m = mult * g(x, y) with mu = (-b // 2)
+    mod m for mult = 1 (disc 4D, b even) and -b mod m for mult = 2.
+    Another w differs by a multiple of v and moves b by a multiple of
+    2 g(x, y), which leaves mu alone.
+
+    Returns (ms, mus, candidates), in cone order.
+    """
+    params, heights = [], []
+    for f, (p, q, r, s), mult in cones:
+        A, C = form_value(f, p, r), form_value(f, q, s)
+        B = form_value(f, p + q, r + s) - A - C
+        delta = B * B - 4 * A * C
+        L = M // mult
+        if delta < 0:   # rows where the ellipse g <= L is nonempty
+            Y = math.isqrt(4 * A * L // -delta)
+        else:           # rows where g(1, y) <= L
+            dy = B * B - 4 * C * (A - L)
+            Y = (math.isqrt(dy) - B) // (2 * C) if dy >= 0 else -1
+        if Y >= 0:
+            params.append((A, B, C, L, mult, r % n, s % n))
+            heights.append(Y + 1)
+    heights = np.array(heights, dtype=np.int64)
+    cols = np.array(params, dtype=np.int64).reshape(-1, 7).T
+    A, B, C, L, mult, rn, sn = (np.repeat(c, heights) for c in cols)
+    y = np.arange(len(A)) - np.repeat(np.cumsum(heights) - heights, heights)
+
+    rad = np.sqrt(np.maximum(4 * A * L + (B * B - 4 * A * C) * y * y, 0))
+    lo = np.maximum(np.floor((-B * y - rad) / (2 * A)), 1).astype(np.int64)
+    hi = np.floor((-B * y + rad) / (2 * A)).astype(np.int64) + 1
+    while (bad := (lo <= hi) & ((A * lo + B * y) * lo + C * y * y > L)).any():
+        lo += bad
+    while (bad := (lo <= hi) & ((A * hi + B * y) * hi + C * y * y > L)).any():
+        hi -= bad
+    count = np.maximum(hi - lo + 1, 0)
+    examined = int(count.sum())
+    if examined > budget:
+        raise BudgetExceeded(f"orbit enumeration needs {examined} "
+                             f"candidates, budget {budget}")
+
+    row = np.repeat(np.arange(len(count)), count)
+    x = lo[row] + np.arange(examined) - (np.cumsum(count) - count)[row]
+    y = y[row]
+    if n > 1:
+        keep = (x * rn[row] + y * sn[row]) % n == 0
+        row, x, y = row[keep], x[keep], y[keep]
+    one, sx, ty = xgcd_array(x, y)     # sx x + ty y = one
+    keep = one == 1
+    row, x, y = row[keep], x[keep], y[keep]
+    x1, y1 = -ty[keep], sx[keep]       # x y1 - y x1 = 1
+    A, B, C, mult = A[row], B[row], C[row], mult[row]
+    m = mult * ((A * x + B * y) * x + C * y * y)
+    b = 2 * A * x * x1 + B * (x * y1 + y * x1) + 2 * C * y * y1
+    mu = np.where(mult == 1, (-b // 2) % m, -b % m)
+    return m, mu, examined
 
 
 # ----------------------------------------------------------------------

@@ -15,14 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import SpfTable
-from .forms import MAT_ID, act, reduced_forms_definite, tshift, tshift_canonical
-from .geodesics import (
-    BudgetExceeded,
-    EnumerationResult,
-    _window,
-    gamma0_coset_transversal,
-    gamma0_generators,
-)
+from .forms import MAT_ID, MAT_S, reduced_forms_definite
+from .geodesics import EnumerationResult, cone_roots
 from .orders import OrderTag, validate_negative_discriminant
 from .roots import RootFilter, RootSequence, _sieve, first_n
 
@@ -81,64 +75,35 @@ def class_number_neg(D: int, order: OrderTag) -> int:
 
 
 def enumerate_orbit_points(D: int, M: int, filt: RootFilter = RootFilter(),
-                           safety: int = 4,
                            budget: int = 10_000_000) -> EnumerationResult:
-    """Exact BFS over the congruence-group orbits of the class points.
+    """Every filtered orbit point of modulus at most M, exactly.
 
-    States are T-orbit-canonical definite forms; a state of modulus at
-    most M (leading coefficient, doubled on the disc-D side) contributes
-    its root if the filter accepts it.  For level n > 1 each class point
-    is seeded through a full coset transversal, so the walk still covers
-    the whole modular-group orbit while every step stays in the
-    congruence group.  Corridor and budget behave as in the geodesic
-    enumeration.
+    The points of a class are the T-classes of its modular-group orbit:
+    as for geodesics (see `geodesics.enumerate_tops`), the primitive v
+    modulo the automorphs of the class form f, the point's modulus being
+    f(v) (doubled on the disc-D side).  f is positive definite, so every
+    v counts, and modulo +-1 the half-open cones of (e1, e2) and
+    (e2, -e1) hold each class {v, -v} once.  Only the form (1, 1, 1) of
+    disc -3 has more automorphs: (x, y) -> (-y, x + y), of order 6, takes
+    the ray e1 to e2, e2 - e1 and -e1, so the cone (e1, e2) alone is a
+    fundamental domain.  (Disc -4, the other such case, is not 4D or D
+    for D = 1 mod 4.)  The filter then acts on each root; the level n
+    never restricts v.  `cone_roots` reads off the points and counts the
+    candidates against `budget`.
     """
     validate_negative_discriminant(D)
     filt.validate_for(D)
     if M < 1:
         raise ValueError("M >= 1 required")
-    n = filt.n
-    reps = [MAT_ID] if n == 1 else list(gamma0_coset_transversal(n).values())
-    gens = [g for g in gamma0_generators(n) if g[2] != 0]
-    corridor = safety * M * max(1, n * n // 4)
-    produced = 0
-    counts = {}
-    visited_total = 0
+    cones = []
     for order, mult in ((OrderTag.O1, 1), (OrderTag.O2, 2)):
-        seeds = {tshift_canonical(act(g, f))
-                 for f in class_forms(D, order)
-                 for g in reps}
-        amax = max(corridor, mult * max(f[0] for f in seeds)) // mult
-        seen = set(seeds)
-        stack = list(seeds)
-        while stack:
-            visited_total += 1
-            if visited_total > budget:
-                raise BudgetExceeded(
-                    f"point orbit for D={D} passed {budget} states")
-            F = stack.pop()
-            a, b, c = F
-            if mult * a <= M:
-                mroot = mult * a
-                mu = (-b // 2) % mroot if mult == 1 else (-b) % mroot
-                if filt.accepts(mroot, mu):
-                    produced += 1
-                    counts[(mroot, mu)] = counts.get((mroot, mu), 0) + 1
-            if a > amax:
-                continue
-            for g in gens:
-                p, q, r, s = g
-                A = a * r * r
-                B = 2 * a * s * r - b * r * r
-                C = a * s * s - b * s * r + c * r * r
-                for t in _window(A, B, C, amax):
-                    G = tshift_canonical(act(g, tshift(F, t)))
-                    if G not in seen:
-                        seen.add(G)
-                        stack.append(G)
-    roots = set(counts)
-    return EnumerationResult(roots, produced, produced - len(roots),
-                             visited_total)
+        for f in class_forms(D, order):
+            cones.append((f, MAT_ID, mult))
+            if f != (1, 1, 1):
+                cones.append((f, MAT_S, mult))
+    ms, mus, visited = cone_roots(cones, M, 1, budget)
+    keep = (ms % filt.n == 0) & (mus % filt.n == filt.nu)
+    return EnumerationResult.from_arrays(ms[keep], mus[keep], visited)
 
 
 if __name__ == "__main__":

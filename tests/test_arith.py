@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +16,8 @@ from georoots.arith import (
     is_probable_prime,
     pell_fundamental,
     sqrt_mod_prime_power,
+    xgcd,
+    xgcd_array,
 )
 
 
@@ -40,6 +43,37 @@ def test_spf_table_matches_factorize():
     t = SpfTable(10_000)
     for n in range(1, 10_001):
         assert t.factorize(n) == factorize(n)
+
+
+def _spf_by_arange(limit):
+    """The table as built before: primes filled from a full arange."""
+    spf = np.zeros(limit + 1, dtype=np.int64)
+    for i in range(2, math.isqrt(limit) + 1):
+        if spf[i] == 0:
+            seg = spf[i * i :: i]
+            seg[seg == 0] = i
+    unset = spf == 0
+    spf[unset] = np.arange(limit + 1, dtype=np.int64)[unset]
+    spf[:2] = (0, 1)
+    return spf
+
+
+@pytest.mark.parametrize("limit", [1, 2, 3, 4, 97, 1000, 65_536, 123_457])
+def test_spf_table_equals_arange_construction(limit):
+    spf = SpfTable(limit).spf
+    assert spf.dtype == np.int64
+    assert np.array_equal(spf, _spf_by_arange(limit))
+
+
+@settings(max_examples=50)
+@given(st.lists(st.tuples(st.integers(0, 10**12), st.integers(0, 10**12)),
+                max_size=40))
+def test_xgcd_array_equals_xgcd(pairs):
+    a = np.array([p[0] for p in pairs], dtype=np.int64)
+    b = np.array([p[1] for p in pairs], dtype=np.int64)
+    g, s, t = xgcd_array(a, b)
+    assert [tuple(map(int, r)) for r in zip(g, s, t)] == \
+        [xgcd(x, y) for x, y in pairs]
 
 
 @given(st.integers(min_value=1, max_value=10**12))
