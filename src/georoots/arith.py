@@ -2,14 +2,13 @@
 
 Factorization (smallest-prime-factor table, trial division, Pollard rho with
 a deterministic Miller-Rabin backstop), square roots modulo prime powers,
-CRT combination of residue lists, and the continued fraction of sqrt(D).
+and CRT combination of residue lists.
 Everything here is exact integer arithmetic; residue lists are always sorted.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -291,57 +290,3 @@ def sqrt_mod(D: int, m: int, spf: SpfTable | None = None) -> list[int]:
     parts = [(sqrt_mod_prime_power(D, p, e), p**e)
              for p, e in factorize(m, spf)]
     return crt_combine(parts)[0]
-
-
-@dataclass(frozen=True)
-class CFExpansion:
-    """Continued fraction of sqrt(D): a0 followed by the periodic block."""
-
-    D: int
-    a0: int
-    period: tuple[int, ...]
-
-
-def cf_sqrt(D: int) -> CFExpansion:
-    if D <= 0:
-        raise ValueError("cf_sqrt requires D > 0")
-    a0 = math.isqrt(D)
-    if a0 * a0 == D:
-        raise ValueError("D must not be a perfect square")
-    period = []
-    m, d, a = 0, 1, a0
-    while True:
-        m = d * a - m
-        d = (D - m * m) // d
-        a = (a0 + m) // d
-        period.append(a)
-        if a == 2 * a0:
-            return CFExpansion(D, a0, tuple(period))
-
-
-def cf_convergents(exp: CFExpansion):
-    """Yield convergents (p, q) of sqrt(D), indefinitely."""
-    p0, q0 = exp.a0, 1
-    p1, q1 = 1, 0
-    yield p0, q0
-    i = 0
-    per = exp.period
-    while True:
-        a = per[i % len(per)]
-        p0, p1 = a * p0 + p1, p0
-        q0, q1 = a * q0 + q1, q0
-        yield p0, q0
-        i += 1
-
-
-def pell_fundamental(D: int) -> tuple[int, int, int]:
-    """Minimal (x, y, n) with x^2 - D y^2 = n, n = +-1, x, y > 0."""
-    exp = cf_sqrt(D)
-    L = len(exp.period)
-    gen = cf_convergents(exp)
-    p = q = 0
-    for _ in range(L):
-        p, q = next(gen)
-    n = p * p - D * q * q
-    assert n in (1, -1), (D, p, q, n)
-    return p, q, n

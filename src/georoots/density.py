@@ -34,31 +34,10 @@ class SharedEndpoint(ValueError):
 
 
 # ----------------------------------------------------------------------
-# the H functions: raw transcription and simplified closed forms
-
-def h_raw(q: float, s: float) -> float:
-    """log((s+q)/(1-s^2)), the building block of the raw H formulas."""
-    den = 1.0 - s * s
-    if den == 0.0:
-        raise DomainError("1 - s^2 = 0")
-    val = (s + q) / den
-    if val <= 0.0:
-        raise DomainError("log of a nonpositive value")
-    return math.log(val)
-
+# the H functions: simplified closed forms
 
 def _y(q, v):
     return math.sqrt(v * v + q * q - 1.0)
-
-
-def _s1(q, v):
-    if v == -1.0:
-        raise DomainError("s1 undefined at v = -1")
-    return (-q + _y(q, v)) / (v + 1.0)
-
-
-def _s2(q, v):
-    return v - q - _y(q, v)
 
 
 def _check_off_boundary(q, v):
@@ -68,32 +47,8 @@ def _check_off_boundary(q, v):
         raise DomainError("v = +-sqrt(2-2q)")
 
 
-def H_raw_plus(q: float, v: float) -> float:
-    _check_off_boundary(q, v)
-    if q < -1.0:
-        return 0.0
-    if abs(q) < 1.0:
-        if v < math.sqrt(2.0 - 2.0 * q):
-            return 0.0
-        return h_raw(q, _s1(q, v)) - h_raw(q, _s2(q, v))
-    return h_raw(q, _s1(q, v)) - h_raw(q, -q + math.sqrt(q * q - 1.0))
-
-
-def H_raw_minus(q: float, v: float) -> float:
-    _check_off_boundary(q, v)
-    if q < -1.0:
-        if abs(v) < math.sqrt(2.0 - 2.0 * q):
-            return 0.0
-        return h_raw(q, _s1(q, v)) - h_raw(q, _s2(q, v))
-    if abs(q) < 1.0:
-        if v > -math.sqrt(2.0 - 2.0 * q):
-            return 0.0
-        return h_raw(q, _s1(q, v)) - h_raw(q, _s2(q, v))
-    return h_raw(q, -q - math.sqrt(q * q - 1.0)) - h_raw(q, _s2(q, v))
-
-
 def H_plus(q: float, v: float) -> float:
-    """Simplified H_+: see H_raw_plus for the unsimplified original."""
+    """Simplified H_+; the unsimplified original is a test oracle."""
     _check_off_boundary(q, v)
     if q < -1.0:
         return 0.0
@@ -474,7 +429,6 @@ def default_grid(lo: float = -5.0, hi: float = 5.0, step: float = 0.01,
 
 def omega(base: BaseGeodesicSet, grid: np.ndarray = None,
           q_max: float = 50.0, mask=None, terms=None,
-          allow_nonunit_level: bool = False,
           tail_correction: bool = True,
           budget: int = 2_000_000) -> DensityTable:
     """Truncated density sum on a v grid, plus a tail estimate.
@@ -489,13 +443,12 @@ def omega(base: BaseGeodesicSet, grid: np.ndarray = None,
     to resolve the whole grid; the flat positive-q remainder is
     estimated and folded into the returned values (tail_correction).
 
-    Only the full modular group (n=1) is enabled by default: for proper
+    Only the full modular group (n=1) is supported: for proper
     congruence levels the geodesic lengths entering kappa can differ
     between the two orders and the formula's status there is unsettled.
     """
-    if base.n != 1 and not allow_nonunit_level:
-        raise ValueError("density validated for n=1 only; "
-                         "pass allow_nonunit_level=True to experiment")
+    if base.n != 1:
+        raise ValueError("density validated for n=1 only")
     if grid is None:
         grid = default_grid()
     grid = np.asarray(grid, dtype=np.float64)

@@ -12,6 +12,8 @@ sign convention +sqrt(disc)) transforms as w -> (p w + q)/(r w + s).
 
 from math import gcd, isqrt
 
+import numpy as np
+
 Form = tuple  # (a, b, c)
 Mat = tuple   # (p, q, r, s)
 
@@ -120,117 +122,124 @@ def automorph(f: Form, t: int, u: int) -> Mat:
 
 
 # ----------------------------------------------------------------------
-# indefinite reduction (positive non-square discriminant)
+# indefinite reduction (positive non-square discriminant), after Zagier
+#
+# A basis U = (p, q, r, s) has columns u = (p, r), u' = (q, s), and
+# g = f o U is the form g(x, y) = f(x u + y u'), i.e. act(mat_inv(U), f).
 
-def is_reduced_indefinite(f: Form) -> bool:
+def is_zagier_reduced(f: Form) -> bool:
+    """a > 0, c > 0 and b > a + c; then f > 0 on the closed quadrant."""
     a, b, c = f
-    d = disc(f)
-    if d <= 0 or b <= 0:
-        return False
-    # 0 < b < sqrt(d)  and  sqrt(d) - b < 2|a| < sqrt(d) + b, all strict;
-    # with d non-square, integer comparisons via squares are exact.
-    if b * b >= d:
-        return False
-    ta = 2 * abs(a)
-    lo, hi = ta - b, ta + b  # need lo < sqrt(d) < hi... rearranged below
-    # sqrt(d) - b < 2|a|  <=>  sqrt(d) < 2|a| + b  <=>  d < (2|a|+b)^2
-    if d >= hi * hi:
-        return False
-    # 2|a| < sqrt(d) + b  <=>  2|a| - b < sqrt(d); if lo <= 0 trivially true
-    if lo > 0 and lo * lo >= d:
-        return False
-    return True
+    return a > 0 and c > 0 and b > a + c
 
 
-def rho_step(f: Form) -> Form:
-    """One step of the classical reduction operator for indefinite forms."""
-    a, b, c = f
-    d = disc(f)
-    ac = abs(c)
-    if ac == 0:
-        raise ValueError("degenerate form (c=0)")
-    rt = isqrt(d)
-    if ac > rt:
-        # choose r = -b mod 2|c| in (-|c|, |c|]
-        r = (ac - (-b)) % (2 * ac)
-        r = ac - r
-    else:
-        # choose r = -b mod 2|c| in (sqrt(d) - 2|c|, sqrt(d));
-        # rt = floor(sqrt(d)) is the largest integer below sqrt(d)
-        # because d is never a perfect square here.
-        r = rt - ((rt + b) % (2 * ac))
-    return (c, r, (r * r - d) // (4 * c))
+def _isqrt_indefinite(delta: int) -> int:
+    if delta <= 0 or isqrt(delta) ** 2 == delta:
+        raise ValueError(f"discriminant {delta} is not positive non-square")
+    return isqrt(delta)
 
 
-def reduce_indefinite(f: Form) -> Form:
-    """Iterate rho_step until a reduced form appears."""
-    seen = 0
-    while not is_reduced_indefinite(f):
-        f = rho_step(f)
-        seen += 1
-        if seen > 10_000:
-            raise RuntimeError("reduction failed to terminate")
-    return f
+def zagier_step(U: Mat, g: Form):
+    """One Zagier step: the basis U (0, -1; 1, k) = (u', k u' - u) and
+    the form g' = (C, 2Ck - B, Ck^2 - Bk + A) of f in it, g = (A, B, C).
+
+    In terms of the root w = (B + sqrt disc)/(2C) of C t^2 - B t + A it
+    is w -> 1/(k - w) with k = ceil(w): the minus continued fraction.
+    The quotient is irrational, so with rt = isqrt(disc) k is
+    floor((B + rt)/(2C)) + 1 for C > 0 and -floor((B + rt)/(-2C)) for
+    C < 0.  g reduced means w > 1 > w' > 0, i.e. 1 lies strictly between
+    the two roots; then C' = C (k - w)(k - w') > 0 and
+    B' - A' - C' = -C (k-1-w)(k-1-w') > 0 since w' < 1 <= k - 1 < w,
+    so the step keeps g reduced.
+    """
+    A, B, C = g
+    rt = _isqrt_indefinite(B * B - 4 * A * C)
+    k = (B + rt) // (2 * C) + 1 if C > 0 else -((B + rt) // (-2 * C))
+    return mat_mul(U, (0, -1, 1, k)), (C, 2 * C * k - B, (C * k - B) * k + A)
 
 
-def cycle_of_reduced(f: Form):
-    """The full rho-cycle through a reduced form, as a tuple."""
-    if not is_reduced_indefinite(f):
-        raise ValueError("start form must be reduced")
-    out = [f]
-    g = rho_step(f)
-    while g != f:
-        out.append(g)
-        g = rho_step(g)
-    return tuple(out)
+def zagier_reduce(f: Form):
+    """(U, g): a basis U of det 1 with g = f o U Zagier-reduced.
+
+    Steps from U = 1.  The minus continued fraction of a real quadratic
+    irrational is eventually periodic, and its periodic part is exactly
+    its reduced tail (Zagier, Nombres de classes et fractions continues,
+    1975), so this terminates for every f of positive non-square
+    discriminant; other discriminants raise ValueError.  A root just
+    above an integer costs one step per quotient 2 of its run, so the
+    step count is not logarithmic in the coefficients: act(P^N,
+    (1, 1, -1)) with P = (2, -1, 1, 0) takes N - 1 steps.  The root
+    forms of the class searches (m up to 50 sqrt(D) n + 50) take a few
+    dozen.
+    """
+    _isqrt_indefinite(disc(f))
+    U = MAT_ID
+    while not is_zagier_reduced(f):
+        U, f = zagier_step(U, f)
+    return U, f
 
 
-def reduced_forms_indefinite(delta: int, primitive_only=True):
-    """All reduced forms of positive non-square discriminant delta."""
-    rt = isqrt(delta)
-    if rt * rt == delta:
-        raise ValueError("square discriminant")
+def zagier_cycle(f: Form):
+    """(cycle, E): the reduced forms g_0 .. g_{K-1} met by stepping from
+    (U_0, g_0) = zagier_reduce(f) until g_K = g_0, and the automorph
+    E = U_K U_0^-1 of f (f o E = f) that closes the cycle.
+
+    Let P be the open sector of f > 0 that holds the cone of U_0 (a
+    reduced g is positive on the closed quadrant).  The bases U_i,
+    i in Z (stepping backwards too), tile P: consecutive cones share the
+    ray u_{i+1} and turn the same way (det 1), so the half-open cones
+    {x u_i + y u_{i+1}: x > 0, y >= 0} are disjoint; E preserves f and
+    maps a vector of P into P, hence P onto P, and U_{i+K} = E U_i since
+    each step depends only on g_i; E has positive eigenvalues on the
+    null lines of f, so its powers carry the cones of one period to the
+    two null lines and the union is all of P.  The u_i therefore list, in
+    order, the nonzero lattice points on the boundary of the convex hull
+    of P and the lattice (k >= 2 makes the polygon convex, det 1 leaves
+    no lattice point between u_i and u_{i+1}, and every lattice point of
+    a cone is a nonnegative combination of its edges).  So the walk from
+    any reduced basis inside P visits the same bases, and two reduced
+    forms are equivalent under SL(2, Z) exactly when they lie on one
+    cycle: the cycles of `zagier_cycles` are the proper classes.
+    """
+    U0, g0 = zagier_reduce(f)
+    cycle, U, g = [g0], U0, g0
+    while True:
+        U, g = zagier_step(U, g)
+        if g == g0:
+            return tuple(cycle), mat_mul(U, mat_inv(U0))
+        cycle.append(g)
+
+
+def zagier_reduced_forms(delta: int):
+    """All primitive Zagier-reduced forms of discriminant delta, sorted.
+
+    Write b = a + c + k with k >= 1 and d = a - c, s = a + c, so that
+    delta = d^2 + 2ks + k^2.  Then k and |d| are below sqrt(delta), and
+    each pair (k, d) with 2k | delta - k^2 - d^2 fixes s; a, c > 0 asks
+    s > |d| and s = d (mod 2).  That examines O(delta) candidates.
+    """
+    rt = _isqrt_indefinite(delta)
+    d = np.arange(-rt, rt + 1, dtype=np.int64)
     out = []
-    for b in range(1, rt + 1):
-        if (delta - b) % 2:
-            continue
-        n = (delta - b * b) // 4  # = |a c|, with a c < 0
-        if n <= 0:
-            continue
-        for aa in range(1, n + 1):
-            if n % aa:
-                continue
-            ta = 2 * aa
-            if (ta - b) > 0 and (ta - b) ** 2 >= delta:
-                continue
-            if (ta + b) ** 2 <= delta:
-                continue
-            cc = n // aa
-            for a, c in ((aa, -cc), (-aa, cc)):
-                f = (a, b, c)
-                if primitive_only and not is_primitive(f):
-                    continue
-                out.append(f)
+    for k in range(1, rt + 1):
+        num = delta - k * k - d * d
+        s = num // (2 * k)
+        ok = (num % (2 * k) == 0) & (s > np.abs(d)) & ((s - d) % 2 == 0)
+        a, c = (s[ok] + d[ok]) // 2, (s[ok] - d[ok]) // 2
+        out += [(x, x + y + k, y) for x, y in zip(a.tolist(), c.tolist())
+                if gcd(gcd(x, y), k) == 1]
     return sorted(out)
 
 
-def reduction_cycles(delta: int):
-    """Partition of the reduced primitive forms of disc delta into cycles."""
-    remaining = set(reduced_forms_indefinite(delta))
+def zagier_cycles(delta: int):
+    """Partition of the primitive reduced forms of disc delta into cycles."""
+    remaining = set(zagier_reduced_forms(delta))
     cycles = []
     while remaining:
-        f = min(remaining)
-        cyc = cycle_of_reduced(f)
-        cycles.append(cyc)
-        remaining -= set(cyc)
+        cycle, _ = zagier_cycle(min(remaining))
+        cycles.append(cycle)
+        remaining -= set(cycle)
     return cycles
-
-
-def equivalent_indefinite(f: Form, g: Form) -> bool:
-    """Proper (SL2) equivalence test via the reduction cycle."""
-    if disc(f) != disc(g):
-        return False
-    return reduce_indefinite(g) in cycle_of_reduced(reduce_indefinite(f))
 
 
 # ----------------------------------------------------------------------

@@ -22,11 +22,12 @@ from .forms import (
     MAT_S,
     MAT_T,
     act,
-    disc,
     form_value,
     mat_det,
     mat_inv,
     mat_mul,
+    zagier_reduce,
+    zagier_step,
 )
 from .orders import (
     OrderTag,
@@ -495,81 +496,41 @@ def enumerate_tops(base: BaseGeodesicSet, M: int,
     return EnumerationResult.from_arrays(ms, mus, visited)
 
 
-def _zagier_step(U, g, rt):
-    """Next Zagier cone: basis (u', k u' - u) and the form g in it.
-
-    k = ceil((B + sqrt disc)/(2C)) from rt = isqrt(disc): the quotient is
-    irrational, so k is floor((B + rt)/(2C)) + 1 for C > 0 and
-    -floor((B + rt)/(-2C)) for C < 0.
-    """
-    A, B, C = g
-    k = (B + rt) // (2 * C) + 1 if C > 0 else -((B + rt) // (-2 * C))
-    return mat_mul(U, (0, -1, 1, k)), (C, 2 * C * k - B, (C * k - B) * k + A)
-
-
 def zagier_cones(f, sigma):
     """Bases U_0 .. U_{K-1} of the Zagier cones of f over one period of
     sigma, as matrices (p, q, r, s) with columns u_i = (p, r) and
     u_{i+1} = (q, s).
 
     f is indefinite with non-square discriminant and act(sigma, f) = f.
-    Write g = f o U = (A, B, C); g is Zagier-reduced when A > 0, C > 0
-    and B > A + C.  Then g > 0 on the closed quadrant, so the cone of U
-    lies in the sector P where f > 0.
-
-    Step.  U -> U (0, -1; 1, k) is the basis (u', k u' - u) of det 1,
-    with g' = (C, 2Ck - B, Ck^2 - Bk + A).  In terms of the root
-    w = (B + sqrt disc)/(2C) of C t^2 - B t + A it is w -> 1/(k - w),
-    k = ceil(w): the minus continued fraction.  Reduced means
-    w > 1 > w' > 0, i.e. 1 lies strictly between the two roots; then
-    C' = C (k - w)(k - w') > 0 and B' - A' - C' = -C (k-1-w)(k-1-w') > 0
-    since w' < 1 <= k - 1 < w, so the step keeps g reduced.
-
-    Reduction terminates.  The minus continued fraction of a real
-    quadratic irrational is eventually periodic, and the periodic part
-    is exactly its reduced tail (Zagier, Nombres de classes et fractions
-    continues, 1975), so stepping from f reaches a reduced g.
-
-    Tiling.  Consecutive cones share the ray u_{i+1} and turn the same way
-    (det 1), so the half-open cones {x u_i + y u_{i+1}: x > 0, y >= 0} are
-    disjoint.  The reduced forms of a class make one cycle, so g_i
-    returns to g_0 exactly when U_i = E^k U_0 for the fundamental
-    automorph E of f that preserves P; the union of the cones, carried
-    by the powers of E towards E's eigenlines (the null lines of f), is
-    all of P.
+    The cones are those of the Zagier walk from zagier_reduce(f) (see
+    `forms.zagier_step` and `forms.zagier_cycle`): each g_i = f o U_i is
+    reduced, hence positive on the closed quadrant, and the half-open
+    cones {x u_i + y u_{i+1}: x > 0, y >= 0} of all i tile the sector P
+    where f > 0.  One cycle of reduced forms advances U by the closing
+    automorph E, which generates the automorphs of f that preserve P
+    (`orders.totally_positive_fundamental_unit`).
 
     Closing.  sigma realizes eps^j for a totally positive unit eps, so
     its trace eps^j + eps^-j is positive and sigma* = (s', -q', -r', p')
     maps P to itself: sigma* = E^(+-j), j in {1, 3}.  The walk stops at
     the first K with U_K = sigma*^(+-1) U_0 (sigma*^-1 is sigma as a
     matrix), and the cones U_0 .. U_{K-1} tile P modulo sigma* once.
-    The step is a bijection of the finitely many reduced forms, so g_i
-    does return to g_0; a third return without closing, a step off the
-    reduced forms or a reduction longer than 10,000 steps raises.
+    The walk returns to g_0 once per cycle, so a third return without
+    closing raises.
     """
-    rt = math.isqrt(disc(f))
-    U, g, steps = MAT_ID, f, 0
-    while not _zagier_reduced(g):
-        U, g = _zagier_step(U, g, rt)
-        steps += 1
-        if steps > 10_000:
-            raise RuntimeError(f"Zagier reduction of {f} did not terminate")
+    U, g0 = zagier_reduce(f)
     p, q, r, s = sigma
     closers = {mat_mul(h, U) for h in ((s, -q, -r, p), sigma)}
-    g0, cones, returns = g, [U], 0
+    g, cones, returns = g0, [U], 0
     while True:
-        U, g = _zagier_step(U, g, rt)
+        U, g = zagier_step(U, g)
         if U in closers:
             return cones
         returns += g == g0
-        if returns == 3 or not _zagier_reduced(g):
+        if returns == 3:
             raise RuntimeError(f"cone walk of {f} does not close on sigma "
                                f"{sigma}")
         cones.append(U)
-
-
-def _zagier_reduced(g):
-    return g[0] > 0 and g[2] > 0 and g[1] > g[0] + g[2]
 
 
 def cone_roots(cones, M, n, budget):

@@ -7,9 +7,10 @@ pair (m, mu): the O1 ideal with Z-basis {m, mu + sqrt(D)}, or the O2 ideal
 with Z-basis {m/2, (mu + sqrt(D))/2}.  Both require mu^2 = D (mod m); the
 O2 shape additionally needs m and (D - mu^2)/m even.
 
-Narrow (totally positive) equivalence is decided through the reduction
-cycles of the associated indefinite binary quadratic forms, so everything
-here terminates and is exact.
+Narrow (totally positive) equivalence is decided through the Zagier
+cycles of the associated indefinite binary quadratic forms, whose closing
+automorphs also give the units, so everything here terminates and is
+exact.
 """
 
 from dataclasses import dataclass
@@ -17,8 +18,8 @@ from enum import Enum
 from fractions import Fraction
 from math import gcd, isqrt
 
-from .arith import factorize, pell_fundamental, sqrt_mod, xgcd
-from .forms import reduce_indefinite, reduction_cycles
+from .arith import factorize, sqrt_mod, xgcd
+from .forms import principal_form, zagier_cycle, zagier_cycles, zagier_reduce
 from .quadnum import QuadNum
 
 
@@ -207,39 +208,43 @@ def root_of_form(D: int, f, order: OrderTag):
 # ----------------------------------------------------------------------
 # units
 
-def _icbrt(n: int) -> int:
-    if n <= 0:
-        return 0
-    x = 1 << -(-n.bit_length() // 3)
-    while True:
-        y = (2 * x + n // (x * x)) // 3
-        if y >= x:
-            return x
-        x = y
-
-
 def totally_positive_fundamental_unit(D: int, order: OrderTag) -> QuadNum:
     """Smallest totally positive unit > 1 of the order (norm +1).
 
-    Built from the fundamental solution of x^2 - D y^2 = +-1.  For O2 a
-    half-integral cube root (t + u sqrt(D))/2 of that unit is searched for
-    directly -- its u-component is pinned by an exact cubic identity -- and
-    verified by exact multiplication before being trusted.
+    Read off the Zagier cycle of the principal form f = (a, b, c) =
+    (1, b, c) of discriminant Delta = 4D (O1) or D (O2): its closing
+    automorph E = U_K U_0^-1 (`forms.zagier_cycle`) gives
+    eps = (t + u sqrt(Delta))/2 with t = tr E and u = |E_21| / a.
+
+    Why this is eps.  The proper automorphs of a primitive form of
+    discriminant Delta are the +-A(t', u') = +-((t' - b u')/2, -c u';
+    a u', (t' + b u')/2) over the solutions of t'^2 - Delta u'^2 = 4, and
+    A(t', u') -> (t' + u' sqrt(Delta))/2 is an isomorphism onto the norm
+    +1 units of the order of discriminant Delta.  Those units are
+    +-eps^Z; eps > 0 with norm +1 is totally positive, and every totally
+    positive unit has norm +1, so the positive ones, eps^Z, are the
+    totally positive units.  A(t', u') with t' > 0 has eigenvalues
+    eps^j > 0 and eps^-j > 0 along the two null lines of f, so it maps
+    each of the opposite sectors +-P where f > 0 to itself, while -1
+    swaps them: the automorphs that preserve P are exactly A(eps)^Z.
+    E preserves f and P (`forms.zagier_cycle`), and E != 1 because the
+    cones of one cycle are disjoint, so E = A(eps)^j with j != 0.
+    A(eps)^(+-1), oriented along the walk, maps the walk's bases to
+    bases of reduced forms inside P, hence onto the walk's bases
+    shifted by some i >= 1 (the walk lists the boundary lattice points
+    of the convex hull of P, which any P-preserving automorph keeps
+    in order), and since f o A U_0 = f o U_0 = g_0 the walk is back at
+    g_0 after i steps, so K <= i.  E shifts by K = |j| i steps, so
+    |j| = 1 and eps = (tr E + |u| sqrt(Delta))/2, the root > 1 of
+    x^2 - (tr E) x + 1.  The solution (t, u) of t^2 - Delta u^2 = 4
+    read here is then the least one with t, u > 0.
     """
-    x, y, n = pell_fundamental(D)
-    u1 = QuadNum(D, x, y)
-    if order is OrderTag.O2 and D % 8 == 5:
-        u0 = _icbrt(2 * y // D)
-        for u in range(max(1, u0 - 2), u0 + 4):
-            if u % 2 == 0 or D * u**3 + 3 * n * u != 2 * y:
-                continue
-            t2 = D * u * u + 4 * n
-            t = isqrt(t2)
-            if t * t == t2 and t % 2 == 1:
-                v = QuadNum(D, t, u, 2)
-                if v**3 == u1:
-                    return v * v if n == -1 else v
-    return u1 * u1 if n == -1 else u1
+    delta = 4 * D if order is OrderTag.O1 else D
+    _, E = zagier_cycle(principal_form(delta))
+    t, u = E[0] + E[3], abs(E[2])
+    if order is OrderTag.O1:
+        return QuadNum(D, t, 2 * u, 2)
+    return QuadNum(D, t, u, 2)
 
 
 @dataclass(frozen=True)
@@ -279,7 +284,7 @@ class NarrowClassGroup:
 
     def class_of_form(self, f) -> int:
         try:
-            return self._form_class[reduce_indefinite(f)]
+            return self._form_class[zagier_reduce(f)[1]]
         except KeyError:
             raise ValueError(f"form {f} is not primitive of the right disc")
 
@@ -295,14 +300,14 @@ class NarrowClassGroup:
 def narrow_class_group(D: int, order: OrderTag) -> NarrowClassGroup:
     """Representatives and membership test for the narrow class group.
 
-    Classes are the reduction cycles of primitive indefinite forms of
-    discriminant 4D (O1) or D (O2); each rep is the lexicographically
-    smallest root (m, mu) of the order landing in its cycle, so reps[0]
-    is always the unit ideal.
+    Classes are the Zagier cycles of primitive indefinite forms of
+    discriminant 4D (O1) or D (O2) (`forms.zagier_cycle`); each rep is
+    the lexicographically smallest root (m, mu) of the order landing in
+    its cycle, so reps[0] is always the unit ideal.
     """
     validate_discriminant(D)
     delta = 4 * D if order is OrderTag.O1 else D
-    cycles = reduction_cycles(delta)
+    cycles = zagier_cycles(delta)
     cycle_of = {}
     for i, cyc in enumerate(cycles):
         for f in cyc:
@@ -314,7 +319,7 @@ def narrow_class_group(D: int, order: OrderTag) -> NarrowClassGroup:
         for mu in sqrt_mod(D, m):
             if not fits_order(D, m, mu, order):
                 continue
-            i = cycle_of[reduce_indefinite(form_of_root(D, m, mu, order))]
+            i = cycle_of[zagier_reduce(form_of_root(D, m, mu, order))[1]]
             if i not in found:
                 found[i] = ideal_from_root(D, m, mu, order)
                 order_of_discovery.append(i)

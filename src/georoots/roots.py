@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import SpfTable, sqrt_mod, sqrt_mod_prime_power
+from .arith import SpfTable, sqrt_mod_prime_power
 from .orders import (
     OrderTag,
     is_invertible,
@@ -42,11 +42,6 @@ from .orders import (
 
 class SequenceExhausted(RuntimeError):
     """first_n could not reach N roots (finite or absurdly sparse sequence)."""
-
-
-def roots_mod_m(D: int, m: int) -> list:
-    """Sorted solutions mu in [0, m) of mu^2 = D (mod m)."""
-    return sqrt_mod(D, m)
 
 
 def classify_root(D: int, m: int, mu: int) -> OrderTag:

@@ -7,18 +7,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from georoots.arith import (
-    CFExpansion,
     SpfTable,
-    cf_convergents,
-    cf_sqrt,
     crt_combine,
     factorize,
     is_probable_prime,
-    pell_fundamental,
     sqrt_mod_prime_power,
     xgcd,
     xgcd_array,
 )
+from georoots.forms import (
+    mat_mul,
+    principal_form,
+    zagier_cycle,
+    zagier_reduce,
+    zagier_reduced_forms,
+    zagier_step,
+)
+from georoots.orders import OrderTag, totally_positive_fundamental_unit
+from georoots.quadnum import QuadNum
 
 
 def brute_sqrt_mod(a, m):
@@ -147,32 +153,78 @@ def test_crt_combine_vs_brute(mods, rnd):
     assert rs == expect
 
 
+# ----------------------------------------------------------------------
+# sqrt(D) through the Zagier cycle of the principal form x^2 - D y^2
+
+def minus_period(period):
+    """Minus continued fraction period from the regular one of sqrt(D):
+    a_odd gives a_odd - 1 twos, a_even gives a_even + 2 (an odd-length
+    period is taken twice)."""
+    if len(period) % 2:
+        period = period * 2
+    out = []
+    for i, a in enumerate(period):
+        out += [2] * (a - 1) if i % 2 == 0 else [a + 2]
+    return out
+
+
+def cycle_quotients(D):
+    """Step quotients k around the cycle: g' = (C, 2Ck - B, ...)."""
+    cycle, _ = zagier_cycle(principal_form(4 * D))
+    return [(g[1] + f[1]) // (2 * f[2])
+            for f, g in zip(cycle, cycle[1:] + cycle[:1])]
+
+
+def is_rotation(xs, ys):
+    return len(xs) == len(ys) and any(xs[i:] + xs[:i] == ys
+                                      for i in range(len(xs)))
+
+
 def test_cf_sqrt_pinned():
-    assert cf_sqrt(5) == CFExpansion(5, 2, (4,))
-    assert cf_sqrt(17) == CFExpansion(17, 4, (8,))
-    assert cf_sqrt(13) == CFExpansion(13, 3, (1, 1, 1, 1, 6))
+    """Regular periods sqrt(5) = [2; 4], sqrt(17) = [4; 8] and
+    sqrt(13) = [3; 1, 1, 1, 1, 6], as minus continued fractions."""
+    assert minus_period([4]) == [2, 2, 2, 6]
+    for D, period in ((5, [4]), (17, [8]), (13, [1, 1, 1, 1, 6])):
+        assert is_rotation(cycle_quotients(D), minus_period(period))
 
 
 def test_cf_sqrt_rejects_squares():
     with pytest.raises(ValueError):
-        cf_sqrt(16)
+        zagier_reduce(principal_form(16))
+    with pytest.raises(ValueError):
+        zagier_reduced_forms(16)
 
 
 @pytest.mark.parametrize("D", [5, 13, 17, 21, 29, 33, 37, 41, 65])
 def test_convergent_quality(D):
-    exp = cf_sqrt(D)
-    gen = cf_convergents(exp)
-    rt = math.sqrt(D)
-    for _ in range(12):
-        p, q = next(gen)
-        assert abs(p / q - rt) < 1 / q**2
+    """The cone edges u = (p, q) of x^2 - D y^2 around a cycle approximate
+    sqrt(D) from outside: 0 < p^2 - D q^2 = f(u) < 2D, as a + c < disc/2
+    on every reduced form, so 0 < |p/q| - sqrt(D) < sqrt(D)/q^2, decided
+    in integers; the walk closes on the automorph E of the cycle."""
+    f = principal_form(4 * D)
+    U0, g = zagier_reduce(f)
+    cycle, E = zagier_cycle(f)
+    U = U0
+    for _ in cycle:
+        p, q = U[0], U[2]
+        assert 0 < p * p - D * q * q == g[0] < 2 * D
+        if q:
+            assert p * p * q * q < D * (q * q + 1) ** 2
+        U, g = zagier_step(U, g)
+    assert U == mat_mul(E, U0)
 
 
 @pytest.mark.parametrize("D", [5, 13, 17, 21, 29, 33, 37, 41, 65])
 def test_pell_fundamental(D):
-    x, y, n = pell_fundamental(D)
-    assert x * x - D * y * y == n and n in (1, -1)
-    # minimality: no smaller y works for either sign
-    for yy in range(1, y):
-        for xx in (math.isqrt(D * yy * yy + 1), math.isqrt(D * yy * yy - 1)):
-            assert xx * xx - D * yy * yy not in (1, -1)
+    """The least solution of x^2 - D y^2 = +-1 (by search) gives the
+    totally positive unit of Z[sqrt(D)]: x + y sqrt(D), squared if n = -1."""
+    y, hits = 0, []
+    while not hits:
+        y += 1
+        hits = [n for n in (1, -1)
+                if math.isqrt(D * y * y + n) ** 2 == D * y * y + n]
+    n = hits[0]
+    x = math.isqrt(D * y * y + n)
+    eps = QuadNum(D, x, y)
+    want = eps * eps if n == -1 else eps
+    assert totally_positive_fundamental_unit(D, OrderTag.O1) == want

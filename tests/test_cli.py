@@ -1,7 +1,10 @@
 """End-to-end checks of the command line, run in process via main(argv)."""
 
+import hashlib
 import json
 import math
+
+import pytest
 
 from georoots.cli import main
 from georoots.csvio import fmt_float
@@ -217,6 +220,65 @@ def test_classgroup_negative(capsys):
     forms = {(r[0], int(r[2]), int(r[3]), int(r[4])) for r in rows}
     assert forms == {("O1", 1, 0, 15), ("O1", 3, 0, 5),
                      ("O2", 1, 1, 4), ("O2", 2, 1, 2)}
+
+
+# Stdout digests of `units` and `classgroup`, recorded from an independent
+# implementation (Gauss reduction cycles for the classes, the continued
+# fraction of sqrt(D) for the units), so they pin reps and units byte for
+# byte.
+UNITS_CLASSGROUP_SHA256 = [
+    ("units", 5, "66da0f88747b10637c58c7dbcb700b78"
+     "68d3ccdac05ed8f5f10786d4a7286f76"),
+    ("units", 13, "9d47661a7f83d674982e64867117d4e9"
+     "aa337af9dc7b91fbf9a0da0231cc032b"),
+    ("units", 17, "8d7cdded9d3aabec49dcfc14f2a6433a"
+     "a2f7d91801273ebe7d08e959de2687d2"),
+    ("units", 21, "4adf433ef9231e1d2e8197a216270f31"
+     "a9a8c4a578c9ade084dbcee9d2119183"),
+    ("units", 29, "bd625d7ab188326c007dec70e6538c11"
+     "4be81e332b94292caa5dee2db0ea567d"),
+    ("units", 61, "6fd5b48beedc69b7955dc113c2cca9b0"
+     "aa4d5c7be8bc86128108888d63fe8bd9"),
+    ("units", 65, "bfeb9fef27329d16d989e7314f2df2db"
+     "a8b88e697ceedbcf686e768f72975bb9"),
+    ("units", 109, "343ed32ed4be359f473bc90d4896b865"
+     "ad563f565bba99287c1ba100e64c2c87"),
+    ("units", 157, "07bb828b475b5a1ccf4eb42f7526f408"
+     "db2d8f8b45cac2870379c0562105a35d"),
+    ("units", 1997, "7b335b2167fdde19e803d4e76193d158"
+     "a135e66f5007fcbf550319a07717dbbf"),
+    ("units", 10001, "7bc625b64b591739b1004841ea98c055"
+     "e02eca5e2b88731c1c25d962623b1f5e"),
+    ("classgroup", 5, "1597feaaa34dfb06ef05171fcacbab2e"
+     "0d457af66a48e01d95ce18ff6bb46e59"),
+    ("classgroup", 13, "6c0c907b06ac7201a048ac6e25db0f84"
+     "e4ca1693017498a158d613692bb8a1b3"),
+    ("classgroup", 17, "9a46e450ab0d8f1512eb9aad61d3cd19"
+     "4adbf9f634be19db0061737c18a61996"),
+    ("classgroup", 21, "7a1ba047f2f5ce7de61c361042430528"
+     "2e7e00053557c3216a7951198a5bcdc0"),
+    ("classgroup", 29, "74e6e848688804376c03ec99a878ab84"
+     "1bd666115bcf153b98638f41dc6be73b"),
+    ("classgroup", 61, "dd59f77e376315861996ea7f7e74c71c"
+     "267e7622e5022ffd3514aaf2e2101306"),
+    ("classgroup", 65, "bffbe23bd4e57b6714419a340938f309"
+     "c21e0a30a653afe3c95e50a65d9ea542"),
+    ("classgroup", 109, "da9223ad7948e94c6aba25132ca675a6"
+     "d2574f1a4fee616f864aa6d64d1ebd41"),
+    ("classgroup", 157, "adc38d100456ccb2bb48db23d8851b38"
+     "2f9b45f64c766c78b34886f0a027506d"),
+    ("classgroup", 1997, "ba5cc4746a250fde95fc87e2e10fc1ec"
+     "6c1c49d10e5393cc462f9fb08d45da68"),
+    ("classgroup", 10001, "552226c6d2eb1940452104618a774dbc"
+     "d8d30ee57f8a2aba60d47a66fe94b9fe"),
+]
+
+
+@pytest.mark.parametrize("cmd,D,digest", UNITS_CLASSGROUP_SHA256)
+def test_units_classgroup_bytes_pinned(cmd, D, digest, capsys):
+    code, out, _ = run_cli([cmd, "--D", str(D)], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 # --------------------------------------------------------------- verify

@@ -1,3 +1,6 @@
+import math
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,25 +11,25 @@ from georoots.forms import (
     MAT_T,
     act,
     automorph,
-    cycle_of_reduced,
     disc,
-    equivalent_indefinite,
     form_value,
     is_primitive,
     is_reduced_definite,
-    is_reduced_indefinite,
+    is_zagier_reduced,
     mat_det,
     mat_inv,
     mat_mul,
     mat_pow,
     principal_form,
     reduce_definite,
-    reduce_indefinite,
     reduced_forms_definite,
-    reduced_forms_indefinite,
-    reduction_cycles,
     tshift,
     tshift_canonical,
+    zagier_cycle,
+    zagier_cycles,
+    zagier_reduce,
+    zagier_reduced_forms,
+    zagier_step,
 )
 from georoots.quadnum import QuadNum, mobius_apply
 
@@ -110,35 +113,83 @@ def test_principal_form():
 
 
 def test_reduced_enumeration_pinned():
-    assert reduced_forms_indefinite(20) == [(-1, 4, 1), (1, 4, -1)]
-    assert reduced_forms_indefinite(5) == [(-1, 1, 1), (1, 1, -1)]
-    assert len(reduction_cycles(20)) == 1
-    assert len(reduction_cycles(5)) == 1
-    assert len(reduction_cycles(17)) == 1
-    assert len(reduction_cycles(65)) == 2
-    assert len(reduction_cycles(4 * 65)) == 2
+    # b = a + c + k: disc 20 by hand, k = 1 with a - c = +-1, +-3;
+    # (2, 6, 2) at k = 2 is not primitive
+    assert zagier_reduced_forms(20) == [(1, 6, 4), (4, 6, 1), (4, 10, 5),
+                                        (5, 10, 4)]
+    assert zagier_reduced_forms(5) == [(1, 3, 1)]
+    assert len(zagier_cycles(20)) == 1
+    assert len(zagier_cycles(5)) == 1
+    assert len(zagier_cycles(17)) == 1
+    assert len(zagier_cycles(65)) == 2
+    assert len(zagier_cycles(4 * 65)) == 2
 
 
 def test_cycle_structure():
     for delta in (20, 5, 17, 13, 65, 84, 4 * 17):
-        cycles = reduction_cycles(delta)
-        all_forms = set(reduced_forms_indefinite(delta))
+        cycles = zagier_cycles(delta)
+        all_forms = set(zagier_reduced_forms(delta))
         assert set().union(*map(set, cycles)) == all_forms
+        assert sum(map(len, cycles)) == len(all_forms)
         for cyc in cycles:
-            assert all(is_reduced_indefinite(f) for f in cyc)
+            for f in cyc:
+                assert is_zagier_reduced(f) and is_primitive(f)
+                assert disc(f) == delta
             assert len(set(cyc)) == len(cyc)
+            # each step stays on the cycle and the last one closes it
+            for f, g in zip(cyc, cyc[1:] + cyc[:1]):
+                assert zagier_step(MAT_ID, f)[1] == g
+
+
+def brute_reduced_forms(delta):
+    a, c = np.mgrid[1:delta + 1, 1:delta + 1]
+    b2 = delta + 4 * a * c
+    b = np.sqrt(b2).round().astype(np.int64)
+    ok = (b * b == b2) & (b > a + c) & (np.gcd(np.gcd(a, b), c) == 1)
+    return sorted(zip(a[ok].tolist(), b[ok].tolist(), c[ok].tolist()))
+
+
+def test_reduced_enumeration_matches_brute_force():
+    """The (k, a - c) enumeration against every a, c <= delta.
+
+    b > a + c forces delta > (a - c)^2 + 2(a + c), so a, c < delta."""
+    for delta in range(5, 301):
+        if delta % 4 in (2, 3) or math.isqrt(delta) ** 2 == delta:
+            continue
+        assert zagier_reduced_forms(delta) == brute_reduced_forms(delta)
+
+
+def test_zagier_rejects_definite_and_square_discriminants():
+    for f in ((1, 0, -16), (2, 5, 2), (1, 1, 1), (1, 0, 0)):
+        with pytest.raises(ValueError):
+            zagier_reduce(f)
+    for delta in (16, 0, -3):
+        with pytest.raises(ValueError):
+            zagier_reduced_forms(delta)
 
 
 @given(words, st.sampled_from([(1, 4, -1), (2, 5, -5), (1, 1, -1),
                                (2, 1, -2), (5, 5, -2)]))
 @settings(max_examples=200, deadline=None)
 def test_reduction_finds_equivalence(g, f):
-    assert equivalent_indefinite(f, act(g, f))
+    """f and act(g, f) fall in the same class: both reduce onto f's cycle,
+    and the reducing basis U satisfies act(U^-1, h) = f o U = the form."""
+    h = act(g, f)
+    U, r = zagier_reduce(h)
+    assert mat_det(U) == 1 and act(mat_inv(U), h) == r
+    cycle, E = zagier_cycle(f)
+    assert r in cycle
+    assert mat_det(E) == 1 and act(E, f) == f
 
 
 def test_inequivalent_classes_disc_65():
-    c1, c2 = reduction_cycles(65)
-    assert not equivalent_indefinite(c1[0], c2[0])
+    c1, c2 = zagier_cycles(65)
+    assert not set(c1) & set(c2)
+    for cyc, other in ((c1, c2), (c2, c1)):
+        for f in cyc:
+            assert set(zagier_cycle(f)[0]) == set(cyc)
+            for g in (MAT_S, MAT_T, (2, 1, 1, 1), (5, -3, -3, 2)):
+                assert zagier_reduce(act(g, f))[1] not in other
 
 
 def test_automorph_fixes_form():

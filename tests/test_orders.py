@@ -2,8 +2,15 @@ from fractions import Fraction
 
 import pytest
 
-from georoots.arith import sqrt_mod
-from georoots.forms import disc, is_primitive
+from georoots.arith import factorize, sqrt_mod
+from georoots.forms import (
+    act,
+    disc,
+    is_primitive,
+    mat_det,
+    principal_form,
+    zagier_cycle,
+)
 from georoots.orders import (
     IdealHNF,
     OrderMismatch,
@@ -162,6 +169,30 @@ def test_unit_properties():
             assert e.is_totally_positive()
             if order is O1:
                 assert e.c == 1  # lies in Z[sqrt(D)]
+
+
+@pytest.mark.parametrize("order", [O1, O2])
+def test_units_against_diop_dn(order):
+    """Every squarefree D = 1 (mod 4) in [5, 500]: the unit read off the
+    Zagier cycle is (t + u sqrt(Delta))/2 for the least t, u > 0 with
+    t^2 - Delta u^2 = 4, from sympy's independent solver."""
+    from sympy.solvers.diophantine.diophantine import diop_DN
+
+    biggest = 0
+    for D in range(5, 501, 4):
+        if any(e > 1 for _, e in factorize(D)):
+            continue
+        delta = 4 * D if order is O1 else D
+        t, u = min((t, u) for t, u in diop_DN(delta, 4) if t > 0 and u > 0)
+        assert t * t - delta * u * u == 4
+        want = QuadNum(D, t, 2 * u if order is O1 else u, 2)
+        assert totally_positive_fundamental_unit(D, order) == want, D
+        f = principal_form(delta)
+        _, E = zagier_cycle(f)
+        assert mat_det(E) == 1 and act(E, f) == f
+        assert E[0] + E[3] == t
+        biggest = max(biggest, t)
+    assert biggest > 10**9     # D = 61, 109, 157 are in range
 
 
 def test_unit_relation():

@@ -16,7 +16,6 @@ from georoots.roots import (
     _sieve,
     classify_root,
     first_n,
-    roots_mod_m,
     sieve_roots,
     take_n,
 )
@@ -34,15 +33,15 @@ def brute(D, M, n=1, nu=0):
 
 
 def test_roots_mod_m_pinned():
-    assert roots_mod_m(5, 11) == [4, 7]
-    assert roots_mod_m(5, 3) == []
-    assert roots_mod_m(5, 1) == [0]
+    assert sqrt_mod(5, 11) == [4, 7]
+    assert sqrt_mod(5, 3) == []
+    assert sqrt_mod(5, 1) == [0]
 
 
 @pytest.mark.parametrize("D", [5, 13, 17, 21, 65])
 def test_roots_mod_m_brute(D):
     for m in range(1, 400):
-        assert roots_mod_m(D, m) == [mu for mu in range(m)
+        assert sqrt_mod(D, m) == [mu for mu in range(m)
                                      if (mu * mu - D) % m == 0]
 
 
