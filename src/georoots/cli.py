@@ -112,6 +112,8 @@ def config_from_args(args) -> RunConfig:
         v = getattr(cfg, name)
         if v is not None and v < low:
             raise ConfigError(f"{name} must be >= {low}")
+    if cfg.M is not None and cfg.M >= 2**31:
+        raise ConfigError("M must be below 2^31 (64-bit root arithmetic)")
     if cfg.range <= 0 or cfg.step <= 0:
         raise ConfigError("range and step must be positive")
     if cfg.q_max <= 1:

@@ -10,7 +10,6 @@ floats appear only in the final H evaluations.
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -136,17 +135,6 @@ def cross_ratio_q(c1, c2):
     if sgn == 0:
         raise SharedEndpoint("backward endpoint lies on an endpoint of c1")
     return q, sgn
-
-
-def form_pair_q(f1, s1: int, f2, s2: int, D: int) -> Fraction:
-    """q of two form-geodesics, exactly: (b1 b2 - 2 a1 c2 - 2 a2 c1)/(s1 s2 D).
-
-    s_i is the sqrt-scale of the form's discriminant: disc = (s_i)^2 D.
-    Orientation-sensitive: replacing a form by its negative negates q.
-    """
-    a1, b1, c1 = f1
-    a2, b2, c2 = f2
-    return Fraction(b1 * b2 - 2 * a1 * c2 - 2 * a2 * c1, s1 * s2 * D)
 
 
 # ----------------------------------------------------------------------
@@ -290,18 +278,13 @@ def _pq(G, A, B, disc):
             2 * (A * b - a * B))
 
 
-def _sigma_canonical(G, sig, sig_inv):
-    """Unique representative of {sigma^t G}; see _canon for the proof."""
-    return _canon(G, _SigmaFrame(sig, sig_inv))
-
-
 def _geodesic_data(base):
     """Per base geodesic: (form, sqrt scale s, stabilizer pair, endpoints)."""
     out = []
     for g in base.geodesics:
         f, mult = start_form(base.D, g)
         s = 2 if mult == 1 else 1
-        sig = g.stabilizer.as_tuple()
+        sig = g.stabilizer
         a, b, _ = f
         minus = QuadNum(base.D, -b, -s, 2 * a)
         plus = QuadNum(base.D, -b, s, 2 * a)

@@ -41,18 +41,6 @@ def mat_inv(g: Mat) -> Mat:
     raise ValueError("matrix is not unimodular")
 
 
-def mat_pow(g: Mat, k: int) -> Mat:
-    if k < 0:
-        return mat_pow(mat_inv(g), -k)
-    out = MAT_ID
-    while k:
-        if k & 1:
-            out = mat_mul(out, g)
-        g = mat_mul(g, g)
-        k >>= 1
-    return out
-
-
 def disc(f: Form) -> int:
     a, b, c = f
     return b * b - 4 * a * c
@@ -80,25 +68,6 @@ def act(g: Mat, f: Form) -> Form:
     mid = (a * (s - q) * (s - q) + b * (s - q) * (p - r)
            + c * (p - r) * (p - r))
     return (a2, mid - a2 - c2, c2)
-
-
-def tshift(f: Form, j: int) -> Form:
-    """Apply T^j:  (a, b, c) -> (a, b - 2aj, a j^2 - b j + c)."""
-    a, b, c = f
-    return (a, b - 2 * a * j, a * j * j - b * j + c)
-
-
-def tshift_canonical(f: Form) -> Form:
-    """Unique T-orbit representative with b in (-|a|, |a|]."""
-    a, b, c = f
-    if a == 0:
-        raise ValueError("degenerate form (a=0)")
-    # want b - 2aj in (-|a|, |a|]
-    t = 2 * abs(a)
-    bstar = (abs(a) - b) % t          # in [0, 2|a|)
-    bstar = abs(a) - bstar            # in (-|a|, |a|]
-    j = (b - bstar) // (2 * a)
-    return tshift(f, j)
 
 
 def principal_form(delta: int) -> Form:
@@ -161,21 +130,51 @@ def zagier_step(U: Mat, g: Form):
 def zagier_reduce(f: Form):
     """(U, g): a basis U of det 1 with g = f o U Zagier-reduced.
 
-    Steps from U = 1.  The minus continued fraction of a real quadratic
-    irrational is eventually periodic, and its periodic part is exactly
-    its reduced tail (Zagier, Nombres de classes et fractions continues,
-    1975), so this terminates for every f of positive non-square
-    discriminant; other discriminants raise ValueError.  A root just
-    above an integer costs one step per quotient 2 of its run, so the
-    step count is not logarithmic in the coefficients: act(P^N,
-    (1, 1, -1)) with P = (2, -1, 1, 0) takes N - 1 steps.  The root
-    forms of the class searches (m up to 50 sqrt(D) n + 50) take a few
-    dozen.
+    Takes the steps of `zagier_step` from U = 1 until g is reduced.  The
+    minus continued fraction of a real quadratic irrational is eventually
+    periodic, and its periodic part is exactly its reduced tail (Zagier,
+    Nombres de classes et fractions continues, 1975), so this terminates
+    for every f of positive non-square discriminant; other discriminants
+    raise ValueError.
+
+    Runs of quotient 2 are skipped in closed form.  With g = (A, B, C),
+    w = (B + sqrt disc)/(2C) and its conjugate w', put x = 1/(w - 1) and
+    x' = 1/(w' - 1), i.e. (B - 2C -+ sqrt disc)/(2(A - B + C)).  A step
+    of quotient 2 is w -> 1/(2 - w), which is x -> x - 1, and likewise
+    x' -> x' - 1 (the step is rational, so it commutes with conjugation).
+    The quotient ceil(w) is 2 exactly when 1 < w < 2, i.e. x > 1, so from
+    g the next floor(x) quotients are 2, and w stays above 1 for the
+    floor(x) + 1 forms met on the way.  Reduced means w > 1 > w' > 0
+    (`zagier_step`), and 0 < w' < 1 is x' < -1, so the i-th of those
+    forms is reduced exactly when i >= floor(x') + 2.  The loop would
+    therefore take the next s = min(floor(x), floor(x') + 2) steps with
+    quotient 2 and without stopping, and they compose to the basis
+    change P^s = (1 - s, -s; s, 1 + s), P = (0, -1; 1, 2).  Both floors
+    are exact: sqrt disc is irrational, so floor(y -+ sqrt disc) is
+    y - isqrt(disc) - 1 or y + isqrt(disc) for integer y.
+
+    After a skip the walk has stopped or its next quotient is at least 3,
+    so it takes at most two loop turns per quotient other than 2; those
+    quotients stand for every second partial quotient of the ordinary
+    continued fraction of w (whose other partial quotients are the run
+    lengths), so the turns are logarithmic in the coefficients, as for
+    Gauss reduction: act(P^N, (1, 1, -1)) takes at most three for any N.
     """
-    _isqrt_indefinite(disc(f))
+    rt = _isqrt_indefinite(disc(f))
     U = MAT_ID
     while not is_zagier_reduced(f):
-        U, f = zagier_step(U, f)
+        A, B, C = f
+        p, q = B - 2 * C, 2 * (A - B + C)
+        if q > 0:
+            fx, fx1 = (p - rt - 1) // q, (p + rt) // q
+        else:
+            fx, fx1 = (rt - p) // -q, (-p - rt - 1) // -q
+        s = min(fx, fx1 + 2)
+        if s >= 2:
+            U = mat_mul(U, (1 - s, -s, s, 1 + s))
+            f = act((1 + s, s, -s, 1 - s), f)
+        else:
+            U, f = zagier_step(U, f)
     return U, f
 
 
@@ -244,34 +243,6 @@ def zagier_cycles(delta: int):
 
 # ----------------------------------------------------------------------
 # definite reduction (negative discriminant, positive definite a > 0)
-
-def reduce_definite(f: Form) -> Form:
-    a, b, c = f
-    if disc(f) >= 0 or a <= 0:
-        raise ValueError("expected a positive definite form")
-    while True:
-        if a > c:
-            a, b, c = c, -b, a
-            continue
-        if b <= -a or b > a:
-            # normalize b into (-a, a]
-            k = (a - b) // (2 * a)
-            b2 = b + 2 * a * k
-            c = a * k * k + b * k + c
-            b = b2
-            continue
-        break
-    if (a == c and b < 0) or b == -a:
-        b = -b
-    return (a, b, c)
-
-
-def is_reduced_definite(f: Form) -> bool:
-    a, b, c = f
-    if not (-a < b <= a <= c):
-        return False
-    return not (a == c and b < 0)
-
 
 def reduced_forms_definite(delta: int, primitive_only=True):
     """All reduced positive definite forms of discriminant delta < 0."""

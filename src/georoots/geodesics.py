@@ -22,6 +22,7 @@ from .forms import (
     MAT_S,
     MAT_T,
     act,
+    automorph,
     form_value,
     mat_det,
     mat_inv,
@@ -54,37 +55,6 @@ class BudgetExceeded(RuntimeError):
     """Orbit search grew past its node budget before closing."""
 
 
-class NegativeOrientation(ValueError):
-    """Coset parametrization hit m <= 0 (image geodesic runs right to left)."""
-
-
-@dataclass(frozen=True)
-class GammaElement:
-    a: int
-    b: int
-    c: int
-    d: int
-
-    def __post_init__(self):
-        if self.a * self.d - self.b * self.c != 1:
-            raise ValueError("determinant must be 1")
-
-    def as_tuple(self):
-        return (self.a, self.b, self.c, self.d)
-
-    def __mul__(self, other):
-        return GammaElement(*mat_mul(self.as_tuple(), other.as_tuple()))
-
-    def inverse(self):
-        return GammaElement(self.d, -self.b, -self.c, self.a)
-
-    def trace(self):
-        return self.a + self.d
-
-
-IDENTITY = GammaElement(1, 0, 0, 1)
-
-
 @dataclass(frozen=True)
 class Geodesic:
     """Oriented geodesic with exact endpoints; None stands for infinity."""
@@ -108,7 +78,8 @@ class Geodesic:
 
 @dataclass(frozen=True)
 class TopPoint:
-    """Top of a root geodesic: x = mu/m, imaginary part sqrt(D)/m."""
+    """Top of a root geodesic, or for D < 0 the root's point: x = mu/m,
+    imaginary part sqrt(|D|)/m."""
 
     x: Fraction
     m: int
@@ -137,9 +108,7 @@ def _mobius_endpoint(g, z, D):
 
 
 def apply_gamma(g, c: Geodesic) -> Geodesic:
-    """Exact Mobius image of a geodesic; accepts GammaElement or 4-tuple."""
-    if isinstance(g, GammaElement):
-        g = g.as_tuple()
+    """Exact Mobius image of a geodesic under the matrix g = (p, q, r, s)."""
     return Geodesic(c.D, _mobius_endpoint(g, c.minus, c.D),
                     _mobius_endpoint(g, c.plus, c.D))
 
@@ -172,46 +141,38 @@ def top_of(c: Geodesic):
 # ----------------------------------------------------------------------
 # stabilizers
 
-def _unit_xy(eps: QuadNum):
-    """Write a unit as (x + y sqrt(D))/2, so x, y may be doubled ints."""
-    if eps.c == 2:
-        return eps.a, eps.b
-    if eps.c == 1:
-        return 2 * eps.a, 2 * eps.b
-    raise ValueError("unit denominator must be 1 or 2")
+def stabilizer_generator(D: int, m: int, mu: int, n: int = 1,
+                         conj=MAT_ID):
+    """Generator of the Gamma_0(n) stabilizer of conj applied to the root
+    geodesic of (m, mu).
 
+    Returns (sigma, j): sigma realizes eps^j for the totally positive
+    fundamental unit eps of the root's order, and j in {1, 3} is minimal
+    with sigma in Gamma_0(n).  The geodesic's length in Gamma_0(n)\\H is
+    2 j log(eps).
 
-def _stabilizer_matrix(D, m, mu, order, eps_power):
-    """Conjugate of diag(eps, eps^-1) into SL(2,Z) fixing the root geodesic."""
-    x, y = _unit_xy(eps_power)  # eps = (x + y sqrt(D))/2
-    if order is OrderTag.O1:
-        if x % 2 or y % 2:
-            raise IntegralityFailure("O1 unit with half-integral coordinates")
-        x, y = x // 2, y // 2
-        return (x + y * mu, y * (D - mu * mu) // m, y * m, x - y * mu)
-    num_p, num_s = x + y * mu, x - y * mu
-    cc = m * y
-    if num_p % 2 or num_s % 2 or cc % 2 or (D - mu * mu) % (2 * m):
-        raise IntegralityFailure("O2 stabilizer parity broke down")
-    return (num_p // 2, y * (D - mu * mu) // (2 * m), cc // 2, num_s // 2)
-
-
-def stabilizer_generator(D: int, m: int, mu: int, n: int = 1):
-    """Generator of the geodesic's stabilizer inside Gamma_0(n).
-
-    Returns (GammaElement, j) where the matrix realizes eps^j for the
-    order's totally positive fundamental unit eps and j in {1, 3} is
-    minimal with the matrix in Gamma_0(n).  The geodesic's length in
-    Gamma_0(n)\\H is 2 j log(eps).
+    sigma is the automorph A(t, u) (`forms.automorph`) of the geodesic's
+    form f0 = act(conj, form_of_root(D, m, mu, order)), read off
+    eps = (t + u sqrt(disc f0))/2.  The proper automorphs of f0 are the
+    +-A(t', u') over the norm +1 units (t' + u' sqrt(disc f0))/2 of the
+    order (see `orders.totally_positive_fundamental_unit`), and A is
+    multiplicative, so A(eps)^3 realizes eps^3.  The geodesic runs
+    between the roots of f0, so sigma fixes it.
     """
     order = OrderTag.O1 if is_invertible(D, m, mu) else OrderTag.O2
+    f0 = act(conj, form_of_root(D, m, mu, order))
     eps = totally_positive_fundamental_unit(D, order)
-    for j in (1, 3):
-        mat = _stabilizer_matrix(D, m, mu, order, eps**j)
-        if mat_det(mat) != 1:
-            raise IntegralityFailure("stabilizer determinant is not 1")
-        if mat[2] % n == 0:
-            return GammaElement(*mat), j
+    s = 2 if order is OrderTag.O1 else 1     # disc f0 = s^2 D
+    t, t_rem = divmod(2 * eps.a, eps.c)
+    u, u_rem = divmod(2 * eps.b, s * eps.c)
+    if t_rem or u_rem or (t - f0[1] * u) % 2:
+        raise IntegralityFailure(f"unit {eps} gives no automorph of {f0}")
+    sigma = automorph(f0, t, u)
+    if mat_det(sigma) != 1:
+        raise IntegralityFailure("stabilizer determinant is not 1")
+    for j, g in ((1, sigma), (3, mat_mul(sigma, mat_mul(sigma, sigma)))):
+        if g[2] % n == 0:
+            return g, j
     raise RuntimeError(
         f"no stabilizer power j in {{1,3}} lands in Gamma_0({n}) "
         f"for root ({m},{mu}) of D={D}")
@@ -305,7 +266,7 @@ def extra_coset_copies(n: int, count: int):
             if g != 1:
                 continue
             seen_pts.add(pt)
-            found.append(GammaElement(u, -v, c, d))
+            found.append((u, -v, c, d))
             if len(found) == count:
                 return found
     raise RuntimeError(f"could not find {count} coset copies for n={n}")
@@ -319,9 +280,9 @@ class BaseGeodesic:
     source: tuple          # ("I", k) or ("J", l): order side and class index
     m: int                 # root of the shifted class representative
     mu: int
-    conjugator: GammaElement
+    conjugator: tuple      # matrix (p, q, r, s)
     geodesic: Geodesic     # conjugator applied to the root geodesic
-    stabilizer: GammaElement  # generates its Gamma_0(n) stabilizer, up to sign
+    stabilizer: tuple      # generates its Gamma_0(n) stabilizer, up to sign
     j_stab: int            # stabilizer realizes eps_order^j_stab
     length_mult: int       # geodesic length = 2 * length_mult * log(eps2)
 
@@ -343,10 +304,6 @@ class BaseGeodesicSet:
     def lengths(self):
         le = 2.0 * math.log(float(self.eps2))
         return [le * g.length_mult for g in self.geodesics]
-
-    def total_length(self) -> float:
-        le = 2.0 * math.log(float(self.eps2))
-        return le * sum(g.length_mult for g in self.geodesics)
 
 
 def _splitting_number(D, n, relation):
@@ -382,7 +339,7 @@ def base_geodesic_set(D: int, n: int = 1, nu: int = 0) -> BaseGeodesicSet:
         shifted = class_shift_representative(D, OrderTag.O1, rep, n, nu, g1)
         m, mu = shifted.m, shifted.mu
         stab, j = stabilizer_generator(D, m, mu, n)
-        geos.append(BaseGeodesic(("I", k), m, mu, IDENTITY,
+        geos.append(BaseGeodesic(("I", k), m, mu, MAT_ID,
                                  geodesic_from_root(D, m, mu), stab, j,
                                  j * (3 if cube else 1)))
 
@@ -390,9 +347,9 @@ def base_geodesic_set(D: int, n: int = 1, nu: int = 0) -> BaseGeodesicSet:
     j_side_exists = n % 2 == 1 or ((D - nu * nu) // n) % 2 == 0
     if j_side_exists:
         if n % 2 == 1 or s == 1:
-            copies = [IDENTITY]
+            copies = [MAT_ID]
         else:
-            copies = [IDENTITY] + extra_coset_copies(n, s - 1)
+            copies = [MAT_ID] + extra_coset_copies(n, s - 1)
         g2 = narrow_class_group(D, OrderTag.O2)
         for l, rep in enumerate(g2.reps):
             shifted = class_shift_representative(D, OrderTag.O2, rep, n, nu,
@@ -400,25 +357,13 @@ def base_geodesic_set(D: int, n: int = 1, nu: int = 0) -> BaseGeodesicSet:
             m, mu = shifted.m, shifted.mu
             base = geodesic_from_root(D, m, mu)
             for conj in copies:
-                stab, j = _conjugated_stabilizer(D, m, mu, n, conj)
+                stab, j = stabilizer_generator(D, m, mu, n, conj)
                 geos.append(BaseGeodesic(("J", l), m, mu, conj,
                                          apply_gamma(conj, base), stab, j, j))
 
     out = BaseGeodesicSet(D, n, nu, s, tuple(geos), rel.eps2, rel.relation)
     _check_base_tops(out, filt)
     return out
-
-
-def _conjugated_stabilizer(D, m, mu, n, conj):
-    eps = totally_positive_fundamental_unit(D, OrderTag.O2)
-    ct = conj.as_tuple()
-    cti = mat_inv(ct)
-    for j in (1, 3):
-        mat = _stabilizer_matrix(D, m, mu, OrderTag.O2, eps**j)
-        w = mat_mul(mat_mul(ct, mat), cti)
-        if w[2] % n == 0:
-            return GammaElement(*w), j
-    raise RuntimeError("conjugated stabilizer escaped {1,3} (theory bug)")
 
 
 def _check_base_tops(base: BaseGeodesicSet, filt: RootFilter):
@@ -450,16 +395,13 @@ class EnumerationResult:
         roots = set(zip(ms.tolist(), mus.tolist()))
         return cls(roots, len(ms), len(ms) - len(roots), visited)
 
-    def as_sorted_list(self):
-        return sorted(self.roots)
-
 
 def start_form(D, g: BaseGeodesic):
     """Form of a base geodesic (conjugator applied) and its modulus
     multiplier: the root modulus is mult * a for a top with coefficient a."""
     order = OrderTag.O1 if g.source[0] == "I" else OrderTag.O2
     f = form_of_root(D, g.m, g.mu, order)
-    return act(g.conjugator.as_tuple(), f), (1 if order is OrderTag.O1 else 2)
+    return act(g.conjugator, f), (1 if order is OrderTag.O1 else 2)
 
 
 def enumerate_tops(base: BaseGeodesicSet, M: int,
@@ -491,7 +433,7 @@ def enumerate_tops(base: BaseGeodesicSet, M: int,
     for bg in base.geodesics:
         f0, mult = start_form(base.D, bg)
         cones += [(f0, U, mult)
-                  for U in zagier_cones(f0, bg.stabilizer.as_tuple())]
+                  for U in zagier_cones(f0, bg.stabilizer)]
     ms, mus, visited = cone_roots(cones, M, base.n, budget)
     return EnumerationResult.from_arrays(ms, mus, visited)
 
@@ -607,38 +549,3 @@ def cone_roots(cones, M, n, budget):
     b = 2 * A * x * x1 + B * (x * y1 + y * x1) + 2 * C * y * y1
     mu = np.where(mult == 1, (-b // 2) % m, -b % m)
     return m, mu, examined
-
-
-# ----------------------------------------------------------------------
-# direct parametrization of tops over a coset of the class stabilizer
-
-def coset_parametrization(D: int, m_k: int, mu_k: int, order: OrderTag,
-                          gamma) -> tuple:
-    """(mu, m) of the top of gamma applied to the class geodesic.
-
-    Exact linear formula in the entries of gamma: with (r, s) the bottom
-    row, m is the value of the class's norm form at (r, s) and mu rides
-    along in the same matrix product.  Agrees with the geometric
-    top_of(apply_gamma(...)) whenever m > 0; raises NegativeOrientation
-    otherwise (the image then has no top).
-    """
-    if isinstance(gamma, GammaElement):
-        gamma = gamma.as_tuple()
-    p, q, r, s = gamma
-    if order is OrderTag.O1:
-        Mk = ((mu_k * mu_k - D) // m_k, mu_k, mu_k, m_k)
-    else:
-        if m_k % 2 or (mu_k * mu_k - D) % (2 * m_k):
-            raise ValueError("root does not fit O2")
-        Mk = ((mu_k * mu_k - D) // (2 * m_k), (mu_k - 1) // 2,
-              (mu_k + 1) // 2, m_k // 2)
-    u = Mk[0] * r + Mk[1] * s
-    v = Mk[2] * r + Mk[3] * s
-    mu_out = p * u + q * v
-    m_out = r * u + s * v
-    if order is OrderTag.O2:
-        mu_out = 2 * mu_out + 1
-        m_out = 2 * m_out
-    if m_out <= 0:
-        raise NegativeOrientation(f"image modulus {m_out} <= 0")
-    return mu_out, m_out

@@ -11,32 +11,20 @@ sieve side is unchanged -- the local square-root solvers never look at
 the sign of D.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import SpfTable
 from .forms import MAT_ID, MAT_S, reduced_forms_definite
-from .geodesics import EnumerationResult, cone_roots
+from .geodesics import EnumerationResult, TopPoint, cone_roots
 from .orders import OrderTag, validate_negative_discriminant
 from .roots import RootFilter, RootSequence, _sieve, first_n
 
 
-@dataclass(frozen=True)
-class OrbitPoint:
-    """Orbit point x + i sqrt(|D|)/m; x = mu/m encodes the root."""
-
-    x: Fraction
-    m: int
-
-    def root(self):
-        mu = self.x * self.m
-        return (self.m, int(mu) % self.m)
-
-
-def point_of_root(D: int, m: int, mu: int) -> OrbitPoint:
+def point_of_root(D: int, m: int, mu: int) -> TopPoint:
+    """The point x + i sqrt(|D|)/m of the root, x = mu/m."""
     if m < 1 or (mu * mu - D) % m:
         raise ValueError("mu^2 = D (mod m) violated")
-    return OrbitPoint(Fraction(mu, m), m)
+    return TopPoint(Fraction(mu, m), m)
 
 
 def sieve_roots_neg(D: int, M: int, filt: RootFilter = RootFilter(),
@@ -70,10 +58,6 @@ def class_forms(D: int, order: OrderTag) -> list:
     return reduced_forms_definite(delta)
 
 
-def class_number_neg(D: int, order: OrderTag) -> int:
-    return len(class_forms(D, order))
-
-
 def enumerate_orbit_points(D: int, M: int, filt: RootFilter = RootFilter(),
                            budget: int = 10_000_000) -> EnumerationResult:
     """Every filtered orbit point of modulus at most M, exactly.
@@ -105,14 +89,3 @@ def enumerate_orbit_points(D: int, M: int, filt: RootFilter = RootFilter(),
     keep = (ms % filt.n == 0) & (mus % filt.n == filt.nu)
     return EnumerationResult.from_arrays(ms[keep], mus[keep], visited)
 
-
-if __name__ == "__main__":
-    for D, M in ((-3, 20), (-15, 20)):
-        seq = sieve_roots_neg(D, M)
-        got = enumerate_orbit_points(D, M)
-        match = got.roots == {(int(m), int(mu))
-                              for m, mu in zip(seq.ms, seq.mus)}
-        h1 = class_number_neg(D, OrderTag.O1)
-        h2 = class_number_neg(D, OrderTag.O2)
-        print(f"D={D}: h1={h1} h2={h2} roots={len(seq)} "
-              f"orbit==sieve: {match}")

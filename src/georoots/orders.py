@@ -101,26 +101,10 @@ class IdealHNF:
         base = self.m if self.order is OrderTag.O1 else Fraction(self.m, 2)
         return self.scalar**2 * base
 
-    def basis_rows(self):
-        """HNF rows over (sqrt(D), 1) for O1, ((1+sqrt(D))/2, 1) for O2."""
-        if self.order is OrderTag.O1:
-            return ((1, self.mu), (0, self.m))
-        return ((1, (self.mu - 1) // 2), (0, self.m // 2))
-
 
 def ideal_from_root(D: int, m: int, mu: int, order: OrderTag,
                     scalar=Fraction(1)) -> IdealHNF:
     return IdealHNF(D, order, m, mu % m, Fraction(scalar))
-
-
-def root_from_ideal(ideal: IdealHNF) -> tuple:
-    return (ideal.m, ideal.mu)
-
-
-def unit_ideal(D: int, order: OrderTag) -> IdealHNF:
-    if order is OrderTag.O1:
-        return IdealHNF(D, order, 1, 0)
-    return IdealHNF(D, order, 2, 1)
 
 
 def ideal_conjugate(ideal: IdealHNF) -> IdealHNF:
@@ -189,20 +173,6 @@ def form_of_root(D: int, m: int, mu: int, order: OrderTag):
     if m % 2 or (mu * mu - D) % (2 * m):
         raise OrderMismatch("root does not fit O2")
     return (m // 2, -mu, (mu * mu - D) // (2 * m))
-
-
-def root_of_form(D: int, f, order: OrderTag):
-    """Inverse dictionary; requires positive leading coefficient."""
-    a, b, _ = f
-    if a <= 0:
-        raise ValueError("need a > 0 to read off a root")
-    if order is OrderTag.O1:
-        if b % 2:
-            raise ValueError("odd middle coefficient at discriminant 4D")
-        m = a
-        return m, (-b // 2) % m
-    m = 2 * a
-    return m, (-b) % m
 
 
 # ----------------------------------------------------------------------

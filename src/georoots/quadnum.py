@@ -157,9 +157,6 @@ class QuadNum:
             return 1 if lhs > rhs else (-1 if lhs < rhs else 0)
         return 1 if rhs > lhs else (-1 if rhs < lhs else 0)
 
-    def is_totally_positive(self) -> bool:
-        return self.sign() > 0 and self.conjugate().sign() > 0
-
     def _cmp(self, other) -> int:
         o = self._coerce(other)
         if o is NotImplemented:
@@ -201,12 +198,3 @@ class QuadNum:
             core = f"{self.a} {'+' if self.b > 0 else '-'} {abs(self.b)}*sqrt({self.D})"
         return core if self.c == 1 else f"({core})/{self.c}"
 
-
-def mobius_apply(g, x: QuadNum) -> QuadNum:
-    """Apply the fractional-linear map (p x + q)/(r x + s).
-
-    g is (p, q, r, s) with nonzero determinant.  Safe whenever x is
-    irrational, since r x + s can only vanish at a rational point.
-    """
-    p, q, r, s = g
-    return (x * p + q) / (x * r + s)

@@ -32,28 +32,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arith import SpfTable, sqrt_mod_prime_power
-from .orders import (
-    OrderTag,
-    is_invertible,
-    validate_discriminant,
-    validate_negative_discriminant,
-)
+from .orders import validate_discriminant, validate_negative_discriminant
 
 
 class SequenceExhausted(RuntimeError):
     """first_n could not reach N roots (finite or absurdly sparse sequence)."""
-
-
-def classify_root(D: int, m: int, mu: int) -> OrderTag:
-    return OrderTag.O1 if is_invertible(D, m, mu) else OrderTag.O2
-
-
-@dataclass(frozen=True)
-class Root:
-    m: int
-    mu: int
-    order_class: OrderTag
-    cofactor_parity: int = None  # parity of (D - mu^2)/m, None for odd m
 
 
 @dataclass(frozen=True)
@@ -94,15 +77,6 @@ class RootSequence:
         """True where the root belongs to O1."""
         q = (self.D - self.mus * self.mus) // self.ms
         return (self.ms % 2 == 1) | (q % 2 != 0)
-
-    def root(self, i: int) -> Root:
-        m = int(self.ms[i])
-        mu = int(self.mus[i])
-        parity = None if m % 2 else ((self.D - mu * mu) // m) % 2
-        return Root(m, mu, classify_root(self.D, m, mu), parity)
-
-    def __iter__(self):
-        return (self.root(i) for i in range(len(self)))
 
     def head(self, N: int) -> "RootSequence":
         return RootSequence(self.D, self.filter, self.ms[:N], self.mus[:N])

@@ -10,7 +10,7 @@ happens in double precision.
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,15 +45,6 @@ class Histogram:
     def centers(self) -> np.ndarray:
         return self.lo + (np.arange(self.bins) + 0.5) * self.width
 
-    def config(self):
-        return (self.lo, self.hi, self.bins, self.normalization)
-
-    def merge(self, other: "Histogram") -> "Histogram":
-        if self.config() != other.config():
-            raise ValueError("histogram configs differ")
-        return Histogram(self.lo, self.hi, self.bins,
-                         self.counts + other.counts, self.normalization)
-
 
 @dataclass
 class PairCorrResult:
@@ -67,12 +58,6 @@ class PairCorrResult:
     def r2_total(self) -> float:
         """Plain pair-count measure of the whole range: #pairs / N."""
         return float(self.histogram.counts.sum()) / self.n_points
-
-    def merge(self, other: "PairCorrResult") -> "PairCorrResult":
-        if self.n_points != other.n_points:
-            raise ValueError("results cover different N")
-        return PairCorrResult(self.histogram.merge(other.histogram),
-                              self.n_points)
 
 
 def bin_index(delta: float, lo: float, width: float) -> int:

@@ -313,6 +313,42 @@ def test_verify_report_file(tmp_path, capsys):
     assert json.loads(path.read_text())["all_pass"] is True
 
 
+# Stdout digests of `verify`, recorded before stabilizers were rebuilt as
+# form automorphs; the orbit checks run every base set's cone walk.
+VERIFY_SHA256 = [
+    (["--D", "5", "--M", "23000"], "e02958d6779a452e6e27fcbeaed7c965"
+     "6171b2133aae147f7cf4da987680cd59"),
+    (["--D", "5", "--n", "4", "--nu", "1", "--M", "8000"],
+     "92696e41cf6a86f5e1eefa35c47d4ee6a87f8ea6740cb8ae9d9c6f07edfdf112"),
+    (["--D", "-15", "--M", "25000"], "62104cee889430ef38b0ade56cf98cfe"
+     "64b0d1b93f712a29d6811ba3c38b39d5"),
+    (["--D", "61", "--M", "5000"], "35da88c19555bc6d22e7b4fd01608922"
+     "210acbc780aeee8e80b83008ff4a47bd"),
+    (["--D", "17", "--n", "8", "--nu", "1", "--M", "3000"],
+     "af105a6c8cc271ec4e85c2d6e55c7c79dc1df24b8ea96a7381388a9362662dd3"),
+    (["--D", "-3", "--M", "5000"], "6675388c4e8c3811f201ac90027d23c9"
+     "0c813b63cf29412f197adc58bc6f4087"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", VERIFY_SHA256,
+                         ids=["_".join(a) for a, _ in VERIFY_SHA256])
+def test_verify_bytes_pinned(argv, digest, capsys):
+    code, out, _ = run_cli(["verify", *argv], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("cmd", ["roots", "verify"])
+def test_modulus_bound_too_large_is_a_config_error(cmd, capsys):
+    code, out, err = run_cli([cmd, "--D", "5", "--M", str(2**31)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "2^31" in err
+    code, _, _ = run_cli([cmd, "--D", "5", "--M", "3000000000"], capsys)
+    assert code == 2
+
+
 # --------------------------------------------------------------- figure
 
 def test_figure_files_and_reproducibility(tmp_path, capsys):

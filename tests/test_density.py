@@ -23,16 +23,14 @@ from georoots.density import (
     _canon,
     _geodesic_data,
     _pq,
-    _sigma_canonical,
     cross_ratio_q,
     default_grid,
     enumerate_coset_terms,
-    form_pair_q,
     gamma0_index,
     kappa_and_vol,
     omega,
 )
-from georoots.forms import act, mat_mul, mat_pow
+from georoots.forms import act, mat_mul
 from georoots.geodesics import (
     BudgetExceeded,
     Geodesic,
@@ -42,6 +40,7 @@ from georoots.geodesics import (
 )
 from georoots.orders import OrderTag, form_of_root
 from georoots.quadnum import QuadNum
+from oracles import form_pair_q, mat_pow, sigma_canonical
 
 
 def qn(x, D=5):
@@ -286,8 +285,8 @@ def test_coset_terms_match_brute_force():
         fl, sl, _, _, _ = data[l]
         den = sk * sl * D
         ak, bk, ck = fk
-        canon_self = _sigma_canonical(fk, sig_k, sig_k_inv)
-        canon_rev = _sigma_canonical((-fk[0], -fk[1], -fk[2]),
+        canon_self = sigma_canonical(fk, sig_k, sig_k_inv)
+        canon_rev = sigma_canonical((-fk[0], -fk[1], -fk[2]),
                                      sig_k, sig_k_inv)
         seen = {fl}
         frontier = [fl]
@@ -303,7 +302,7 @@ def test_coset_terms_match_brute_force():
         brute = set()
         for F in seen:
             if abs(bk * F[1] - 2 * ak * F[2] - 2 * F[0] * ck) <= q_max * den:
-                C = _sigma_canonical(F, sig_k, sig_k_inv)
+                C = sigma_canonical(F, sig_k, sig_k_inv)
                 if C not in (canon_self, canon_rev):
                     brute.add(C)
         mine = {t.state for t in terms if (t.k, t.l) == (k, l)}
@@ -350,10 +349,10 @@ def orbit_cases(draw):
 @given(orbit_cases())
 def test_sigma_canonical_is_a_unique_orbit_representative(case):
     (sig, sig_inv), G, t = case
-    C = _sigma_canonical(G, sig, sig_inv)
+    C = sigma_canonical(G, sig, sig_inv)
     moved = act(mat_pow(sig, t), G)
-    assert _sigma_canonical(moved, sig, sig_inv) == C
-    assert _sigma_canonical(C, sig, sig_inv) == C
+    assert sigma_canonical(moved, sig, sig_inv) == C
+    assert sigma_canonical(C, sig, sig_inv) == C
     assert _windowed_canonical(C, sig, sig_inv) == \
         _windowed_canonical(G, sig, sig_inv)
     # a wrong step-count guess costs correction steps, never exactness
@@ -384,7 +383,7 @@ def test_sigma_canonical_fixes_the_reference_forms(D):
         fr = _SigmaFrame(sig, sig_inv)
         C = (fr.B * fr.B - fr.disc) // (4 * fr.A)
         assert f in {(fr.A, fr.B, C), (-fr.A, -fr.B, -C)}
-        assert _sigma_canonical(f, sig, sig_inv) == f
+        assert sigma_canonical(f, sig, sig_inv) == f
         # the frame depends only on the group <-sigma, sigma>
         neg = tuple(-x for x in sig)
         for pair in ((sig_inv, sig), (neg, tuple(-x for x in sig_inv))):

@@ -1,10 +1,12 @@
 import math
+import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import georoots.forms as forms
 from georoots.forms import (
     MAT_ID,
     MAT_S,
@@ -14,24 +16,28 @@ from georoots.forms import (
     disc,
     form_value,
     is_primitive,
-    is_reduced_definite,
     is_zagier_reduced,
     mat_det,
     mat_inv,
     mat_mul,
-    mat_pow,
     principal_form,
-    reduce_definite,
     reduced_forms_definite,
-    tshift,
-    tshift_canonical,
     zagier_cycle,
     zagier_cycles,
     zagier_reduce,
     zagier_reduced_forms,
     zagier_step,
 )
-from georoots.quadnum import QuadNum, mobius_apply
+from georoots.quadnum import QuadNum
+from oracles import (
+    is_reduced_definite,
+    mat_pow,
+    mobius_apply,
+    reduce_definite,
+    tshift,
+    tshift_canonical,
+    zagier_reduce_stepwise,
+)
 
 
 def word(bits):
@@ -180,6 +186,53 @@ def test_reduction_finds_equivalence(g, f):
     cycle, E = zagier_cycle(f)
     assert r in cycle
     assert mat_det(E) == 1 and act(E, f) == f
+
+
+def _long_run_form(rng, max_run):
+    """A random form of positive non-square discriminant moved by a random
+    word in T^j, S and the quotient-2 step P^k, k up to max_run."""
+    while True:
+        f = (rng.randint(-9, 9), rng.randint(-20, 20), rng.randint(-9, 9))
+        if disc(f) > 0 and math.isqrt(disc(f)) ** 2 != disc(f):
+            break
+    g = MAT_ID
+    for _ in range(rng.randint(0, 12)):
+        k = rng.randint(1, max_run)
+        g = mat_mul(g, rng.choice([(1, rng.randint(-50, 50), 0, 1), MAT_S,
+                                   (1 - k, -k, k, 1 + k),
+                                   (1 + k, k, -k, 1 - k)]))
+    return act(g, f)
+
+
+def test_zagier_reduce_matches_stepwise_oracle():
+    """Skipping runs of quotient 2 lands on the stepwise (U, g) exactly."""
+    rng = random.Random(11)
+    for _ in range(1500):
+        f = _long_run_form(rng, 300)
+        assert zagier_reduce(f) == zagier_reduce_stepwise(f), f
+
+
+def test_zagier_reduce_turns_are_logarithmic(monkeypatch):
+    """At most two loop turns per quotient other than 2, and those follow
+    every second partial quotient of the ordinary continued fraction (at
+    most about 1.44 per bit of the coefficients), so 2 bits + 8 turns
+    bound every input."""
+    turns = []
+    reduced = forms.is_zagier_reduced
+    monkeypatch.setattr(forms, "is_zagier_reduced",
+                        lambda f: turns.append(f) or reduced(f))
+    P = (2, -1, 1, 0)
+    big = act(mat_pow(P, 100_000), (1, 1, -1))
+    assert zagier_reduce(big)[1] == (1, 3, 1)
+    assert len(turns) - 1 <= 3           # once 99,999 single steps
+    rng = random.Random(12)
+    for _ in range(300):
+        f = _long_run_form(rng, 10**6)
+        turns.clear()
+        U, g = zagier_reduce(f)
+        assert is_zagier_reduced(g) and act(mat_inv(U), f) == g
+        bits = max(abs(c) for c in f).bit_length()
+        assert len(turns) - 1 <= 2 * bits + 8, f
 
 
 def test_inequivalent_classes_disc_65():

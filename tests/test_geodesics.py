@@ -1,3 +1,5 @@
+import hashlib
+import math
 import random
 from fractions import Fraction
 
@@ -5,26 +7,33 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from georoots.forms import MAT_S, MAT_T, mat_det, mat_inv, mat_mul
+from georoots.arith import factorize
+from georoots.forms import (
+    MAT_ID,
+    MAT_S,
+    MAT_T,
+    act,
+    mat_det,
+    mat_inv,
+    mat_mul,
+)
 from georoots.geodesics import (
-    IDENTITY,
     BudgetExceeded,
-    GammaElement,
     Geodesic,
-    NegativeOrientation,
     NotRootGeodesic,
     apply_gamma,
     base_geodesic_set,
-    coset_parametrization,
+    cone_roots,
     enumerate_tops,
     extra_coset_copies,
     gamma0_coset_transversal,
     gamma0_generators,
     geodesic_from_root,
     stabilizer_generator,
+    start_form,
     top_of,
 )
-from georoots.orders import OrderTag
+from georoots.orders import OrderTag, form_of_root
 from georoots.quadnum import QuadNum
 from georoots.roots import RootFilter, sieve_roots
 
@@ -61,7 +70,7 @@ def test_geodesic_rejects_non_root():
 
 def test_apply_gamma_identity_and_translation():
     c = geodesic_from_root(5, 11, 4)
-    assert apply_gamma(IDENTITY, c) == c
+    assert apply_gamma(MAT_ID, c) == c
     seg = rational_geodesic(5, 0, 1)
     moved = apply_gamma(MAT_T, seg)
     assert moved.minus.as_fraction() == 1 and moved.plus.as_fraction() == 2
@@ -119,22 +128,22 @@ def test_top_recovers_root(D, m, mu):
 
 def test_stabilizer_pinned_matrices():
     g, j = stabilizer_generator(5, 1, 0)
-    assert g.as_tuple() == (9, 20, 4, 9) and j == 1
-    assert g.trace() == 18
+    assert g == (9, 20, 4, 9) and j == 1
+    assert g[0] + g[3] == 18
 
     g, j = stabilizer_generator(17, 2, 1)
-    assert g.as_tuple() == (41, 64, 16, 25) and j == 1
-    assert g.trace() == 66
+    assert g == (41, 64, 16, 25) and j == 1
+    assert g[0] + g[3] == 66
 
     g, j = stabilizer_generator(5, 2, 1)   # narrow-order unit, trace 3
-    assert g.as_tuple() == (2, 1, 1, 1) and j == 1
+    assert g == (2, 1, 1, 1) and j == 1
 
 
 def test_stabilizer_needs_cube_in_gamma0_2():
     g, j = stabilizer_generator(5, 2, 1, n=2)
     assert j == 3
-    assert g.as_tuple() == (13, 8, 8, 5)
-    assert g.c % 2 == 0
+    assert g == (13, 8, 8, 5)
+    assert g[2] % 2 == 0
 
 
 def test_stabilizer_fixes_endpoints_in_order():
@@ -166,10 +175,11 @@ def test_extra_coset_copies_distinct():
         copies = extra_coset_copies(n, count)
         assert len(copies) == count
         for g in copies:
-            assert g.c % (n // 2) == 0 and g.c % n != 0
+            assert mat_det(g) == 1
+            assert g[2] % (n // 2) == 0 and g[2] % n != 0
         if count == 2:
-            w = copies[1] * copies[0].inverse()
-            assert w.c % n != 0   # genuinely different cosets
+            w = mat_mul(copies[1], mat_inv(copies[0]))
+            assert w[2] % n != 0   # genuinely different cosets
 
 
 def test_filter_is_gamma0_invariant():
@@ -201,10 +211,9 @@ def test_base_set_counts_and_lengths():
     assert [g.length_mult for g in b17.geodesics] == [1, 1]
 
     # total length vs unit: 2 log eps1 + 2 log eps2
-    import math
     eps2 = float(b.eps2)
-    assert b.total_length() == pytest.approx(8 * math.log(eps2))
-    assert b17.total_length() == pytest.approx(4 * math.log(float(b17.eps2)))
+    assert sum(b.lengths()) == pytest.approx(8 * math.log(eps2))
+    assert sum(b17.lengths()) == pytest.approx(4 * math.log(float(b17.eps2)))
 
 
 def test_base_set_splitting_cases():
@@ -229,6 +238,37 @@ def test_base_set_tripled_length_case():
     assert js["J"] == 3
     mults = {g.source[0]: g.length_mult for g in b.geodesics}
     assert mults == {"I": 3, "J": 3}   # equal lengths, one geodesic each
+
+
+# SHA-256 of (D, n, nu, source, m, mu, conjugator, stabilizer, j_stab,
+# length_mult) over every base geodesic of the 1,879 base sets with
+# squarefree 5 <= D <= 200, D = 1 (mod 4), n <= 48 and every nu with
+# nu^2 = D (mod n).  Recorded from the earlier construction, which
+# conjugated diag(eps, 1/eps) by hand, before stabilizers became the
+# automorphs of the base forms.
+BASE_SETS_SHA256 = \
+    "0ca43def8eea8bba745a9e65d2750b9e45d5a8b31bc11bfe6929cf94c7b031b9"
+
+
+def test_base_sets_pinned():
+    h = hashlib.sha256()
+    count = 0
+    for D in range(5, 201, 4):
+        if any(e > 1 for _, e in factorize(D)):
+            continue
+        for n in range(1, 49):
+            for nu in range(n):
+                if (nu * nu - D) % n:
+                    continue
+                count += 1
+                for g in base_geodesic_set(D, n, nu).geodesics:
+                    f0, _ = start_form(D, g)
+                    assert act(g.stabilizer, f0) == f0
+                    h.update(repr((D, n, nu, g.source, g.m, g.mu,
+                                   g.conjugator, g.stabilizer, g.j_stab,
+                                   g.length_mult)).encode() + b"\n")
+    assert count == 1879
+    assert h.hexdigest() == BASE_SETS_SHA256
 
 
 def test_base_set_rejects_bad_filter():
@@ -276,12 +316,34 @@ def test_enumerate_tops_rejects_bad_M():
 
 # ------------------------------------------------- coset parametrization
 
+def readout(D, mk, muk, order, gamma):
+    """(m, mu) that `cone_roots` reads off the top of gamma applied to the
+    root geodesic of (mk, muk), or None when that image has no top.
+
+    The state form act(gamma, f0) has leading coefficient f0(v) with
+    v = (s, -r), the first column of gamma^-1.  Shifting the second
+    column by j v (a left T^j, which leaves the top alone) until the
+    cone's form has B > 0 and C > A makes v its only candidate."""
+    f0 = form_of_root(D, mk, muk, order)
+    mult = 1 if order is OrderTag.O1 else 2
+    A, B, C = act(gamma, f0)
+    if A <= 0:
+        return None
+    j = 0
+    while B + 2 * A * j <= 0 or (A * j + B) * j + C <= A:
+        j += 1
+    U = mat_mul(mat_inv(gamma), (1, j, 0, 1))
+    ms, mus, examined = cone_roots([(f0, U, mult)], mult * A, 1, 10)
+    assert examined == 1
+    return int(ms[0]), int(mus[0])
+
+
 def test_coset_parametrization_pinned():
-    assert coset_parametrization(5, 1, 0, OrderTag.O1, IDENTITY) == (0, 1)
-    assert coset_parametrization(5, 1, 0, OrderTag.O1, MAT_T) == (1, 1)
-    assert coset_parametrization(5, 2, 1, OrderTag.O2, IDENTITY) == (1, 2)
-    with pytest.raises(NegativeOrientation):
-        coset_parametrization(5, 2, 1, OrderTag.O2, MAT_S)
+    assert readout(5, 1, 0, OrderTag.O1, MAT_ID) == (1, 0)
+    assert readout(5, 1, 0, OrderTag.O1, MAT_T) == (1, 0)
+    assert readout(5, 2, 1, OrderTag.O2, MAT_ID) == (2, 1)
+    assert readout(5, 2, 1, OrderTag.O2, MAT_S) is None
+    assert top_of(apply_gamma(MAT_S, geodesic_from_root(5, 2, 1))) is None
 
 
 def test_coset_parametrization_agrees_with_geometry():
@@ -297,22 +359,21 @@ def test_coset_parametrization_agrees_with_geometry():
             g = mat_mul(g, rng.choice([MAT_S, MAT_T, mat_inv(MAT_T)]))
         if max(map(abs, g)) > 50:
             continue
-        c = geodesic_from_root(D, mk, muk)
-        img = apply_gamma(g, c)
-        try:
-            mu, m = coset_parametrization(D, mk, muk, order, g)
-        except NegativeOrientation:
-            assert top_of(img) is None
+        t = top_of(apply_gamma(g, geodesic_from_root(D, mk, muk)))
+        got = readout(D, mk, muk, order, g)
+        if got is None:
+            assert t is None
             continue
-        t = top_of(img)
         assert t is not None
-        assert t.root() == (m, mu % m)
+        assert t.root() == got
         checked += 1
     assert checked > 400
 
 
 def test_gamma_element_algebra():
-    g = GammaElement(1, 1, 0, 1)
-    assert (g * g.inverse()) == IDENTITY
+    g = (1, 1, 0, 1)
+    assert mat_mul(g, mat_inv(g)) == MAT_ID
+    assert mat_det(mat_mul(g, MAT_S)) == 1
+    assert mat_det((1, 1, 1, 1)) == 0
     with pytest.raises(ValueError):
-        GammaElement(1, 1, 1, 1)
+        mat_inv((1, 1, 1, 1))

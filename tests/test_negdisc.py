@@ -6,11 +6,9 @@ import numpy as np
 import pytest
 
 from georoots.forms import act, is_primitive, reduced_forms_definite
-from georoots.geodesics import BudgetExceeded
+from georoots.geodesics import BudgetExceeded, TopPoint
 from georoots.negdisc import (
-    OrbitPoint,
     class_forms,
-    class_number_neg,
     enumerate_orbit_points,
     point_of_root,
     sieve_roots_neg,
@@ -61,8 +59,8 @@ def test_class_numbers_pinned():
     # classical values: disc -3, -7 -> 1; -15 -> 2; -23 -> 3; -47 -> 5
     for D, h1, h2 in ((-3, 1, 1), (-7, 1, 1), (-15, 2, 2),
                       (-23, 3, 3), (-47, 5, 5)):
-        assert class_number_neg(D, OrderTag.O1) == h1
-        assert class_number_neg(D, OrderTag.O2) == h2
+        assert len(class_forms(D, OrderTag.O1)) == h1
+        assert len(class_forms(D, OrderTag.O2)) == h2
     assert class_forms(-3, OrderTag.O2) == [(1, 1, 1)]
     assert class_forms(-15, OrderTag.O1) == [(1, 0, 15), (3, 0, 5)]
 
@@ -107,8 +105,8 @@ def test_class_count_matches_brute_equivalence():
     for D in range(-3, -201, -4):
         if any(D % (p * p) == 0 for p in (2, 3, 5, 7, 11, 13)):
             continue
-        assert class_number_neg(D, OrderTag.O1) == _brute_class_count(4 * D)
-        assert class_number_neg(D, OrderTag.O2) == _brute_class_count(D)
+        assert len(class_forms(D, OrderTag.O1)) == _brute_class_count(4 * D)
+        assert len(class_forms(D, OrderTag.O2)) == _brute_class_count(D)
 
 
 def test_orbit_examples():
@@ -144,7 +142,7 @@ def test_orbit_guards():
 
 def test_point_round_trip():
     p = point_of_root(-3, 7, 5)
-    assert p == OrbitPoint(Fraction(5, 7), 7)
+    assert p == TopPoint(Fraction(5, 7), 7)
     assert p.root() == (7, 5)
     with pytest.raises(ValueError):
         point_of_root(-3, 5, 1)

@@ -21,8 +21,6 @@ from georoots.forms import (
     disc,
     form_value,
     mat_mul,
-    tshift,
-    tshift_canonical,
 )
 from georoots.geodesics import (
     BudgetExceeded,
@@ -40,6 +38,7 @@ from georoots.negdisc import (
 )
 from georoots.orders import OrderTag
 from georoots.roots import RootFilter, sieve_roots
+from oracles import tshift, tshift_canonical
 
 
 def _window(A, B, C, amax):
@@ -217,7 +216,7 @@ def test_budget_counts_exactly_the_candidates():
 def test_zagier_cones_walk_j_periods_of_reduced_forms(D, n, nu):
     for bg in base_geodesic_set(D, n, nu).geodesics:
         f0, _ = start_form(D, bg)
-        cones = zagier_cones(f0, bg.stabilizer.as_tuple())
+        cones = zagier_cones(f0, bg.stabilizer)
         forms = []
         for U in cones:
             p, q, r, s = U
@@ -233,7 +232,7 @@ def test_zagier_cones_walk_j_periods_of_reduced_forms(D, n, nu):
         assert rest == 0 and forms == forms[:period] * bg.j_stab
         assert forms[0] not in forms[1:period]
         # the cone after the last is sigma*^(+-1) applied to the first
-        p, q, r, s = bg.stabilizer.as_tuple()
+        p, q, r, s = bg.stabilizer
         A, B, C = forms[-1]
         k = (B + math.isqrt(disc(f0))) // (2 * C) + 1
         closer = mat_mul(cones[-1], (0, -1, 1, k))

@@ -23,16 +23,19 @@ from georoots.orders import (
     ideal_mul,
     is_invertible,
     narrow_class_group,
-    root_from_ideal,
-    root_of_form,
     totally_positive_fundamental_unit,
-    unit_ideal,
     unit_relation,
     validate_discriminant,
 )
 from georoots.quadnum import QuadNum
+from oracles import is_totally_positive
 
 O1, O2 = OrderTag.O1, OrderTag.O2
+
+
+def unit_ideal(D, order):
+    return ideal_from_root(D, 1, 0, O1) if order is O1 else \
+        ideal_from_root(D, 2, 1, O2)
 
 
 def all_roots(D, mmax):
@@ -50,10 +53,12 @@ def test_validate_discriminant():
 
 
 def test_ideal_from_root_pinned():
-    assert ideal_from_root(5, 11, 4, O1).basis_rows() == ((1, 4), (0, 11))
-    assert ideal_from_root(5, 2, 1, O2).basis_rows() == ((1, 0), (0, 1))
+    I = ideal_from_root(5, 11, 4 - 33, O1)
+    assert (I.m, I.mu, I.norm()) == (11, 4, 11)
+    J = ideal_from_root(5, 2, 1, O2)
+    assert (J.m, J.mu, J.norm()) == (2, 1, 1)
     u = ideal_from_root(5, 1, 0, O1)
-    assert u == unit_ideal(5, O1) and u.norm() == 1
+    assert u == IdealHNF(5, O1, 1, 0) and u.norm() == 1
     with pytest.raises(OrderMismatch):
         ideal_from_root(5, 11, 4, O2)
     with pytest.raises(ValueError):
@@ -64,7 +69,9 @@ def test_root_round_trip():
     for D in (5, 13, 17, 21, 65):
         for m, mu in all_roots(D, 60):
             order = O1 if is_invertible(D, m, mu) else O2
-            assert root_from_ideal(ideal_from_root(D, m, mu, order)) == (m, mu)
+            for shift in (0, m, -3 * m):
+                ideal = ideal_from_root(D, m, mu + shift, order)
+                assert (ideal.m, ideal.mu) == (m, mu)
 
 
 def test_is_invertible_pinned():
@@ -166,7 +173,7 @@ def test_unit_properties():
             e = totally_positive_fundamental_unit(D, order)
             assert e.norm() == 1
             assert e > 1
-            assert e.is_totally_positive()
+            assert is_totally_positive(e)
             if order is O1:
                 assert e.c == 1  # lies in Z[sqrt(D)]
 
@@ -254,7 +261,9 @@ def test_form_dictionary_round_trip():
             f = form_of_root(D, m, mu, order)
             assert disc(f) == (4 * D if order is O1 else D)
             assert is_primitive(f)
-            assert root_of_form(D, f, order) == (m, mu)
+            # m = a (O1) or 2a (O2), mu = -b/2 (O1) or -b (O2)
+            mult = 1 if order is O1 else 2
+            assert (mult * f[0], -mult * f[1] // 2) == (m, mu)
 
 
 def test_class_shift_spec_examples():

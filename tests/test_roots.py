@@ -9,16 +9,8 @@ from hypothesis import strategies as st
 from georoots.arith import SpfTable, sqrt_mod
 from georoots.cli import RunConfig, _first_n_points
 from georoots.negdisc import sieve_roots_neg
-from georoots.orders import OrderTag
-from georoots.roots import (
-    Root,
-    RootFilter,
-    _sieve,
-    classify_root,
-    first_n,
-    sieve_roots,
-    take_n,
-)
+from georoots.orders import OrderTag, fits_order
+from georoots.roots import RootFilter, _sieve, first_n, sieve_roots, take_n
 
 
 def brute(D, M, n=1, nu=0):
@@ -46,17 +38,21 @@ def test_roots_mod_m_brute(D):
 
 
 def test_classify_root_pinned():
-    assert classify_root(5, 10, 5) is OrderTag.O2
-    assert classify_root(17, 8, 3) is OrderTag.O1
-    assert classify_root(17, 8, 1) is OrderTag.O2
+    assert fits_order(5, 10, 5, OrderTag.O2)
+    assert fits_order(17, 8, 3, OrderTag.O1)
+    assert fits_order(17, 8, 1, OrderTag.O2)
+    s = sieve_roots(17, 8)
+    tags = dict(zip(zip(s.ms.tolist(), s.mus.tolist()), s.class_tags()))
+    assert tags[8, 3] and not tags[8, 1]
 
 
 def test_classify_shortcut_5_mod_8():
     for D in (5, 13, 29):
         s = sieve_roots(D, 500)
+        assert (s.class_tags() == (s.ms % 4 != 2)).all()
         for m, mu in zip(s.ms, s.mus):
             want = OrderTag.O1 if m % 4 != 2 else OrderTag.O2
-            assert classify_root(D, int(m), int(mu)) is want
+            assert fits_order(D, int(m), int(mu), want)
 
 
 @pytest.mark.parametrize("D,n,nu", [(5, 1, 0), (5, 4, 1), (5, 2, 1),
@@ -122,13 +118,12 @@ def test_take_n_filtered():
 
 def test_root_records():
     s = sieve_roots(5, 12)
-    recs = list(s)
-    assert recs[0] == Root(1, 0, OrderTag.O1, None)
-    assert Root(10, 5, OrderTag.O2, 0) in recs
-    assert all((r.cofactor_parity is None) == (r.m % 2 == 1) for r in recs)
-    tags = s.class_tags()
-    assert [bool(t) for t in tags] == \
-        [r.order_class is OrderTag.O1 for r in recs]
+    recs = list(s.iter_rows())
+    assert recs[0] == (1, 0, "O1")
+    assert (10, 5, "O2") in recs
+    assert all(c == "O1" for m, _, c in recs if m % 2 == 1)
+    assert [c == "O1" for _, _, c in recs] == \
+        [fits_order(5, m, mu, OrderTag.O1) for m, mu, _ in recs]
 
 
 def test_iter_rows():

@@ -125,17 +125,16 @@ def test_coincident_pairs_land_in_first_bin():
 
 
 def test_histogram_merge_rules():
-    h1 = Histogram(0.0, 5.0, 100)
-    h2 = Histogram(0.0, 5.0, 100)
-    h1.counts[3] = 4
-    h2.counts[3] = 1
-    assert h1.merge(h2).counts[3] == 5
+    # histograms no longer merge; what remains is the shape rule and the
+    # per-result normalization a merge relied on
     with pytest.raises(ValueError):
-        h1.merge(Histogram(0.0, 5.0, 50))
-    r1 = PairCorrResult(h1, 10)
-    with pytest.raises(ValueError):
-        r1.merge(PairCorrResult(h2, 20))
-    assert r1.merge(PairCorrResult(h2, 10)).histogram.counts[3] == 5
+        Histogram(0.0, 5.0, 50, counts=np.zeros(100, dtype=np.int64))
+    h = Histogram(0.0, 5.0, 100)
+    h.counts[3] = 5
+    r = PairCorrResult(h, 10)
+    assert r.r2_total() == 0.5
+    assert r.values()[3] == pytest.approx(5 / (10 * 0.05))
+    assert r.values().sum() * h.width == pytest.approx(r.r2_total())
 
 
 def test_pair_correlation_requires_two_points():
