@@ -21,25 +21,8 @@ import os
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
-from .csvio import fmt_float, write_table
-from .density import default_grid, omega
-from .geodesics import base_geodesic_set, enumerate_tops
-from .negdisc import class_forms, enumerate_orbit_points, sieve_roots_neg
-from .orders import (
-    OrderTag,
-    ideal_conjugate,
-    ideal_from_root,
-    ideal_mul,
-    is_invertible,
-    narrow_class_group,
-    unit_relation,
-    validate_discriminant,
-    validate_negative_discriminant,
-)
-from .roots import RootFilter, first_n, sieve_roots
-from .statistics import pair_correlation
+# Each command imports the layers it uses when it runs, so start-up loads
+# none of them and `roots` or `paircorr` never load the walks.
 
 
 class ConfigError(ValueError):
@@ -66,7 +49,9 @@ class RunConfig:
     threads: int = None
     figure: int = None
 
-    def root_filter(self) -> RootFilter:
+    def root_filter(self):
+        from .roots import RootFilter
+
         try:
             filt = RootFilter(self.n, self.nu)
             if self.D is not None:
@@ -77,6 +62,8 @@ class RunConfig:
 
 
 def _check_discriminant(D: int):
+    from .orders import validate_discriminant, validate_negative_discriminant
+
     try:
         if D < 0:
             validate_negative_discriminant(D)
@@ -112,8 +99,7 @@ def config_from_args(args) -> RunConfig:
         v = getattr(cfg, name)
         if v is not None and v < low:
             raise ConfigError(f"{name} must be >= {low}")
-    if cfg.M is not None and cfg.M >= 2**31:
-        raise ConfigError("M must be below 2^31 (64-bit root arithmetic)")
+    _check_bounds(cfg)
     if cfg.range <= 0 or cfg.step <= 0:
         raise ConfigError("range and step must be positive")
     if cfg.q_max <= 1:
@@ -121,15 +107,37 @@ def config_from_args(args) -> RunConfig:
     return cfg
 
 
+def _check_bounds(cfg: RunConfig):
+    """Every modulus bound a command will sieve first stays below 2^31."""
+    from .roots import M_LIMIT, first_sieve_bound
+
+    if cfg.M is not None and cfg.M >= M_LIMIT:
+        raise ConfigError("M must be below 2^31 (64-bit root arithmetic)")
+    if cfg.N is None:
+        return
+    classes = (_FIGURES[cfg.figure][1] if cfg.figure is not None
+               else (cfg.class_filter,))
+    if any(first_sieve_bound(cfg.N, cfg.n, c != "total") >= M_LIMIT
+           for c in classes):
+        raise ConfigError("N too large: its first modulus bound reaches "
+                          "2^31 (64-bit root arithmetic)")
+
+
 # ----------------------------------------------------------------------
 # shared helpers
 
 def _sieve_fn(D):
-    return sieve_roots_neg if D < 0 else sieve_roots
+    if D < 0:
+        from .negdisc import sieve_roots_neg
+        return sieve_roots_neg
+    from .roots import sieve_roots
+    return sieve_roots
 
 
 def _first_n_points(cfg: RunConfig):
     """First N roots, restricted to one order's subsequence if asked."""
+    from .roots import first_n
+
     keep = None
     if cfg.class_filter != "total":
         want_o1 = cfg.class_filter == "O1"
@@ -148,28 +156,24 @@ def _class_mask(base, class_filter):
     return mask
 
 
-def _paircorr_rows(result):
-    centers = result.histogram.centers()
-    counts = result.histogram.counts
-    dens = result.values()
-    n = result.n_points
-    return [(float(c), int(k), k / n, float(d))
-            for c, k, d in zip(centers, counts, dens)]
-
-
 # ----------------------------------------------------------------------
 # commands
 
 def cmd_roots(cfg: RunConfig) -> int:
+    from .csvio import write_table
+
     seq = _sieve_fn(cfg.D)(cfg.D, cfg.M, cfg.root_filter())
     meta = {"command": "roots", "D": cfg.D, "n": cfg.n, "nu": cfg.nu,
             "M": cfg.M, "count": len(seq)}
     write_table(cfg.out, cfg.format, meta, ("m", "mu", "class"),
-                seq.iter_rows())
+                (seq.ms, seq.mus, seq.class_labels()))
     return 0
 
 
 def cmd_paircorr(cfg: RunConfig) -> int:
+    from .csvio import write_table
+    from .statistics import pair_correlation
+
     if cfg.N < 2:
         raise ConfigError("need N >= 2 for pair statistics")
     points = _first_n_points(cfg)
@@ -178,12 +182,19 @@ def cmd_paircorr(cfg: RunConfig) -> int:
     meta = {"command": "paircorr", "D": cfg.D, "n": cfg.n, "nu": cfg.nu,
             "N": cfg.N, "class": cfg.class_filter,
             "lo": -cfg.range, "hi": cfg.range, "bins": cfg.bins}
+    counts = result.histogram.counts
     write_table(cfg.out, cfg.format, meta,
-                ("center", "count", "r2", "density"), _paircorr_rows(result))
+                ("center", "count", "r2", "density"),
+                (result.histogram.centers(), counts,
+                 counts / result.n_points, result.values()))
     return 0
 
 
 def cmd_density(cfg: RunConfig) -> int:
+    from .csvio import write_table
+    from .density import default_grid, omega
+    from .geodesics import base_geodesic_set
+
     if cfg.D < 0:
         raise ConfigError("the theoretical density needs D > 0")
     if cfg.n != 1:
@@ -196,8 +207,8 @@ def cmd_density(cfg: RunConfig) -> int:
             "class": cfg.class_filter, "kappa": tab.kappa, "vol": tab.vol,
             "q_max": tab.q_max, "terms": tab.terms_used,
             "tail_estimate": tab.tail_estimate, "skipped": tab.skipped}
-    rows = [(float(v), float(w)) for v, w in zip(tab.grid, tab.omega)]
-    write_table(cfg.out, cfg.format, meta, ("v", "omega"), rows)
+    write_table(cfg.out, cfg.format, meta, ("v", "omega"),
+                (tab.grid, tab.omega))
     return 0
 
 
@@ -213,6 +224,11 @@ _FIG_HI = 5.0
 
 
 def cmd_figure(cfg: RunConfig) -> int:
+    from .csvio import fmt_float, write_table
+    from .density import omega
+    from .geodesics import base_geodesic_set
+    from .statistics import pair_correlation
+
     D, classes, qmaxes = _FIGURES[cfg.figure]
     cfg.D = D
     emp_cols = ["center"]
@@ -241,14 +257,11 @@ def cmd_figure(cfg: RunConfig) -> int:
             "classes": " ".join(classes)}
     emp_path = os.path.join(cfg.outdir, f"georoots_fig{cfg.figure}_empirical.csv")
     th_path = os.path.join(cfg.outdir, f"georoots_fig{cfg.figure}_theory.csv")
-    emp_rows = [tuple(map(float, row))
-                for row in zip(centers, *emp_data)]
-    write_table(emp_path, "csv", meta, emp_cols, emp_rows)
+    write_table(emp_path, "csv", meta, emp_cols, (centers, *emp_data))
     th_meta = dict(meta)
     th_meta["q_max"] = " ".join(fmt_float(q) for q in qmaxes)
     th_meta["kappa"] = " ".join(fmt_float(k) for k in kappas)
-    th_rows = [tuple(map(float, row)) for row in zip(centers, *th_data)]
-    write_table(th_path, "csv", th_meta, th_cols, th_rows)
+    write_table(th_path, "csv", th_meta, th_cols, (centers, *th_data))
     print(emp_path)
     print(th_path)
     return 0
@@ -259,6 +272,18 @@ def _check(checks, name, ok, detail):
 
 
 def _verify_positive(cfg: RunConfig, checks):
+    from .geodesics import base_geodesic_set, enumerate_tops
+    from .orders import (
+        OrderTag,
+        ideal_conjugate,
+        ideal_from_root,
+        ideal_mul,
+        is_invertible,
+        narrow_class_group,
+        unit_relation,
+    )
+    from .roots import sieve_roots
+
     D, M = cfg.D, cfg.M
     filt = cfg.root_filter()
     base = base_geodesic_set(D, cfg.n, cfg.nu)
@@ -303,6 +328,8 @@ def _verify_positive(cfg: RunConfig, checks):
 
 
 def _verify_negative(cfg: RunConfig, checks):
+    from .negdisc import enumerate_orbit_points, sieve_roots_neg
+
     D, M = cfg.D, cfg.M
     got = enumerate_orbit_points(D, M, cfg.root_filter())
     seq = sieve_roots_neg(D, M, cfg.root_filter())
@@ -314,7 +341,7 @@ def _verify_negative(cfg: RunConfig, checks):
     tags = seq.class_tags()
     qs = (D - seq.mus * seq.mus) // seq.ms
     o2 = (seq.ms % 2 == 0) & (qs % 2 == 0)
-    _check(checks, "parity_partition", bool(np.all(tags == ~o2)),
+    _check(checks, "parity_partition", bool((tags == ~o2).all()),
            {"roots": len(seq), "o1": int(tags.sum())})
 
 
@@ -337,38 +364,42 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 
 def cmd_units(cfg: RunConfig) -> int:
+    from .csvio import write_table
+    from .orders import unit_relation
+
     if cfg.D < 0:
         raise ConfigError("unit relation diagnostics need D > 0")
     u = unit_relation(cfg.D)
     meta = {"command": "units", "D": cfg.D}
-    rows = [(str(u.eps1), str(u.eps2), u.relation)]
-    write_table(cfg.out, cfg.format, meta, ("eps1", "eps2", "relation"), rows)
+    write_table(cfg.out, cfg.format, meta, ("eps1", "eps2", "relation"),
+                ([str(u.eps1)], [str(u.eps2)], [u.relation]))
     return 0
 
 
 def cmd_classgroup(cfg: RunConfig) -> int:
+    from .csvio import write_table
+    from .orders import OrderTag
+
     meta = {"command": "classgroup", "D": cfg.D}
-    rows = []
     if cfg.D > 0:
+        from .orders import narrow_class_group
+
         g1 = narrow_class_group(cfg.D, OrderTag.O1)
         g2 = narrow_class_group(cfg.D, OrderTag.O2)
         meta["h1_plus"] = g1.h_plus
         meta["h2_plus"] = g2.h_plus
-        for side, grp in (("O1", g1), ("O2", g2)):
-            for i, rep in enumerate(grp.reps):
-                rows.append((side, i, rep.m, rep.mu))
-        write_table(cfg.out, cfg.format, meta,
-                    ("side", "index", "m", "mu"), rows)
+        header = ("side", "index", "m", "mu")
+        sides = [[(r.m, r.mu) for r in g.reps] for g in (g1, g2)]
     else:
-        f1 = class_forms(cfg.D, OrderTag.O1)
-        f2 = class_forms(cfg.D, OrderTag.O2)
-        meta["h1"] = len(f1)
-        meta["h2"] = len(f2)
-        for side, forms in (("O1", f1), ("O2", f2)):
-            for i, (a, b, c) in enumerate(forms):
-                rows.append((side, i, a, b, c))
-        write_table(cfg.out, cfg.format, meta,
-                    ("side", "index", "a", "b", "c"), rows)
+        from .negdisc import class_forms
+
+        sides = [class_forms(cfg.D, tag) for tag in (OrderTag.O1, OrderTag.O2)]
+        meta["h1"], meta["h2"] = map(len, sides)
+        header = ("side", "index", "a", "b", "c")
+    side = [name for name, reps in zip(("O1", "O2"), sides) for _ in reps]
+    index = [i for reps in sides for i in range(len(reps))]
+    values = zip(*(rep for reps in sides for rep in reps))
+    write_table(cfg.out, cfg.format, meta, header, (side, index, *values))
     return 0
 
 

@@ -35,6 +35,9 @@ from .arith import SpfTable, sqrt_mod_prime_power
 from .orders import validate_discriminant, validate_negative_discriminant
 
 
+M_LIMIT = 2**31   # every modulus bound M stays below this
+
+
 class SequenceExhausted(RuntimeError):
     """first_n could not reach N roots (finite or absurdly sparse sequence)."""
 
@@ -75,8 +78,11 @@ class RootSequence:
 
     def class_tags(self) -> np.ndarray:
         """True where the root belongs to O1."""
-        q = (self.D - self.mus * self.mus) // self.ms
-        return (self.ms % 2 == 1) | (q % 2 != 0)
+        tags = self.ms % 2 == 1
+        even = np.flatnonzero(~tags)     # q = (D - mu^2)/m only where needed
+        mu = self.mus[even]
+        tags[even] = (self.D - mu * mu) // self.ms[even] % 2 != 0
+        return tags
 
     def head(self, N: int) -> "RootSequence":
         return RootSequence(self.D, self.filter, self.ms[:N], self.mus[:N])
@@ -87,11 +93,9 @@ class RootSequence:
         return RootSequence(self.D, self.filter, self.ms[keep],
                             self.mus[keep])
 
-    def iter_rows(self):
-        """(m, mu, 'O1'|'O2') rows, e.g. for CSV output."""
-        tags = self.class_tags()
-        for m, mu, t in zip(self.ms, self.mus, tags):
-            yield int(m), int(mu), "O1" if t else "O2"
+    def class_labels(self) -> np.ndarray:
+        """'O1' or 'O2' per root, the order it belongs to."""
+        return np.where(self.class_tags(), "O1", "O2")
 
 
 def sieve_roots(D: int, M: int, filt: RootFilter = RootFilter(),
@@ -105,7 +109,7 @@ def _sieve(D, M, filt, spf):
     # sign-agnostic core: the local solvers take D mod p^e, so the
     # negative-discriminant module reuses this directly
     filt.validate_for(D)
-    if M >= 2**31:
+    if M >= M_LIMIT:
         raise ValueError("modulus bound too large for 64-bit root math")
     if M < 1:
         return RootSequence(D, filt, np.empty(0, np.int64),
@@ -257,8 +261,8 @@ def first_n(D: int, N: int, filt: RootFilter = None, keep=None,
 
     `keep`, if given, maps a RootSequence to a boolean mask and restricts
     the sequence to the marked roots (order preserved), e.g. one order
-    class.  The bound M starts at 2 N n (4 N n with a mask) and doubles
-    until N roots are found, at most 24 times.
+    class.  The bound M starts at first_sieve_bound and doubles until N
+    roots are found, at most 24 times.
     """
     if N < 1:
         raise ValueError("N >= 1 required")
@@ -268,7 +272,7 @@ def first_n(D: int, N: int, filt: RootFilter = None, keep=None,
         validate_discriminant(D)
     if filt is None:
         filt = RootFilter()
-    M = max(32, (2 if keep is None else 4) * N * filt.n)
+    M = first_sieve_bound(N, filt.n, keep is not None)
     for _ in range(24):
         seq = _sieve(D, M, filt, spf)
         if keep is not None:
@@ -278,6 +282,11 @@ def first_n(D: int, N: int, filt: RootFilter = None, keep=None,
         M *= 2
     raise SequenceExhausted(
         f"fewer than {N} roots below m = {M} for D={D}, filter {filt}")
+
+
+def first_sieve_bound(N: int, n: int, masked: bool) -> int:
+    """The bound M of first_n's first sieve for N roots at level n."""
+    return max(32, (4 if masked else 2) * N * n)
 
 
 def take_n(D: int, N: int, filt: RootFilter = None,

@@ -5,8 +5,10 @@ does faster or more generally: a step-by-step loop, a group-action
 definition, a textbook reduction.  None of them is used by georoots.
 """
 
+import json
 from fractions import Fraction
 
+from georoots.csvio import fmt_cell, fmt_float
 from georoots.density import _canon, _SigmaFrame
 from georoots.forms import (
     MAT_ID,
@@ -103,3 +105,34 @@ def form_pair_q(f1, s1, f2, s2, D):
     a1, b1, c1 = f1
     a2, b2, c2 = f2
     return Fraction(b1 * b2 - 2 * a1 * c2 - 2 * a2 * c1, s1 * s2 * D)
+
+
+def table_rows(data):
+    """The rows of a table given as columns, cells as Python values."""
+    return zip(*(c.tolist() if hasattr(c, "tolist") else list(c)
+                 for c in data))
+
+
+def write_csv_by_cell(stream, meta, columns, data):
+    """`csvio.write_csv`, one row and one `fmt_cell` call at a time."""
+    for k, v in meta.items():
+        stream.write(f"# {k} = {fmt_cell(v)}\n")
+    stream.write(",".join(columns) + "\n")
+    for row in table_rows(data):
+        stream.write(",".join(fmt_cell(c) for c in row) + "\n")
+
+
+def write_json_by_cell(stream, meta, columns, data):
+    """`csvio.write_json`, rounding each float cell through `fmt_float`."""
+    def value(x):
+        if isinstance(x, float):
+            return float(fmt_float(x))
+        if isinstance(x, (list, tuple)):
+            return [value(v) for v in x]
+        return x
+
+    doc = {"meta": {k: value(v) for k, v in meta.items()},
+           "columns": list(columns),
+           "rows": [[value(c) for c in row] for row in table_rows(data)]}
+    json.dump(doc, stream)
+    stream.write("\n")

@@ -3,14 +3,21 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from georoots.cli import main
+from georoots.cli import build_parser, config_from_args, main
 from georoots.csvio import fmt_float
 from georoots.negdisc import sieve_roots_neg
 from georoots.roots import RootFilter, sieve_roots
 from georoots.statistics import pair_correlation
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(argv, capsys):
@@ -103,6 +110,54 @@ def test_json_format(capsys):
     assert doc["meta"]["count"] == 8
     assert doc["rows"][0] == [1, 0, "O1"]
     assert doc["rows"][-1] == [11, 7, "O1"]
+
+
+# Stdout digests of `roots` tables that span several write blocks,
+# recorded from the per-cell CSV writer before the column writer replaced
+# it.
+ROOTS_SHA256 = [
+    (["--D", "5", "--M", "400000"], "af4f3b15cc65dfea737514e866a261a1"
+     "b34c9b41cd94a181a24ef15e553e8d2a"),
+    (["--D", "-15", "--M", "200000"], "3a39240e6b9826b477cf7407e47ccd3c"
+     "b79b5c1059fba1a5b93b8804c91a2f96"),
+    (["--D", "5", "--M", "20000", "--format", "json"],
+     "b84075ec92e50c75d311e019c434b005d3af3237b7b59d93fe4e34bab7fca651"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", ROOTS_SHA256,
+                         ids=["_".join(a) for a, _ in ROOTS_SHA256])
+def test_roots_bytes_pinned(argv, digest, capsys):
+    code, out, _ = run_cli(["roots", *argv], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+IMPORTS_SCRIPT = """
+import json, sys
+import georoots.cli
+print(json.dumps(sorted(m for m in sys.modules
+                        if m.startswith(("georoots", "numpy")))))
+georoots.cli.main(sys.argv[1:])
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("georoots"))))
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["roots", "--D", "5", "--M", "30"],
+    ["paircorr", "--D", "5", "--N", "20", "--bins", "2"],
+])
+def test_commands_load_only_their_layers(argv):
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-c", IMPORTS_SCRIPT, *argv],
+                          capture_output=True, text=True, env=env,
+                          check=True)
+    lines = proc.stdout.splitlines()
+    assert json.loads(lines[0]) == ["georoots", "georoots.cli"]
+    loaded = set(json.loads(lines[-1]))
+    assert "georoots.roots" in loaded
+    assert not loaded & {"georoots.density", "georoots.geodesics",
+                         "georoots.negdisc"}
 
 
 # ------------------------------------------------------------- paircorr
@@ -339,14 +394,40 @@ def test_verify_bytes_pinned(argv, digest, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-@pytest.mark.parametrize("cmd", ["roots", "verify"])
+# Arguments whose first modulus bound reaches 2^31: --M itself, or the
+# first sieve of first_n, 2 N (4 N for one order's class).
+TOO_LARGE = {
+    "roots": [["--D", "5", "--M", str(2**31)],
+              ["--D", "5", "--M", "3000000000"]],
+    "verify": [["--D", "5", "--M", str(2**31)],
+               ["--D", "5", "--M", "3000000000"]],
+    "paircorr": [["--D", "5", "--N", str(2**30)],
+                 ["--D", "5", "--N", "1100000000"],
+                 ["--D", "5", "--N", str(2**29), "--class", "O2"]],
+    "figure": [["1", "--N", str(2**30)], ["1", "--N", "1100000000"],
+               ["2", "--N", str(2**29)], ["3", "--N", str(2**29)]],
+}
+
+
+@pytest.mark.parametrize("cmd", ["roots", "verify", "paircorr", "figure"])
 def test_modulus_bound_too_large_is_a_config_error(cmd, capsys):
-    code, out, err = run_cli([cmd, "--D", "5", "--M", str(2**31)], capsys)
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error:") and "2^31" in err
-    code, _, _ = run_cli([cmd, "--D", "5", "--M", "3000000000"], capsys)
-    assert code == 2
+    for args in TOO_LARGE[cmd]:
+        code, out, err = run_cli([cmd, *args], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "2^31" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["paircorr", "--D", "5", "--N", str(2**30 - 1)],
+    ["paircorr", "--D", "5", "--N", str(2**29 - 1), "--class", "O1"],
+    ["figure", "1", "--N", str(2**30 - 1)],
+    ["figure", "3", "--N", str(2**29 - 1)],
+])
+def test_largest_accepted_n(argv):
+    # the first bound is 2^31 - 2 or - 4: configuration accepts it
+    cfg = config_from_args(build_parser().parse_args(argv))
+    assert cfg.N == int(argv[argv.index("--N") + 1])
 
 
 # --------------------------------------------------------------- figure

@@ -116,9 +116,14 @@ def test_take_n_filtered():
     assert list(zip(seq.ms.tolist(), seq.mus.tolist())) == first
 
 
+def _records(seq):
+    return list(zip(seq.ms.tolist(), seq.mus.tolist(),
+                    seq.class_labels().tolist()))
+
+
 def test_root_records():
     s = sieve_roots(5, 12)
-    recs = list(s.iter_rows())
+    recs = _records(s)
     assert recs[0] == (1, 0, "O1")
     assert (10, 5, "O2") in recs
     assert all(c == "O1" for m, _, c in recs if m % 2 == 1)
@@ -126,8 +131,8 @@ def test_root_records():
         [fits_order(5, m, mu, OrderTag.O1) for m, mu, _ in recs]
 
 
-def test_iter_rows():
-    rows = list(sieve_roots(5, 5).iter_rows())
+def test_class_labels():
+    rows = _records(sieve_roots(5, 5))
     assert rows == [(1, 0, "O1"), (2, 1, "O2"), (4, 1, "O1"), (4, 3, "O1"),
                     (5, 0, "O1")]
 
