@@ -8,11 +8,14 @@ can be emitted as a JSON document instead.  Floats are printed with 12
 significant digits in both formats, so identical inputs produce
 identical bytes.
 
-`write_csv` emits the rows in blocks of BLOCK_ROWS, so its memory does
-not grow with the table, and writes each block with a single
-`stream.write`.  A block is laid out as one byte matrix with a row per
-table row and a fixed-width field per column (see `_block`).  How a
-column's cells get into their field depends on the column's type:
+`write_csv` and `write_json` emit the rows in blocks of BLOCK_ROWS, so
+their memory does not grow with the table, and write each block with a
+single `stream.write`.  `write_json` encodes a block's rows with one
+`json.dumps` and writes the document's head and tail around them.
+
+A CSV block is laid out as one byte matrix with a row per table row and
+a fixed-width field per column (see `_block`).  How a column's cells get
+into their field depends on the column's type:
 
 - numpy integer arrays: digits by numpy arithmetic, right-aligned (digit
   counts from the powers of ten, then one column of digits per power;
@@ -64,13 +67,18 @@ def write_csv(stream, meta: dict, columns, data):
     for k, v in meta.items():
         stream.write(f"# {k} = {fmt_cell(v)}\n")
     stream.write(",".join(columns) + "\n")
-    n = len(data[0]) if len(data) else 0
-    if any(len(col) != n for col in data):
-        raise ValueError("table columns differ in length")
+    n = _table_length(data)
     for lo in range(0, n, BLOCK_ROWS):
         cells = [_cells(col[lo:lo + BLOCK_ROWS]) for col in data]
         block = _block(cells, min(n - lo, BLOCK_ROWS))
         stream.write(block.tobytes().decode())
+
+
+def _table_length(data) -> int:
+    n = len(data[0]) if len(data) else 0
+    if any(len(col) != n for col in data):
+        raise ValueError("table columns differ in length")
+    return n
 
 
 def _block(cells, rows):
@@ -147,14 +155,23 @@ def _text_cells(codes):
 
 
 def write_json(stream, meta: dict, columns, data):
-    doc = {
-        "meta": {k: _json_value(v) for k, v in meta.items()},
-        "columns": list(columns),
-        "rows": [[_json_value(c) for c in row]
-                 for row in zip(*map(_as_list, data))],
-    }
-    json.dump(doc, stream)
-    stream.write("\n")
+    head = json.dumps({"meta": {k: _json_value(v) for k, v in meta.items()},
+                       "columns": list(columns)})
+    stream.write(head[:-1] + ', "rows": [')
+    n = _table_length(data)
+    for lo in range(0, n, BLOCK_ROWS):
+        cols = [_json_cells(col[lo:lo + BLOCK_ROWS]) for col in data]
+        rows = json.dumps(list(zip(*cols)))
+        stream.write((", " if lo else "") + rows[1:-1])
+    stream.write("]}\n")
+
+
+def _json_cells(col) -> list:
+    """One block of a column as JSON-ready Python values."""
+    cells = _as_list(col)
+    if isinstance(col, np.ndarray) and col.dtype.kind in "biuU":
+        return cells      # bools, ints and strs need no rounding
+    return [_json_value(x) for x in cells]
 
 
 def write_table(out, fmt: str, meta: dict, columns, data):

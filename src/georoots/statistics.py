@@ -6,6 +6,11 @@ taken on the circle.  When the points arrive as roots (mu, m) the
 differences are formed from exact integer cross products, so which pairs
 land in which bin is reproducible bit for bit; only the final binning
 happens in double precision.
+
+The pairs are never listed.  With the points sorted, the neighbours of
+each point within the window form one run of the translated point set,
+and `pair_correlation` walks all runs offset by offset, so it holds
+O(n) data however many pairs there are.
 """
 
 import math
@@ -21,7 +26,8 @@ from .roots import RootSequence
 # because every candidate is re-binned exactly afterwards
 _WINDOW_EPS = 1e-12
 
-_BLOCK = 1 << 16
+# sources per chunk; bounds the length of every per-offset array
+_CHUNK = 1 << 15
 
 
 @dataclass
@@ -72,8 +78,8 @@ def bin_index(delta: float, lo: float, width: float) -> int:
 def _point_data(points):
     """(xs sorted, exact (ms, mus) or None, n)."""
     if isinstance(points, RootSequence):
-        ms = points.ms.astype(np.int64)
-        mus = points.mus.astype(np.int64)
+        ms = np.asarray(points.ms, dtype=np.int64)
+        mus = np.asarray(points.mus, dtype=np.int64)
         xs = mus / ms
         order = np.argsort(xs, kind="stable")
         return xs[order], (ms[order], mus[order]), len(xs)
@@ -91,6 +97,19 @@ def pair_correlation(points, lo: float = 0.0, hi: float = 5.0,
     of floats in [0, 1).  N defaults to the number of points and is both
     the difference scale and the normalization.  Pair counting is exact;
     see bin_index for the edge rule.
+
+    The neighbours of source j are the points of the integer translates
+    in its window [x_j + lo/N, x_j + hi/N) (widened by _WINDOW_EPS), and
+    as the points are sorted they form one run [start_j, end_j) of the
+    translated array.  The sources are taken _CHUNK at a time, ordered by
+    run length, and walked offset by offset: at offset t every source
+    whose run is longer than t is paired with its neighbour start_j + t,
+    so the sources still walking are a shrinking prefix and the pairs
+    are never held all at once.  Of each translate only the points some
+    window reaches are kept, n plus the wrapped neighbours.  So the
+    memory is O(n), plus O(_CHUNK) per thread, whatever the number of
+    pairs, and the work is O(pairs + n).  Chunk histograms are summed
+    as integers, so the counts do not depend on `threads`.
     """
     xs, exact, n = _point_data(points)
     if n < 2:
@@ -103,45 +122,56 @@ def pair_correlation(points, lo: float = 0.0, hi: float = 5.0,
 
     width = (hi - lo) / bins
     wlo, whi = lo / N - _WINDOW_EPS, hi / N + _WINDOW_EPS
-    # integer translates of the point set covering every window
-    # [x + wlo, x + whi] with x in [0, 1)
+    # each translate xs + k, k in shifts, cut to the points in
+    # [xs[0] + wlo, xs[-1] + whi), the union of all windows (float
+    # addition is monotone); `orig` holds their indices into xs
+    reach = (xs[0] + wlo, xs[-1] + whi)
     shifts = range(math.floor(wlo), math.floor(whi) + 2)
-    xs_ext = np.concatenate([xs + k for k in shifts])
+    cuts = [(k, *np.searchsorted(xs + k, reach)) for k in shifts]
+    orig = np.concatenate([np.arange(a, b) for _, a, b in cuts])
+    xs_ext = np.concatenate([xs[a:b] + k for k, a, b in cuts])
     if exact is not None:
         ms, mus = exact
-        ms_ext = np.tile(ms, len(shifts))
-        mus_ext = np.concatenate([mus + k * ms for k in shifts])
+        ms_ext = ms[orig]
+        mus_ext = np.concatenate([mus[a:b] + k * ms[a:b]
+                                  for k, a, b in cuts])
 
-    def do_block(b0):
-        b1 = min(b0 + _BLOCK, n)
-        src = np.arange(b0, b1)
-        starts = np.searchsorted(xs_ext, xs[b0:b1] + wlo, side="left")
-        ends = np.searchsorted(xs_ext, xs[b0:b1] + whi, side="left")
-        counts = ends - starts
-        total = int(counts.sum())
-        if total == 0:
-            return np.zeros(bins, dtype=np.int64)
-        rep_src = np.repeat(src, counts)
-        offs = np.arange(total) - np.repeat(
-            np.concatenate([[0], np.cumsum(counts)[:-1]]), counts)
-        tgt = np.repeat(starts, counts) + offs
-        # x_i - x_j with i the found neighbor and j the block source
+    def do_chunk(c0):
+        c1 = min(c0 + _CHUNK, n)
+        starts = np.searchsorted(xs_ext, xs[c0:c1] + wlo, side="left")
+        counts = np.searchsorted(xs_ext, xs[c0:c1] + whi,
+                                 side="left") - starts
+        # longest runs first: the sources still walking at offset t
+        # are the first live[t]
+        order = np.argsort(counts)[::-1]
+        src, starts = order + c0, starts[order]
+        live = len(order) - np.cumsum(np.bincount(counts))[:-1]
         if exact is not None:
-            num = mus_ext[tgt] * ms[rep_src] - mus[rep_src] * ms_ext[tgt]
-            den = ms_ext[tgt] * ms[rep_src]
-            delta = N * (num / den)
+            ms_src, mus_src = ms[src], mus[src]
         else:
-            delta = N * (xs_ext[tgt] - xs[rep_src])
-        idx = np.floor((delta - lo) / width)
-        keep = (idx >= 0) & (idx < bins) & ((tgt % n) != rep_src)
-        return np.bincount(idx[keep].astype(np.int64), minlength=bins)
+            xs_src = xs[src]
+        out = np.zeros(bins, dtype=np.int64)
+        for t, walking in enumerate(live):
+            j = slice(walking)
+            tgt = starts[j] + t
+            # x_i - x_j with i the found neighbor and j the source
+            if exact is not None:
+                num = mus_ext[tgt] * ms_src[j] - mus_src[j] * ms_ext[tgt]
+                den = ms_ext[tgt] * ms_src[j]
+                delta = N * (num / den)
+            else:
+                delta = N * (xs_ext[tgt] - xs_src[j])
+            idx = np.floor((delta - lo) / width)
+            keep = (idx >= 0) & (idx < bins) & (orig[tgt] != src[j])
+            out += np.bincount(idx[keep].astype(np.int64), minlength=bins)
+        return out
 
-    blocks = range(0, n, _BLOCK)
+    chunks = range(0, n, _CHUNK)
     if threads and threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as ex:
-            parts = list(ex.map(do_block, blocks))
+            parts = list(ex.map(do_chunk, chunks))
     else:
-        parts = [do_block(b) for b in blocks]
+        parts = [do_chunk(c) for c in chunks]
     hist.counts = np.sum(parts, axis=0, dtype=np.int64)
     return PairCorrResult(hist, N)
 

@@ -6,7 +6,11 @@ definition, a textbook reduction.  None of them is used by georoots.
 """
 
 import json
+import math
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+
+import numpy as np
 
 from georoots.csvio import fmt_cell, fmt_float
 from georoots.density import _canon, _SigmaFrame
@@ -17,6 +21,12 @@ from georoots.forms import (
     mat_inv,
     mat_mul,
     zagier_step,
+)
+from georoots.statistics import (
+    _WINDOW_EPS,
+    Histogram,
+    PairCorrResult,
+    _point_data,
 )
 
 
@@ -136,3 +146,69 @@ def write_json_by_cell(stream, meta, columns, data):
            "rows": [[value(c) for c in row] for row in table_rows(data)]}
     json.dump(doc, stream)
     stream.write("\n")
+
+
+_BLOCK = 1 << 16
+
+
+def pair_correlation_by_block(points, lo: float = 0.0, hi: float = 5.0,
+                              bins: int = 100, N: int = None,
+                              threads: int = None) -> PairCorrResult:
+    """`statistics.pair_correlation`, materialising every pair of a block.
+
+    Each block of _BLOCK sources lists all its (source, neighbour) pairs
+    at once through np.repeat over the full integer translates of the
+    point set, so its memory grows with the number of pairs.
+    """
+    xs, exact, n = _point_data(points)
+    if n < 2:
+        raise ValueError("need at least two points")
+    if N is None:
+        N = n
+    hist = Histogram(lo, hi, bins, normalization="PairCorrelation")
+    if not (hi > lo) or bins < 1:
+        return PairCorrResult(hist, N)
+
+    width = (hi - lo) / bins
+    wlo, whi = lo / N - _WINDOW_EPS, hi / N + _WINDOW_EPS
+    # integer translates of the point set covering every window
+    # [x + wlo, x + whi] with x in [0, 1)
+    shifts = range(math.floor(wlo), math.floor(whi) + 2)
+    xs_ext = np.concatenate([xs + k for k in shifts])
+    if exact is not None:
+        ms, mus = exact
+        ms_ext = np.tile(ms, len(shifts))
+        mus_ext = np.concatenate([mus + k * ms for k in shifts])
+
+    def do_block(b0):
+        b1 = min(b0 + _BLOCK, n)
+        src = np.arange(b0, b1)
+        starts = np.searchsorted(xs_ext, xs[b0:b1] + wlo, side="left")
+        ends = np.searchsorted(xs_ext, xs[b0:b1] + whi, side="left")
+        counts = ends - starts
+        total = int(counts.sum())
+        if total == 0:
+            return np.zeros(bins, dtype=np.int64)
+        rep_src = np.repeat(src, counts)
+        offs = np.arange(total) - np.repeat(
+            np.concatenate([[0], np.cumsum(counts)[:-1]]), counts)
+        tgt = np.repeat(starts, counts) + offs
+        # x_i - x_j with i the found neighbor and j the block source
+        if exact is not None:
+            num = mus_ext[tgt] * ms[rep_src] - mus[rep_src] * ms_ext[tgt]
+            den = ms_ext[tgt] * ms[rep_src]
+            delta = N * (num / den)
+        else:
+            delta = N * (xs_ext[tgt] - xs[rep_src])
+        idx = np.floor((delta - lo) / width)
+        keep = (idx >= 0) & (idx < bins) & ((tgt % n) != rep_src)
+        return np.bincount(idx[keep].astype(np.int64), minlength=bins)
+
+    blocks = range(0, n, _BLOCK)
+    if threads and threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as ex:
+            parts = list(ex.map(do_block, blocks))
+    else:
+        parts = [do_block(b) for b in blocks]
+    hist.counts = np.sum(parts, axis=0, dtype=np.int64)
+    return PairCorrResult(hist, N)

@@ -172,6 +172,25 @@ def test_paircorr_single_bin_value(capsys):
     assert float(rows[0][2]) == 2.0
 
 
+# Stdout digests of `paircorr` histograms whose 10^5 points span several
+# source chunks, recorded from the block kernel before the neighbour walk
+# replaced it.
+PAIRCORR_SHA256 = [
+    ([], "d2b9de25b4749d9920effd882dbc02c4e9e6292e7adb3e0cd2a85b63747d0ced"),
+    (["--class", "O2"],
+     "d47427185c27e8e6f20f9344157c6abfdae65cfd1c2fd65d5ea0c3d3aab8614c"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", PAIRCORR_SHA256,
+                         ids=["total", "O2"])
+def test_paircorr_bytes_pinned(argv, digest, capsys):
+    code, out, _ = run_cli(["paircorr", "--D", "5", "--N", "100000",
+                            "--range", "5", "--bins", "100", *argv], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_paircorr_needs_two_points(capsys):
     code, _, err = run_cli(["paircorr", "--D", "5", "--N", "1"], capsys)
     assert code == 2

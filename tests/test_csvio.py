@@ -89,9 +89,10 @@ def test_csv_matches_per_cell_oracle(table):
 
 @given(tables())
 def test_json_matches_per_cell_oracle(table):
-    _, meta, header, data = table
-    got, want = _both(csvio.write_json, write_json_by_cell,
-                      meta, header, data)
+    block, meta, header, data = table
+    with mock.patch.object(csvio, "BLOCK_ROWS", block):
+        got, want = _both(csvio.write_json, write_json_by_cell,
+                          meta, header, data)
     assert got == want
 
 
@@ -110,12 +111,19 @@ def test_block_boundaries_at_block_size(delta):
                       ("a", "b", "c", "d"), data)
     assert got == want
     assert got.count("\n") == n + 2
+    got, want = _both(csvio.write_json, write_json_by_cell, {"n": n},
+                      ("a", "b", "c", "d"), data)
+    assert got == want
 
 
 def test_empty_table_and_ragged_columns():
     got, want = _both(csvio.write_csv, write_csv_by_cell, {},
                       ("a", "b"), (np.zeros(0, np.int64), []))
     assert got == want == "a,b\n"
-    with pytest.raises(ValueError, match="differ in length"):
-        csvio.write_csv(io.StringIO(), {}, ("a", "b"),
-                        (np.arange(3), np.arange(2)))
+    got, want = _both(csvio.write_json, write_json_by_cell, {},
+                      ("a", "b"), (np.zeros(0, np.int64), []))
+    assert got == want == '{"meta": {}, "columns": ["a", "b"], "rows": []}\n'
+    for write in (csvio.write_csv, csvio.write_json):
+        with pytest.raises(ValueError, match="differ in length"):
+            write(io.StringIO(), {}, ("a", "b"),
+                  (np.arange(3), np.arange(2)))

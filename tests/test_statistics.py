@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from georoots.roots import RootFilter, sieve_roots, take_n
+from georoots import statistics
+from georoots.roots import RootFilter, first_n, sieve_roots, take_n
 from georoots.statistics import (
     Histogram,
     PairCorrResult,
@@ -14,6 +16,7 @@ from georoots.statistics import (
     ks_uniform,
     pair_correlation,
 )
+from oracles import pair_correlation_by_block
 
 
 def brute_pair_correlation(points_exact, lo, hi, bins, N):
@@ -90,11 +93,68 @@ def test_matches_brute_force_on_floats():
     assert fast.histogram.counts.tolist() == res.tolist()
 
 
-def test_threads_do_not_change_counts():
+def test_threads_do_not_change_counts(monkeypatch):
+    monkeypatch.setattr(statistics, "_CHUNK", 256)   # 8 chunks
     seq = take_n(5, 2000)
     a = pair_correlation(seq, 0.0, 5.0, 100)
     b = pair_correlation(seq, 0.0, 5.0, 100, threads=4)
     assert a.histogram.counts.tolist() == b.histogram.counts.tolist()
+
+
+CHUNK = 64
+# (n, N, lo, hi, bins): n around one and three chunks; windows on both
+# sides, to the right only, away from 0, and reaching several translates
+BLOCK_ORACLE_CASES = [
+    (CHUNK - 1, None, -5.0, 5.0, 100),
+    (CHUNK, None, 0.0, 5.0, 100),
+    (CHUNK + 1, None, 1.5, 4.0, 7),
+    (3 * CHUNK + 5, None, -5.0, 5.0, 100),
+    (3 * CHUNK + 5, 50, 0.0, 400.0, 37),
+    (3 * CHUNK + 5, None, -50.0, 3 * (3 * CHUNK + 5), 61),
+    (3 * CHUNK, None, -2.0, 3.0, 1),
+    (CHUNK + 1, None, 2.0, 2.0, 5),
+]
+
+
+def _points(kind, n):
+    if kind == "roots":
+        return take_n(5, n)
+    if kind == "O2":
+        return first_n(5, n, keep=lambda seq: ~seq.class_tags())
+    return np.random.default_rng(n).random(n)
+
+
+@pytest.mark.parametrize("threads", [1, 2, 4])
+@pytest.mark.parametrize("kind", ["roots", "O2", "floats"])
+@pytest.mark.parametrize("n,N,lo,hi,bins", BLOCK_ORACLE_CASES)
+def test_matches_block_oracle(monkeypatch, n, N, lo, hi, bins, kind,
+                              threads):
+    monkeypatch.setattr(statistics, "_CHUNK", CHUNK)
+    pts = _points(kind, n)
+    got = pair_correlation(pts, lo, hi, bins, N=N, threads=threads)
+    want = pair_correlation_by_block(pts, lo, hi, bins, N=N)
+    assert got.n_points == want.n_points
+    assert got.histogram.counts.tolist() == want.histogram.counts.tolist()
+
+
+def test_memory_is_linear_in_points():
+    # The kernel holds n-length arrays (sorted xs, ms, mus; the cut
+    # translates' xs, ms, mus and origin indices; while building them a
+    # translate xs + k, the pieces of one concatenation and one k*ms
+    # temporary): at most 10 of 8 bytes each.  A chunk holds its starts,
+    # counts, order, sources, ms, mus, histogram and the transients of the
+    # two searches, and an offset step at most 8 more: 16 arrays of
+    # _CHUNK int64/float64.  Pairs, about 10n here, are never held.
+    n = 10**5
+    seq = first_n(5, n)
+    bound = 8 * (10 * n + 16 * statistics._CHUNK)
+    tracemalloc.start()
+    try:
+        pair_correlation(seq, -5.0, 5.0, 100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound
 
 
 # ------------------------------------------------------------ properties
