@@ -160,18 +160,11 @@ def write_json(stream, meta: dict, columns, data):
     stream.write(head[:-1] + ', "rows": [')
     n = _table_length(data)
     for lo in range(0, n, BLOCK_ROWS):
-        cols = [_json_cells(col[lo:lo + BLOCK_ROWS]) for col in data]
+        cols = [[_json_value(x) for x in _as_list(col[lo:lo + BLOCK_ROWS])]
+                for col in data]
         rows = json.dumps(list(zip(*cols)))
         stream.write((", " if lo else "") + rows[1:-1])
     stream.write("]}\n")
-
-
-def _json_cells(col) -> list:
-    """One block of a column as JSON-ready Python values."""
-    cells = _as_list(col)
-    if isinstance(col, np.ndarray) and col.dtype.kind in "biuU":
-        return cells      # bools, ints and strs need no rounding
-    return [_json_value(x) for x in cells]
 
 
 def write_table(out, fmt: str, meta: dict, columns, data):

@@ -144,17 +144,19 @@ def test_memory_is_linear_in_points():
     # temporary): at most 10 of 8 bytes each.  A chunk holds its starts,
     # counts, order, sources, ms, mus, histogram and the transients of the
     # two searches, and an offset step at most 8 more: 16 arrays of
-    # _CHUNK int64/float64.  Pairs, about 10n here, are never held.
+    # _CHUNK int64/float64.  Pairs, about 2rn for the window [-r, r), are
+    # never held, so the bound does not depend on r.
     n = 10**5
     seq = first_n(5, n)
     bound = 8 * (10 * n + 16 * statistics._CHUNK)
-    tracemalloc.start()
-    try:
-        pair_correlation(seq, -5.0, 5.0, 100)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= bound
+    for r in (5.0, 50.0):
+        tracemalloc.start()
+        try:
+            pair_correlation(seq, -r, r, 100)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound, r
 
 
 # ------------------------------------------------------------ properties
