@@ -66,7 +66,6 @@ class SpfTable:
     def __init__(self, limit: int):
         if limit < 1:
             limit = 1
-        self.limit = limit
         spf = np.zeros(limit + 1, dtype=np.int64)
         for i in range(2, math.isqrt(limit) + 1):
             if spf[i] == 0:
@@ -77,33 +76,17 @@ class SpfTable:
         spf[:2] = (0, 1)
         self.spf = spf
 
-    def factorize(self, n: int) -> Factorization:
-        if not 1 <= n <= self.limit:
-            raise ValueError(f"n={n} outside table range 1..{self.limit}")
-        out: Factorization = []
-        spf = self.spf
-        while n > 1:
-            p = int(spf[n])
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            out.append((p, e))
-        return out
 
-
-def factorize(n: int, spf: SpfTable | None = None) -> Factorization:
+def factorize(n: int) -> Factorization:
     """Exact factorization of n >= 1 as a sorted list of (prime, exponent).
 
-    Uses the SPF table when given and applicable, otherwise trial division
-    by small primes, then Miller-Rabin with Pollard rho for what remains.
+    Trial division by small primes, then Miller-Rabin with Pollard rho
+    for what remains.
     """
     if n < 1:
         raise ValueError("factorize requires n >= 1")
     if n == 1:
         return []
-    if spf is not None and n <= spf.limit:
-        return spf.factorize(n)
     counts: dict[int, int] = {}
     for p in (2, 3, 5):
         while n % p == 0:
@@ -281,12 +264,12 @@ def crt_combine(parts: list[tuple[list[int], int]]) -> tuple[list[int], int]:
     return (sorted(residues), modulus)
 
 
-def sqrt_mod(D: int, m: int, spf: SpfTable | None = None) -> list[int]:
+def sqrt_mod(D: int, m: int) -> list[int]:
     """All x in [0, m) with x^2 = D (mod m), via factor / local-solve / CRT."""
     if m < 1:
         raise ValueError("modulus must be positive")
     if m == 1:
         return [0]
     parts = [(sqrt_mod_prime_power(D, p, e), p**e)
-             for p, e in factorize(m, spf)]
+             for p, e in factorize(m)]
     return crt_combine(parts)[0]

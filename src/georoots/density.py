@@ -6,6 +6,13 @@ is a projective invariant of the two geodesics (a normalized cross
 ratio) and H comes in two signed flavours with explicit piecewise
 closed forms.  Everything here feeds on the exact geodesic machinery;
 floats appear only in the final H evaluations.
+
+The double cosets are those of the full modular group SL_2(Z); for
+proper congruence levels the status of the sum is unsettled (see
+`omega`), so only level n = 1 is supported, and the double-coset walk
+moves by the fixed generators S^-1, T^-1 and T of SL_2(Z).  Its pruning
+constants _MARGIN and _T_CAP are a heuristic, not a proof of
+completeness; an exact double-coset construction would delete them.
 """
 
 import math
@@ -15,12 +22,7 @@ import numpy as np
 
 from .arith import factorize
 from .forms import MAT_ID, act, mat_inv, mat_mul
-from .geodesics import (
-    BaseGeodesicSet,
-    BudgetExceeded,
-    gamma0_generators,
-    start_form,
-)
+from .geodesics import BaseGeodesicSet, BudgetExceeded, start_form
 from .quadnum import QuadNum
 
 
@@ -292,27 +294,39 @@ def _geodesic_data(base):
     return out
 
 
+# S^-1, T^-1 and T: they generate SL_2(Z), and the walk moves by each in
+# this order (S^-1 = -S acts on forms as S does)
+_GENERATORS = ((0, 1, -1, 0), (1, -1, 0, 1), (1, 1, 0, 1))
+
+# the walk expands a state while |q| <= _MARGIN * q_max + 25, and tries
+# at most _T_CAP stabilizer translates each way (see _stab_translates)
+_MARGIN = 2.0
+_T_CAP = 64
+
+
 def enumerate_coset_terms(base: BaseGeodesicSet, q_max: float,
-                          mask=None, margin: float = 2.0,
-                          budget: int = 2_000_000,
-                          t_cap: int = 64):
+                          mask=None, budget: int = 2_000_000):
     """All double-coset terms with |q| <= q_max for pairs of base geodesics.
 
-    For each ordered pair (k, l), walks the congruence-group orbit of
-    c_l with states reduced modulo the stabilizer of c_k (so states are
-    double cosets), keeping terms with |q| <= q_max and expanding while
-    |q| stays under margin*q_max.  Identity/reversal cosets
-    (gamma c_l = c_k or its reverse) are excluded per the sum's side
-    condition.  Returns (terms, skipped) where skipped counts boundary
-    hits |q| = 1 (shared endpoints; none expected for distinct
-    primitive geodesics).
+    For each ordered pair (k, l), walks the SL_2(Z)-orbit of c_l by the
+    generators _GENERATORS, with states reduced modulo the stabilizer of
+    c_k (so states are double cosets), keeping terms with |q| <= q_max
+    and expanding while |q| stays under _MARGIN*q_max + 25.  The walk is
+    level 1 only, like the density sum it feeds (see `omega`): a base set
+    of level n > 1 raises ValueError.  The pruning by _MARGIN and _T_CAP
+    is heuristic; an exact double-coset construction would replace it.
+    Identity/reversal cosets (gamma c_l = c_k or its reverse) are
+    excluded per the sum's side condition.  Returns (terms, skipped)
+    where skipped counts boundary hits |q| = 1 (shared endpoints; none
+    expected for distinct primitive geodesics).
     """
+    if base.n != 1:
+        raise ValueError("coset walk supports n=1 only")
     if q_max <= 1.0:
         raise ValueError("q_max must exceed 1")
     data = _geodesic_data(base)
     idx = range(len(data)) if mask is None else sorted(mask)
-    gens = gamma0_generators(base.n)
-    prune = margin * q_max + 25.0
+    prune = _MARGIN * q_max + 25.0
     terms = []
     skipped = 0
     visited_total = 0
@@ -355,9 +369,9 @@ def enumerate_coset_terms(base: BaseGeodesicSet, q_max: float,
                             terms.append(CosetTerm(q, sgn, k, l, G))
                 if abs(q) > prune:
                     continue
-                for g in gens:
+                for g in _GENERATORS:
                     for Gt in _stab_translates(G, g, sig_k, sig_k_inv,
-                                               qval, prune, t_cap):
+                                               qval, prune):
                         C = _canon(Gt, frame)
                         if C not in seen:
                             seen.add(C)
@@ -365,13 +379,14 @@ def enumerate_coset_terms(base: BaseGeodesicSet, q_max: float,
     return terms, skipped
 
 
-def _stab_translates(G, g, sig, sig_inv, qval, prune, t_cap):
-    """Neighbors act(g, sigma^t G) for t around 0, adaptively windowed:
-    a direction stops after three consecutive |q| > prune misses."""
+def _stab_translates(G, g, sig, sig_inv, qval, prune):
+    """Neighbors act(g, sigma^t G) for 0 <= |t| <= _T_CAP, adaptively
+    windowed: a direction stops after three consecutive |q| > prune
+    misses."""
     for mat, first in ((sig, True), (sig_inv, False)):
         cur = G
         misses = 0
-        for t in range(t_cap + 1):
+        for t in range(_T_CAP + 1):
             if t > 0 or first:
                 cand = act(g, cur)
                 if abs(qval(cand)) <= prune:
@@ -389,9 +404,8 @@ def _stab_translates(G, g, sig, sig_inv, qval, prune, t_cap):
 
 @dataclass
 class DensityTable:
-    """Density values on a v grid.  omega includes the tail correction
-    (a v-independent estimate of the mass beyond q_max, also reported
-    separately as tail_estimate) unless it was disabled."""
+    """Density values on a v grid.  omega includes tail_estimate, a
+    v-independent estimate of the mass beyond q_max."""
 
     grid: np.ndarray
     omega: np.ndarray
@@ -411,9 +425,7 @@ def default_grid(lo: float = -5.0, hi: float = 5.0, step: float = 0.01,
 
 
 def omega(base: BaseGeodesicSet, grid: np.ndarray = None,
-          q_max: float = 50.0, mask=None, terms=None,
-          tail_correction: bool = True,
-          budget: int = 2_000_000) -> DensityTable:
+          q_max: float = 50.0, mask=None, terms=None) -> DensityTable:
     """Truncated density sum on a v grid, plus a tail estimate.
 
     mask selects a subset of base geodesics (indices): both the (k,l)
@@ -424,7 +436,7 @@ def omega(base: BaseGeodesicSet, grid: np.ndarray = None,
     kappa^2 q^2) at every v, and terms with q < -q_max matter once
     |v| > kappa*sqrt(2+2*q_max).  Choose q_max of order (v_max/kappa)^2/2
     to resolve the whole grid; the flat positive-q remainder is
-    estimated and folded into the returned values (tail_correction).
+    estimated and folded into the returned values.
 
     Only the full modular group (n=1) is supported: for proper
     congruence levels the geodesic lengths entering kappa can differ
@@ -439,8 +451,7 @@ def omega(base: BaseGeodesicSet, grid: np.ndarray = None,
         raise ValueError("grid must exclude v = 0")
     kappa, vol = kappa_and_vol(base, mask)
     if terms is None:
-        terms, skipped = enumerate_coset_terms(base, q_max, mask,
-                                               budget=budget)
+        terms, skipped = enumerate_coset_terms(base, q_max, mask)
     else:
         skipped = 0
     total = np.zeros_like(grid)
@@ -457,8 +468,7 @@ def omega(base: BaseGeodesicSet, grid: np.ndarray = None,
     edge = [t for t in terms if t.q >= q_max / 2]
     dens = len(edge) / (q_max / 2)
     tail = dens / (8.0 * math.pi * vol * kappa * kappa * q_max)
-    if tail_correction:
-        total += tail
+    total += tail
     return DensityTable(grid, total, kappa, vol, q_max, len(terms),
                         None if mask is None else tuple(sorted(mask)),
                         tail, skipped)

@@ -244,8 +244,9 @@ def zagier_cycles(delta: int):
 # ----------------------------------------------------------------------
 # definite reduction (negative discriminant, positive definite a > 0)
 
-def reduced_forms_definite(delta: int, primitive_only=True):
-    """All reduced positive definite forms of discriminant delta < 0."""
+def reduced_forms_definite(delta: int):
+    """The primitive reduced positive definite forms of discriminant
+    delta < 0."""
     if delta >= 0:
         raise ValueError("discriminant must be negative")
     out = []
@@ -261,7 +262,7 @@ def reduced_forms_definite(delta: int, primitive_only=True):
             if a == c and b < 0:
                 continue
             f = (a, b, c)
-            if primitive_only and not is_primitive(f):
+            if not is_primitive(f):
                 continue
             out.append(f)
         a += 1

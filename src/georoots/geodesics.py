@@ -19,13 +19,10 @@ import numpy as np
 from .arith import xgcd, xgcd_array
 from .forms import (
     MAT_ID,
-    MAT_S,
-    MAT_T,
     act,
     automorph,
     form_value,
     mat_det,
-    mat_inv,
     mat_mul,
     zagier_reduce,
     zagier_step,
@@ -179,7 +176,7 @@ def stabilizer_generator(D: int, m: int, mu: int, n: int = 1,
 
 
 # ----------------------------------------------------------------------
-# Gamma_0(n): coset structure and generators
+# Gamma_0(n): cosets
 
 def _p1_normalize(c, d, n):
     """Canonical representative of the projective point (c : d) mod n."""
@@ -193,57 +190,6 @@ def _p1_normalize(c, d, n):
         if best is None or cand < best:
             best = cand
     return best
-
-
-def gamma0_coset_transversal(n: int):
-    """dict P1-point -> SL(2,Z) matrix whose coset realizes the point."""
-    start = _p1_normalize(0, 1, n)
-    reps = {start: MAT_ID}
-    queue = [start]
-    row = {start: (0, 1)}
-    moves = [MAT_T, MAT_S, mat_inv(MAT_T), mat_inv(MAT_S)]
-    while queue:
-        pt = queue.pop()
-        c, d = row[pt]
-        g = reps[pt]
-        for mv in moves:
-            p, q, r, s = mv
-            c2, d2 = c * p + d * r, c * q + d * s
-            pt2 = _p1_normalize(c2, d2, n)
-            if pt2 not in reps:
-                reps[pt2] = mat_mul(g, mv)
-                row[pt2] = (c2 % n, d2 % n) if n > 1 else (0, 1)
-                queue.append(pt2)
-    return reps
-
-
-def _sign_canon(g):
-    p, q, r, s = g
-    if p < 0 or (p == 0 and q < 0):
-        return (-p, -q, -r, -s)
-    return g
-
-
-def gamma0_generators(n: int):
-    """Schreier generating set of Gamma_0(n) (with inverses), from the
-    coset graph of the transversal under S and T."""
-    reps = gamma0_coset_transversal(n)
-    inv_reps = {pt: mat_inv(g) for pt, g in reps.items()}
-    bottom = {pt: g[2:] for pt, g in reps.items()}
-    gens = set()
-    for pt, g in reps.items():
-        c, d = bottom[pt]
-        for mv in (MAT_T, MAT_S):
-            p, q, r, s = mv
-            pt2 = _p1_normalize(c * p + d * r, c * q + d * s, n)
-            w = mat_mul(mat_mul(g, mv), inv_reps[pt2])
-            if w[2] % n:
-                raise RuntimeError("Schreier element escaped Gamma_0(n)")
-            for cand in (w, mat_inv(w)):
-                cand = _sign_canon(cand)
-                if cand != MAT_ID:
-                    gens.add(cand)
-    return sorted(gens)
 
 
 def extra_coset_copies(n: int, count: int):

@@ -13,7 +13,6 @@ the sign of D.
 
 from fractions import Fraction
 
-from .arith import SpfTable
 from .forms import MAT_ID, MAT_S, reduced_forms_definite
 from .geodesics import EnumerationResult, TopPoint, cone_roots
 from .orders import OrderTag, validate_negative_discriminant
@@ -27,8 +26,8 @@ def point_of_root(D: int, m: int, mu: int) -> TopPoint:
     return TopPoint(Fraction(mu, m), m)
 
 
-def sieve_roots_neg(D: int, M: int, filt: RootFilter = RootFilter(),
-                    spf: SpfTable = None) -> RootSequence:
+def sieve_roots_neg(D: int, M: int,
+                    filt: RootFilter = RootFilter()) -> RootSequence:
     """All filtered roots with modulus m <= M for negative D.
 
     Same sieve, ordering and classification as the positive case: the
@@ -36,14 +35,14 @@ def sieve_roots_neg(D: int, M: int, filt: RootFilter = RootFilter(),
     the two orders apart.
     """
     validate_negative_discriminant(D)
-    return _sieve(D, M, filt, spf)
+    return _sieve(D, M, filt)
 
 
-def take_n_neg(D: int, N: int, filt: RootFilter = RootFilter(),
-               spf: SpfTable = None) -> RootSequence:
+def take_n_neg(D: int, N: int,
+               filt: RootFilter = RootFilter()) -> RootSequence:
     """The first N filtered roots for negative D (ordered by modulus)."""
     validate_negative_discriminant(D)
-    return first_n(D, N, filt, spf=spf)
+    return first_n(D, N, filt)
 
 
 def class_forms(D: int, order: OrderTag) -> list:

@@ -65,7 +65,6 @@ class RootSequence:
     """Roots ordered by (m, mu), held columnwise for bulk statistics."""
 
     D: int
-    filter: RootFilter
     ms: np.ndarray    # int64, ascending
     mus: np.ndarray   # int64
 
@@ -85,38 +84,34 @@ class RootSequence:
         return tags
 
     def head(self, N: int) -> "RootSequence":
-        return RootSequence(self.D, self.filter, self.ms[:N], self.mus[:N])
+        return RootSequence(self.D, self.ms[:N], self.mus[:N])
 
     def subset(self, keep) -> "RootSequence":
         """Subsequence selected by a boolean mask (order preserved)."""
         keep = np.asarray(keep, dtype=bool)
-        return RootSequence(self.D, self.filter, self.ms[keep],
-                            self.mus[keep])
+        return RootSequence(self.D, self.ms[keep], self.mus[keep])
 
     def class_labels(self) -> np.ndarray:
         """'O1' or 'O2' per root, the order it belongs to."""
         return np.where(self.class_tags(), "O1", "O2")
 
 
-def sieve_roots(D: int, M: int, filt: RootFilter = RootFilter(),
-                spf: SpfTable = None) -> RootSequence:
+def sieve_roots(D: int, M: int,
+                filt: RootFilter = RootFilter()) -> RootSequence:
     """All filtered roots with modulus m <= M, ordered by (m, mu)."""
     validate_discriminant(D)
-    return _sieve(D, M, filt, spf)
+    return _sieve(D, M, filt)
 
 
-def _sieve(D, M, filt, spf):
+def _sieve(D, M, filt):
     # sign-agnostic core: the local solvers take D mod p^e, so the
     # negative-discriminant module reuses this directly
     filt.validate_for(D)
     if M >= M_LIMIT:
         raise ValueError("modulus bound too large for 64-bit root math")
     if M < 1:
-        return RootSequence(D, filt, np.empty(0, np.int64),
-                            np.empty(0, np.int64))
-    if spf is None or spf.limit < M:
-        spf = SpfTable(max(M, 2))
-    spf = spf.spf[:M + 1]
+        return RootSequence(D, np.empty(0, np.int64), np.empty(0, np.int64))
+    spf = SpfTable(max(M, 2)).spf[:M + 1]
     s = max(math.isqrt(M), 2)
 
     # pass 1: root counts.  Odd primes above sqrt(M) occur only as m = p.
@@ -173,7 +168,7 @@ def _sieve(D, M, filt, spf):
     if filt.n > 1:
         keep = (ms % filt.n == 0) & (mus % filt.n == filt.nu)
         ms, mus = ms[keep], mus[keep]
-    return RootSequence(D, filt, ms, mus)
+    return RootSequence(D, ms, mus)
 
 
 def _mod_each(D, p):
@@ -255,8 +250,8 @@ def _non_squares(p):
     return z
 
 
-def first_n(D: int, N: int, filt: RootFilter = None, keep=None,
-            spf: SpfTable = None) -> RootSequence:
+def first_n(D: int, N: int, filt: RootFilter = None,
+            keep=None) -> RootSequence:
     """The first N filtered roots (ordered by modulus) of either sign of D.
 
     `keep`, if given, maps a RootSequence to a boolean mask and restricts
@@ -274,7 +269,7 @@ def first_n(D: int, N: int, filt: RootFilter = None, keep=None,
         filt = RootFilter()
     M = first_sieve_bound(N, filt.n, keep is not None)
     for _ in range(24):
-        seq = _sieve(D, M, filt, spf)
+        seq = _sieve(D, M, filt)
         if keep is not None:
             seq = seq.subset(keep(seq))
         if len(seq) >= N:
@@ -289,8 +284,7 @@ def first_sieve_bound(N: int, n: int, masked: bool) -> int:
     return max(32, (4 if masked else 2) * N * n)
 
 
-def take_n(D: int, N: int, filt: RootFilter = None,
-           spf: SpfTable = None) -> RootSequence:
+def take_n(D: int, N: int, filt: RootFilter = None) -> RootSequence:
     """The first N filtered roots (ordered by modulus), however far that is."""
     validate_discriminant(D)
-    return first_n(D, N, filt, spf=spf)
+    return first_n(D, N, filt)

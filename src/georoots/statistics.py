@@ -36,7 +36,6 @@ class Histogram:
     hi: float
     bins: int
     counts: np.ndarray = None          # raw pair counts, int64
-    normalization: str = "RawPairs"    # or "PairCorrelation"
 
     def __post_init__(self):
         if self.counts is None:
@@ -116,7 +115,7 @@ def pair_correlation(points, lo: float = 0.0, hi: float = 5.0,
         raise ValueError("need at least two points")
     if N is None:
         N = n
-    hist = Histogram(lo, hi, bins, normalization="PairCorrelation")
+    hist = Histogram(lo, hi, bins)
     if not (hi > lo) or bins < 1:
         return PairCorrResult(hist, N)
 
@@ -182,11 +181,19 @@ def counting_function(points, x: float, N: int, interval) -> int:
     if not hi > lo:
         return 0
     if isinstance(points, RootSequence):
-        d = points.mus / points.ms - x
+        d = points.normalized() - x
     else:
         d = np.asarray(points, dtype=np.float64) - x
     # integers k in the half-open slab (d - hi/N, d - lo/N]
     return int(np.sum(np.floor(d - lo / N) - np.floor(d - hi / N)))
+
+
+def _sorted_x(points) -> np.ndarray:
+    """The points x in [0, 1), sorted: mu/m for a RootSequence, else the
+    floats mod 1."""
+    if isinstance(points, RootSequence):
+        return np.sort(points.normalized())
+    return np.sort(np.asarray(points, dtype=np.float64) % 1.0)
 
 
 def count_distribution(points, N: int, interval, sample_count: int,
@@ -198,10 +205,7 @@ def count_distribution(points, N: int, interval, sample_count: int,
     many points fall inside each time.  Returns the probability vector.
     """
     lo, hi = interval
-    if isinstance(points, RootSequence):
-        pts = np.sort(points.mus / points.ms)
-    else:
-        pts = np.sort(np.asarray(points, dtype=np.float64) % 1.0)
+    pts = _sorted_x(points)
     npts = len(pts)
     u = np.random.default_rng(seed).random()
     xs = (np.arange(sample_count) + u) / sample_count
@@ -219,10 +223,7 @@ def count_distribution(points, N: int, interval, sample_count: int,
 
 def ks_uniform(points) -> float:
     """Kolmogorov-Smirnov statistic against the uniform law on [0,1)."""
-    if isinstance(points, RootSequence):
-        pts = np.sort(points.mus / points.ms)
-    else:
-        pts = np.sort(np.asarray(points, dtype=np.float64) % 1.0)
+    pts = _sorted_x(points)
     n = len(pts)
     if n == 0:
         raise ValueError("need at least one point")

@@ -46,9 +46,9 @@ def test_factorize_small_exhaustive():
 
 
 def test_spf_table_matches_factorize():
-    t = SpfTable(10_000)
-    for n in range(1, 10_001):
-        assert t.factorize(n) == factorize(n)
+    spf = SpfTable(10_000).spf
+    for n in range(2, 10_001):
+        assert spf[n] == factorize(n)[0][0]
 
 
 def _spf_by_arange(limit):

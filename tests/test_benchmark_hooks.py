@@ -45,20 +45,23 @@ def test_tracer_boundary_names_exist(layer, names):
 # installed.  Run a few small ones the same way: the run must succeed, the
 # wrapped writer must see every table, and the bytes it counts must be the
 # bytes on stdout.  This catches a changed write_table signature and a
-# layer imported past the tracer's rebinding.
+# layer imported past the tracer's rebinding.  The sieve counters check
+# that the tracer still reads M from _sieve's second positional argument.
 TRACED = [
-    (["roots", "--D", "5", "--M", "3000"], "roots._sieve"),
-    (["roots", "--D", "-15", "--M", "2000"], "negdisc.sieve_roots_neg"),
+    (["roots", "--D", "5", "--M", "3000"], "roots._sieve",
+     {"roots.sieve_calls": 1, "roots.moduli_sieved": 3000}),
+    (["roots", "--D", "-15", "--M", "2000"], "negdisc.sieve_roots_neg", {}),
     (["paircorr", "--D", "5", "--N", "3000", "--bins", "10", "--class",
-      "O2"], "statistics.pair_correlation"),
+      "O2"], "statistics.pair_correlation", {}),
     (["density", "--D", "5", "--qmax", "5", "--step", "0.1", "--class",
-      "O2"], "density.enumerate_coset_terms"),
+      "O2"], "density.enumerate_coset_terms", {}),
 ]
 
 
-@pytest.mark.parametrize("argv,layer_span", TRACED,
-                         ids=["_".join(a[:3]) for a, _ in TRACED])
-def test_traced_command_records_its_table(argv, layer_span, tmp_path):
+@pytest.mark.parametrize("argv,layer_span,counters", TRACED,
+                         ids=["_".join(a[:3]) for a, _, _ in TRACED])
+def test_traced_command_records_its_table(argv, layer_span, counters,
+                                          tmp_path):
     capture = tmp_path / "capture"
     capture.mkdir()
     spec = tmp_path / "spec.json"
@@ -81,3 +84,5 @@ def test_traced_command_records_its_table(argv, layer_span, tmp_path):
     assert rec["counters"]["csvio.bytes"] == stdout.stat().st_size > 0
     start, end, meta_lines, out_path = rec["writes"][0]
     assert (start, end, out_path) == (0, stdout.stat().st_size, None)
+    for name, want in counters.items():
+        assert rec["counters"][name] == want, name

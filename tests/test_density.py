@@ -40,7 +40,12 @@ from georoots.geodesics import (
 )
 from georoots.orders import OrderTag, form_of_root
 from georoots.quadnum import QuadNum
-from oracles import form_pair_q, mat_pow, sigma_canonical
+from oracles import (
+    form_pair_q,
+    gamma0_generators,
+    mat_pow,
+    sigma_canonical,
+)
 
 
 def qn(x, D=5):
@@ -428,12 +433,12 @@ def test_coset_term_multisets_pinned(D):
     "|q| > margin*q_max + 25 and loses genuine double cosets"))
 def test_coset_terms_complete_at_q_max_10():
     """The complete term counts, reached by widening the pruning margin
-    (margin 20 gives 1728 and 3856) and by an exact construction."""
+    (_MARGIN = 20 gives 1728 and 3856) and by an exact construction."""
     for D, complete in ((17, 1728), (21, 3856)):
         terms, _ = enumerate_coset_terms(base_geodesic_set(D), 10.0)
         assert len(terms) == complete
 
-def _full_scan(G, g, sig, sig_inv, qval, prune, t_cap):
+def _full_scan(G, g, sig, sig_inv, qval, prune):
     """Every neighbor act(g, sigma^t G) with |t| <= 20 and |q| <= prune."""
     out = []
     for mat, first in ((sig, True), (sig_inv, False)):
@@ -480,6 +485,17 @@ def test_coset_terms_budget():
 def test_coset_terms_require_wide_cut():
     with pytest.raises(ValueError):
         enumerate_coset_terms(base_geodesic_set(5), 1.0)
+
+
+def test_coset_terms_require_level_one():
+    with pytest.raises(ValueError):
+        enumerate_coset_terms(base_geodesic_set(17, 2, 1), 5.0)
+
+
+def test_coset_walk_generators_are_level_one_schreier_generators():
+    """The fixed generators are the Schreier generators of Gamma_0(1), in
+    the same order: the order fixes the order of the walk's terms."""
+    assert list(density._GENERATORS) == list(gamma0_generators(1))
 
 
 def test_coset_term_q_is_exact_pair_invariant():

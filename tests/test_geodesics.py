@@ -26,8 +26,6 @@ from georoots.geodesics import (
     cone_roots,
     enumerate_tops,
     extra_coset_copies,
-    gamma0_coset_transversal,
-    gamma0_generators,
     geodesic_from_root,
     stabilizer_generator,
     start_form,
@@ -36,6 +34,7 @@ from georoots.geodesics import (
 from georoots.orders import OrderTag, form_of_root
 from georoots.quadnum import QuadNum
 from georoots.roots import RootFilter, sieve_roots
+from oracles import gamma0_coset_transversal, gamma0_generators
 
 
 def sieve_pairs(D, M, n=1, nu=0):

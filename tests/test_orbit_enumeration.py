@@ -26,8 +26,6 @@ from georoots.geodesics import (
     BudgetExceeded,
     base_geodesic_set,
     enumerate_tops,
-    gamma0_coset_transversal,
-    gamma0_generators,
     start_form,
     zagier_cones,
 )
@@ -38,7 +36,12 @@ from georoots.negdisc import (
 )
 from georoots.orders import OrderTag
 from georoots.roots import RootFilter, sieve_roots
-from oracles import tshift, tshift_canonical
+from oracles import (
+    gamma0_coset_transversal,
+    gamma0_generators,
+    tshift,
+    tshift_canonical,
+)
 
 
 def _window(A, B, C, amax):

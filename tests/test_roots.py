@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from georoots.arith import SpfTable, sqrt_mod
+from georoots.arith import sqrt_mod
 from georoots.cli import RunConfig, _first_n_points
 from georoots.negdisc import sieve_roots_neg
 from georoots.orders import OrderTag, fits_order
@@ -157,16 +157,14 @@ def sieve_cases(draw):
     n = draw(st.sampled_from((1, 1, 2, 3, 4, 5, 8, 12)))
     nus = [nu for nu in range(n) if (nu * nu - D) % n == 0] or [None]
     nu = draw(st.sampled_from(nus))
-    spf_extra = draw(st.sampled_from((None, 0, 1, 500)))
-    return D, M, (RootFilter() if nu is None else RootFilter(n, nu)), spf_extra
+    return D, M, (RootFilter() if nu is None else RootFilter(n, nu))
 
 
 @given(sieve_cases())
 @settings(max_examples=200)
 def test_sieve_matches_sqrt_mod(case):
-    D, M, filt, spf_extra = case
-    spf = None if spf_extra is None else SpfTable(M + spf_extra)
-    seq = _sieve(D, M, filt, spf)
+    D, M, filt = case
+    seq = _sieve(D, M, filt)
     assert seq.ms.dtype == seq.mus.dtype == np.int64
     want = [(m, mu) for m in range(filt.n, M + 1, filt.n)
             for mu in sqrt_mod(D, m) if mu % filt.n == filt.nu]
@@ -176,7 +174,7 @@ def test_sieve_matches_sqrt_mod(case):
 @pytest.mark.parametrize("D", [5, 17, 65, -3, -15])
 @pytest.mark.parametrize("M", [0, 1, 2, 3, 4, 8])
 def test_sieve_tiny_bounds(D, M):
-    seq = _sieve(D, M, RootFilter(), None)
+    seq = _sieve(D, M, RootFilter())
     assert list(zip(seq.ms.tolist(), seq.mus.tolist())) == brute(D, M)
 
 
@@ -189,7 +187,7 @@ def test_sieve_tiny_bounds(D, M):
 def test_sieve_digest_pinned(D, M, digest):
     # SHA-256 of ms || mus as little-endian int64: the exact arrays at
     # sizes the sweep above does not reach
-    seq = _sieve(D, M, RootFilter(), None)
+    seq = _sieve(D, M, RootFilter())
     data = seq.ms.astype("<i8").tobytes() + seq.mus.astype("<i8").tobytes()
     assert hashlib.sha256(data).hexdigest() == digest
 
