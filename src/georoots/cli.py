@@ -17,6 +17,7 @@ command supports them; output bytes never depend on the thread count.
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -100,6 +101,10 @@ def config_from_args(args) -> RunConfig:
         if v is not None and v < low:
             raise ConfigError(f"{name} must be >= {low}")
     _check_bounds(cfg)
+    for flag, v in (("range", cfg.range), ("step", cfg.step),
+                    ("qmax", cfg.q_max)):
+        if not math.isfinite(v):
+            raise ConfigError(f"{flag} must be finite")
     if cfg.range <= 0 or cfg.step <= 0:
         raise ConfigError("range and step must be positive")
     if cfg.q_max <= 1:

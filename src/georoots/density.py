@@ -10,9 +10,12 @@ floats appear only in the final H evaluations.
 The double cosets are those of the full modular group SL_2(Z); for
 proper congruence levels the status of the sum is unsettled (see
 `omega`), so only level n = 1 is supported, and the double-coset walk
-moves by the fixed generators S^-1, T^-1 and T of SL_2(Z).  Its pruning
-constants _MARGIN and _T_CAP are a heuristic, not a proof of
-completeness; an exact double-coset construction would delete them.
+moves by the fixed generators S^-1, T^-1 and T of SL_2(Z).  It reads
+the q of a candidate neighbour off the current state by one precomputed
+integer linear form per reference geodesic and generator, and applies a
+generator only to the neighbours it keeps.  Its pruning constants
+_MARGIN and _T_CAP are a heuristic, not a proof of completeness; an
+exact double-coset construction would delete them.
 """
 
 import math
@@ -299,9 +302,58 @@ def _geodesic_data(base):
 _GENERATORS = ((0, 1, -1, 0), (1, -1, 0, 1), (1, 1, 0, 1))
 
 # the walk expands a state while |q| <= _MARGIN * q_max + 25, and tries
-# at most _T_CAP stabilizer translates each way (see _stab_translates)
+# at most _T_CAP stabilizer translates each way (see _translates)
 _MARGIN = 2.0
 _T_CAP = 64
+
+
+def _pairing(f, G):
+    """b b' - 2 a c' - 2 c a', the polar form of the discriminant: the
+    numerator B of q for the pair (f, G)."""
+    a, b, c = f
+    return b * G[1] - 2 * a * G[2] - 2 * c * G[0]
+
+
+def _linear_form(f, g):
+    """The integer vector l with l . G = _pairing(f, act(g, G)) for every
+    form G (see enumerate_coset_terms)."""
+    return tuple(_pairing(f, act(g, e))
+                 for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+
+
+def _normalizes(g, sig, sig_inv):
+    """True when g sigma g^-1 = sigma^{+-1} (see enumerate_coset_terms)."""
+    return mat_mul(mat_mul(g, sig), mat_inv(g)) in (sig, sig_inv)
+
+
+def _translates(chains, g, ell, normal, den, prune):
+    """Neighbours act(g, sigma^t G) with |ell . sigma^t G| / den <= prune.
+
+    chains is ((up, sig), (down, sig_inv)): two lists that start at the
+    state G and hold sigma^t G and sigma^-t G, grown here as far as any
+    generator asks and shared by all three.  t runs over 0 <= |t| <=
+    _T_CAP, and a direction stops after three consecutive misses.  When
+    g normalizes <sigma> (normal, see _normalizes), every translate has
+    the q and the canonical state of act(g, G), so only t = 0 is tried:
+    a hit yields the one state the whole scan would, a miss yields
+    nothing, as three misses in each direction would.  A probe tests the
+    float q = B/den itself, not B against den * prune, so it decides as
+    the q of act(g, sigma^t G) would."""
+    l0, l1, l2 = ell
+    stop = 1 if normal else _T_CAP + 1
+    for (chain, mat), t0 in zip(chains, (0, 1)):
+        misses = 0
+        for t in range(t0, stop):
+            if t == len(chain):
+                chain.append(act(mat, chain[-1]))
+            a, b, c = chain[t]
+            if abs((l0 * a + l1 * b + l2 * c) / den) <= prune:
+                misses = 0
+                yield act(g, chain[t])
+            else:
+                misses += 1
+                if misses >= 3:
+                    break
 
 
 def enumerate_coset_terms(base: BaseGeodesicSet, q_max: float,
@@ -313,17 +365,40 @@ def enumerate_coset_terms(base: BaseGeodesicSet, q_max: float,
     c_k (so states are double cosets), keeping terms with |q| <= q_max
     and expanding while |q| stays under _MARGIN*q_max + 25.  The walk is
     level 1 only, like the density sum it feeds (see `omega`): a base set
-    of level n > 1 raises ValueError.  The pruning by _MARGIN and _T_CAP
-    is heuristic; an exact double-coset construction would replace it.
-    Identity/reversal cosets (gamma c_l = c_k or its reverse) are
-    excluded per the sum's side condition.  Returns (terms, skipped)
-    where skipped counts boundary hits |q| = 1 (shared endpoints; none
-    expected for distinct primitive geodesics).
+    of level n > 1 raises ValueError, and so does q_max outside (1, inf).
+    The pruning by _MARGIN and _T_CAP is heuristic; an exact double-coset
+    construction would replace it.  Identity/reversal cosets (gamma c_l
+    = c_k or its reverse) are excluded per the sum's side condition.
+    Returns (terms, skipped) where skipped counts boundary hits |q| = 1
+    (shared endpoints; none expected for distinct primitive geodesics).
+
+    Expanding a state G tries act(g, sigma^t G) for each generator g
+    and stabilizer translate sigma^t G (see _translates), which are
+    built once per state and shared by the three generators.  Two facts
+    cut the arithmetic of a probe:
+
+    - Linearity.  q = B/den with B = _pairing(f_k, .).  act(g, .) is
+      linear in the coefficients of the form it acts on, and B is
+      linear, so B(act(g, F)) = l . F with l = _linear_form(f_k, g),
+      the values of the composite at the unit forms.  A probe costs one
+      dot product, and act(g, .) runs only on the translates kept.
+    - Normalizers.  Let g sigma g^-1 = sigma^e with e = +-1 (checked
+      once per (k, g) by _normalizes; -sigma^e cannot occur, since
+      conjugation keeps the trace and sigma is hyperbolic).  Then
+      act(g, sigma^t G) = (g sigma g^-1)^t . act(g, G) = sigma^(e t) .
+      act(g, G).  Every translate lies in the sigma-orbit of act(g, G),
+      so it has the same canonical state, and the same B since sigma
+      fixes f_k and _pairing is SL_2(Z)-invariant (as the discriminant
+      is).  Trying t = 0 alone yields every state the scan of all
+      translates would.
+
+    More than `budget` states popped, counted over all pairs together,
+    raises BudgetExceeded.
     """
     if base.n != 1:
         raise ValueError("coset walk supports n=1 only")
-    if q_max <= 1.0:
-        raise ValueError("q_max must exceed 1")
+    if not 1.0 < q_max < math.inf:
+        raise ValueError("q_max must be finite and exceed 1")
     data = _geodesic_data(base)
     idx = range(len(data)) if mask is None else sorted(mask)
     prune = _MARGIN * q_max + 25.0
@@ -336,14 +411,11 @@ def enumerate_coset_terms(base: BaseGeodesicSet, q_max: float,
         frame = _SigmaFrame(sig_k, sig_k_inv)
         canon_self = _canon(fk, frame)
         canon_rev = _canon((-fk[0], -fk[1], -fk[2]), frame)
+        moves = [(g, _linear_form(fk, g), _normalizes(g, sig_k, sig_k_inv))
+                 for g in _GENERATORS]
         for l in idx:
             fl, sl, _, _, _ = data[l]
             den_kl = sk * sl * base.D
-            ak, bk, ck = fk
-
-            def qval(G):
-                return (bk * G[1] - 2 * ak * G[2] - 2 * G[0] * ck) / den_kl
-
             start = _canon(fl, frame)
             seen = {start}
             stack = [start]
@@ -351,9 +423,11 @@ def enumerate_coset_terms(base: BaseGeodesicSet, q_max: float,
                 visited_total += 1
                 if visited_total > budget:
                     raise BudgetExceeded(
-                        f"coset walk for pair ({k},{l}) passed {budget}")
+                        f"coset walk popped more than budget = {budget} "
+                        f"states, counted over all pairs; it ran out at "
+                        f"pair ({k},{l})")
                 G = stack.pop()
-                B = bk * G[1] - 2 * ak * G[2] - 2 * G[0] * ck
+                B = _pairing(fk, G)
                 q = B / den_kl
                 if abs(q) <= q_max and G != canon_self and G != canon_rev:
                     if abs(B) == den_kl:
@@ -369,34 +443,15 @@ def enumerate_coset_terms(base: BaseGeodesicSet, q_max: float,
                             terms.append(CosetTerm(q, sgn, k, l, G))
                 if abs(q) > prune:
                     continue
-                for g in _GENERATORS:
-                    for Gt in _stab_translates(G, g, sig_k, sig_k_inv,
-                                               qval, prune):
+                chains = (([G], sig_k), ([G], sig_k_inv))
+                for g, ell, normal in moves:
+                    for Gt in _translates(chains, g, ell, normal, den_kl,
+                                          prune):
                         C = _canon(Gt, frame)
                         if C not in seen:
                             seen.add(C)
                             stack.append(C)
     return terms, skipped
-
-
-def _stab_translates(G, g, sig, sig_inv, qval, prune):
-    """Neighbors act(g, sigma^t G) for 0 <= |t| <= _T_CAP, adaptively
-    windowed: a direction stops after three consecutive |q| > prune
-    misses."""
-    for mat, first in ((sig, True), (sig_inv, False)):
-        cur = G
-        misses = 0
-        for t in range(_T_CAP + 1):
-            if t > 0 or first:
-                cand = act(g, cur)
-                if abs(qval(cand)) <= prune:
-                    misses = 0
-                    yield cand
-                else:
-                    misses += 1
-                    if misses >= 3:
-                        break
-            cur = act(mat, cur)
 
 
 # ----------------------------------------------------------------------

@@ -258,6 +258,24 @@ def test_density_rejects_small_qmax(capsys):
     assert "qmax" in err
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (["density", "--D", "5", "--qmax", "nan", "--step", "0.1"], "qmax"),
+    (["density", "--D", "5", "--qmax", "inf"], "qmax"),
+    (["density", "--D", "5", "--step", "nan"], "step"),
+    (["density", "--D", "5", "--range", "inf"], "range"),
+    (["density", "--D", "5", "--range", "nan"], "range"),
+    (["paircorr", "--D", "5", "--N", "1000", "--range", "nan"], "range"),
+    (["paircorr", "--D", "5", "--N", "1000", "--range", "inf"], "range"),
+])
+def test_non_finite_float_options_are_config_errors(argv, flag, capsys):
+    """NaN passed every `<= 0` check and printed an all-NaN table; inf
+    died inside the command with OverflowError or ValueError."""
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and f"{flag} must be finite" in err
+
+
 # ---------------------------------------------------- units / classgroup
 
 def test_units_d5(capsys):

@@ -1,7 +1,9 @@
 """Theoretical pair-correlation density: H functions, pair invariants,
 double-coset enumeration, and the assembled density table."""
 
+import functools
 import hashlib
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 
 import georoots.density as density
 
+from georoots.cli import _class_mask
 from georoots.density import (
     CosetTerm,
     DomainError,
@@ -22,6 +25,8 @@ from georoots.density import (
     _SigmaFrame,
     _canon,
     _geodesic_data,
+    _linear_form,
+    _normalizes,
     _pq,
     cross_ratio_q,
     default_grid,
@@ -438,29 +443,44 @@ def test_coset_terms_complete_at_q_max_10():
         terms, _ = enumerate_coset_terms(base_geodesic_set(D), 10.0)
         assert len(terms) == complete
 
-def _full_scan(G, g, sig, sig_inv, qval, prune):
-    """Every neighbor act(g, sigma^t G) with |t| <= 20 and |q| <= prune."""
-    out = []
-    for mat, first in ((sig, True), (sig_inv, False)):
-        cur = G
-        for t in range(21):
-            if t > 0 or first:
-                cand = act(g, cur)
-                if abs(qval(cand)) <= prune:
-                    out.append(cand)
-            cur = act(mat, cur)
-    return out
+def _full_scan(base, calls):
+    """A stand-in for density._translates: every neighbor act(g, sigma^t G)
+    with |t| <= 20 and |q| <= prune, q computed from act(g, .) and the
+    reference form (not from ell), with no three-miss stop and no
+    normalizer shortcut.  Each call is counted in calls."""
+    ref = {}
+    for f, _, (sig, _), _, _ in _geodesic_data(base):
+        assert ref.setdefault(sig, f) in (f, tuple(-x for x in f))
+
+    def scan(chains, g, ell, normal, den, prune):
+        calls.append(g)
+        (up, sig), (_, sig_inv) = chains
+        ak, bk, ck = ref[sig]
+        out = []
+        for mat, first in ((sig, True), (sig_inv, False)):
+            cur = up[0]
+            for t in range(21):
+                if t > 0 or first:
+                    cand = act(g, cur)
+                    B = bk * cand[1] - 2 * ak * cand[2] - 2 * cand[0] * ck
+                    if abs(B / den) <= prune:
+                        out.append(cand)
+                cur = act(mat, cur)
+        return out
+    return scan
 
 
 @pytest.mark.parametrize("D,mask", [(5, None), (13, None), (17, None),
                                     (21, [0, 2]), (65, [0, 2])])
 def test_stab_translates_window_misses_nothing(D, mask, monkeypatch):
-    """The three-miss rule finds the same terms as a scan of every
-    stabilizer translate with |t| <= 20."""
+    """The three-miss rule and the normalizer shortcut find the same terms
+    as a scan of every stabilizer translate with |t| <= 20."""
     base = base_geodesic_set(D)
     windowed, _ = enumerate_coset_terms(base, 4.0, mask)
-    monkeypatch.setattr(density, "_stab_translates", _full_scan)
+    calls = []
+    monkeypatch.setattr(density, "_translates", _full_scan(base, calls))
     scanned, _ = enumerate_coset_terms(base, 4.0, mask)
+    assert len(calls) > 0 and set(calls) == set(density._GENERATORS)
     assert _terms_digest(windowed) == _terms_digest(scanned)
 
 
@@ -487,6 +507,12 @@ def test_coset_terms_require_wide_cut():
         enumerate_coset_terms(base_geodesic_set(5), 1.0)
 
 
+@pytest.mark.parametrize("q_max", [math.nan, math.inf, -math.inf])
+def test_coset_terms_require_finite_q_max(q_max):
+    with pytest.raises(ValueError, match="finite"):
+        enumerate_coset_terms(base_geodesic_set(5), q_max)
+
+
 def test_coset_terms_require_level_one():
     with pytest.raises(ValueError):
         enumerate_coset_terms(base_geodesic_set(17, 2, 1), 5.0)
@@ -496,6 +522,137 @@ def test_coset_walk_generators_are_level_one_schreier_generators():
     """The fixed generators are the Schreier generators of Gamma_0(1), in
     the same order: the order fixes the order of the walk's terms."""
     assert list(density._GENERATORS) == list(gamma0_generators(1))
+
+
+def _walk_digest(terms, skipped):
+    """SHA-256 of the walk's ordered term list, states included, and of
+    skipped: it changes if the walk visits its states in another order."""
+    h = hashlib.sha256()
+    for t in terms:
+        h.update(f"{t.q!r},{t.sign},{t.k},{t.l},{t.state}\n".encode())
+    h.update(f"skipped={skipped}\n".encode())
+    return h.hexdigest()
+
+
+# (D, q_max, class) -> (term count, _walk_digest), recorded with a walk
+# that computed each translate's q from act(g, sigma^t G); the O2 and O1
+# rows are the benchmark's `density` commands
+PINNED_WALKS = {
+    (5, 10.0, "total"): (
+        384,
+        "ab09137ab450a24b572f8be86f10a62c837e4e2588d4888f9ef0d1f8f74dd094"),
+    (13, 10.0, "total"): (
+        1434,
+        "cd19a8128b50b52db5adbd445f0d3683038da54b9f29d3d504d05c582306ae4c"),
+    (17, 10.0, "total"): (
+        1546,
+        "d6a913dabba91108d8f5e88fd6bc08d4f41a596709889fc879804a754a7b4c28"),
+    (21, 10.0, "total"): (
+        3312,
+        "c88d29bb64569c991987113e731c08b64e6e7de95e81b237848c8026bffe4c6e"),
+    (65, 10.0, "total"): (
+        8626,
+        "5392e24e98aef5c3ee593b64467590b6c5755860b5b03b94bde5193da2dd5fe1"),
+    (5, 10.0, "O2"): (
+        24,
+        "acfac186aa58bb73b1cdc10c5523f60f4a5a915acd0d8eb666735e73e3569be1"),
+    (17, 60.0, "O1"): (
+        1916,
+        "9c22ff07726126e1c7a19c5f07f16af5f942bd2b984542b66ade025b4803bf7f"),
+}
+
+
+@pytest.mark.parametrize("D,q_max,cls", sorted(PINNED_WALKS))
+def test_coset_walk_order_pinned(D, q_max, cls):
+    base = base_geodesic_set(D)
+    terms, skipped = enumerate_coset_terms(base, q_max,
+                                           _class_mask(base, cls))
+    assert (len(terms), skipped) == (PINNED_WALKS[D, q_max, cls][0], 0)
+    assert _walk_digest(terms, skipped) == PINNED_WALKS[D, q_max, cls][1]
+
+
+def test_coset_walk_budget_counts_popped_states():
+    """D = 5 at q_max 10 pops exactly 1336 states over its four pairs; the
+    budget is cumulative, and the message names the pair it ran out at."""
+    base = base_geodesic_set(5)
+    terms, _ = enumerate_coset_terms(base, 10.0, budget=1336)
+    assert len(terms) == 384
+    with pytest.raises(BudgetExceeded,
+                       match=r"budget = 1335 .*over all pairs.*pair \(1,1\)"):
+        enumerate_coset_terms(base, 10.0, budget=1335)
+
+
+@functools.lru_cache(maxsize=None)
+def _pinned_data(D):
+    return _geodesic_data(base_geodesic_set(D))
+
+
+def _b_of(fk, H):
+    """The numerator B of q for the reference form fk and the form H."""
+    ak, bk, ck = fk
+    return bk * H[1] - 2 * ak * H[2] - 2 * ck * H[0]
+
+
+@given(st.tuples(*[st.integers(-10**9, 10**9)] * 3))
+def test_linear_form_is_B_after_the_move(G):
+    for D in sorted(PINNED_TERMS):
+        for fk, *_ in _pinned_data(D):
+            for g in density._GENERATORS:
+                ell = _linear_form(fk, g)
+                assert sum(x * y for x, y in zip(ell, G)) == \
+                    _b_of(fk, act(g, G))
+
+
+def test_only_S_inverse_on_the_D5_O2_geodesic_normalizes_sigma():
+    """For D = 5, k = 1 and g = S^-1 all 129 translates act(g, sigma^t G),
+    |t| <= 64, have one q and canonicalize to one state, so the walk tries
+    t = 0 only; no other (D, k, g) of the pinned D takes the shortcut, and
+    there the translates reach more than one state."""
+    s_inv = density._GENERATORS[0]
+    for D in sorted(PINNED_TERMS):
+        for k, (_, _, (sig, sig_inv), _, _) in enumerate(_pinned_data(D)):
+            for g in density._GENERATORS:
+                assert _normalizes(g, sig, sig_inv) == \
+                    ((D, k, g) == (5, 1, s_inv))
+    base = base_geodesic_set(5)
+    terms, _ = enumerate_coset_terms(base, 10.0, [1])
+    for k, g in ((1, s_inv), (0, s_inv), (1, density._GENERATORS[2])):
+        fk, _, (sig, sig_inv), _, _ = _pinned_data(5)[k]
+        fr = _SigmaFrame(sig, sig_inv)
+        for t in terms[:8]:
+            moved = [act(g, act(mat_pow(sig if e >= 0 else sig_inv, abs(e)),
+                                t.state)) for e in range(-64, 65)]
+            states = {_canon(H, fr) for H in moved}
+            bs = {_b_of(fk, H) for H in moved}
+            if _normalizes(g, sig, sig_inv):
+                assert len(states) == len(bs) == 1
+            else:
+                assert len(states) > 1
+
+
+def test_translate_probe_tests_the_float_q():
+    """A probe hits exactly when the float q = B/den of act(g, G) is at
+    most prune, as when q was computed from act(g, G).  Comparing |B| with
+    den * prune instead decides some of these cases the other way."""
+    data = _pinned_data(13)
+    disagree = 0
+    for fk, sk, (sig, sig_inv), _, _ in data:
+        for den in sorted({sk * sl * 13 for _, sl, *_ in data}):
+            for G in itertools.product(range(-4, 5), repeat=3):
+                for g in density._GENERATORS:
+                    B = _b_of(fk, act(g, G))
+                    if B == 0:
+                        continue
+                    q = abs(B / den)
+                    ell = _linear_form(fk, g)
+                    for prune, hit in ((q, True),
+                                       (math.nextafter(q, 0.0), False)):
+                        chains = (([G], sig), ([G], sig_inv))
+                        got = list(density._translates(chains, g, ell, True,
+                                                       den, prune))
+                        assert got == ([act(g, G)] if hit else [])
+                        disagree += (abs(B) <= den * prune) != hit
+    assert disagree > 0
 
 
 def test_coset_term_q_is_exact_pair_invariant():
