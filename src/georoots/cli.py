@@ -101,6 +101,8 @@ def config_from_args(args) -> RunConfig:
         if v is not None and v < low:
             raise ConfigError(f"{name} must be >= {low}")
     _check_bounds(cfg)
+    if cfg.figure is not None and not os.path.isdir(cfg.outdir):
+        raise ConfigError(f"outdir {cfg.outdir!r} is not a directory")
     for flag, v in (("range", cfg.range), ("step", cfg.step),
                     ("qmax", cfg.q_max)):
         if not math.isfinite(v):
@@ -122,8 +124,7 @@ def _check_bounds(cfg: RunConfig):
         return
     classes = (_FIGURES[cfg.figure][1] if cfg.figure is not None
                else (cfg.class_filter,))
-    if any(first_sieve_bound(cfg.N, cfg.n, c != "total") >= M_LIMIT
-           for c in classes):
+    if first_sieve_bound(cfg.N, cfg.n, classes) >= M_LIMIT:
         raise ConfigError("N too large: its first modulus bound reaches "
                           "2^31 (64-bit root arithmetic)")
 
@@ -143,11 +144,7 @@ def _first_n_points(cfg: RunConfig):
     """First N roots, restricted to one order's subsequence if asked."""
     from .roots import first_n
 
-    keep = None
-    if cfg.class_filter != "total":
-        want_o1 = cfg.class_filter == "O1"
-        keep = lambda seq: seq.class_tags() == want_o1
-    return first_n(cfg.D, cfg.N, cfg.root_filter(), keep)
+    return first_n(cfg.D, cfg.N, cfg.root_filter(), (cfg.class_filter,))[0]
 
 
 def _class_mask(base, class_filter):
@@ -232,18 +229,15 @@ def cmd_figure(cfg: RunConfig) -> int:
     from .csvio import fmt_float, write_table
     from .density import omega
     from .geodesics import base_geodesic_set
+    from .roots import first_n
     from .statistics import pair_correlation
 
     D, classes, qmaxes = _FIGURES[cfg.figure]
-    cfg.D = D
-    emp_cols = ["center"]
+    emp_cols = ["center"] + [f"density_{cls}" for cls in classes]
     emp_data = []
-    for cls in classes:
-        sub = RunConfig(D=D, N=cfg.N, class_filter=cls, threads=cfg.threads)
-        points = _first_n_points(sub)
+    for points in first_n(D, cfg.N, classes=classes):
         res = pair_correlation(points, lo=0.0, hi=_FIG_HI, bins=_FIG_BINS,
                                threads=cfg.threads)
-        emp_cols.append(f"density_{cls}")
         emp_data.append(res.values())
     centers = res.histogram.centers()
 
@@ -276,6 +270,17 @@ def _check(checks, name, ok, detail):
     checks.append({"name": name, "pass": bool(ok), "detail": detail})
 
 
+def _check_orbit_equals_sieve(checks, got, seq):
+    """The orbit walk `got` found each sieved root exactly once; returns
+    the sieved roots as a set of (m, mu)."""
+    sieve_set = {(int(m), int(mu)) for m, mu in zip(seq.ms, seq.mus)}
+    _check(checks, "orbit_equals_sieve",
+           got.roots == sieve_set and got.duplicates == 0,
+           {"orbit": len(got.roots), "sieve": len(sieve_set),
+            "duplicates": got.duplicates})
+    return sieve_set
+
+
 def _verify_positive(cfg: RunConfig, checks):
     from .geodesics import base_geodesic_set, enumerate_tops
     from .orders import (
@@ -293,12 +298,8 @@ def _verify_positive(cfg: RunConfig, checks):
     filt = cfg.root_filter()
     base = base_geodesic_set(D, cfg.n, cfg.nu)
     got = enumerate_tops(base, M)
-    seq = sieve_roots(D, M, filt)
-    sieve_set = {(int(m), int(mu)) for m, mu in zip(seq.ms, seq.mus)}
-    _check(checks, "orbit_equals_sieve",
-           got.roots == sieve_set and got.duplicates == 0,
-           {"orbit": len(got.roots), "sieve": len(sieve_set),
-            "duplicates": got.duplicates})
+    sieve_set = _check_orbit_equals_sieve(checks, got,
+                                          sieve_roots(D, M, filt))
 
     bound = min(M, 500)
     bad = 0
@@ -338,11 +339,7 @@ def _verify_negative(cfg: RunConfig, checks):
     D, M = cfg.D, cfg.M
     got = enumerate_orbit_points(D, M, cfg.root_filter())
     seq = sieve_roots_neg(D, M, cfg.root_filter())
-    sieve_set = {(int(m), int(mu)) for m, mu in zip(seq.ms, seq.mus)}
-    _check(checks, "orbit_equals_sieve",
-           got.roots == sieve_set and got.duplicates == 0,
-           {"orbit": len(got.roots), "sieve": len(sieve_set),
-            "duplicates": got.duplicates})
+    _check_orbit_equals_sieve(checks, got, seq)
     tags = seq.class_tags()
     qs = (D - seq.mus * seq.mus) // seq.ms
     o2 = (seq.ms % 2 == 0) & (qs % 2 == 0)

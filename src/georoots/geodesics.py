@@ -178,44 +178,30 @@ def stabilizer_generator(D: int, m: int, mu: int, n: int = 1,
 # ----------------------------------------------------------------------
 # Gamma_0(n): cosets
 
-def _p1_normalize(c, d, n):
-    """Canonical representative of the projective point (c : d) mod n."""
-    if n == 1:
-        return (0, 0)
-    best = None
-    for lam in range(1, n):
-        if math.gcd(lam, n) != 1:
-            continue
-        cand = (lam * c % n, lam * d % n)
-        if best is None or cand < best:
-            best = cand
-    return best
+def extra_coset_copies(n: int):
+    """Matrices of Gamma_0(n/2), one in each right coset of Gamma_0(n)
+    inside it other than Gamma_0(n) itself, for even n.
 
-
-def extra_coset_copies(n: int, count: int):
-    """First `count` matrices of Gamma_0(n/2) in distinct nontrivial
-    right cosets of Gamma_0(n), scanned in a fixed deterministic order."""
+    With h = n/2 they are (u, -v, h, d) for u d + v h = 1 (xgcd(d, h)):
+    d = 1 always, and d = 2 too when h is odd.  Proof: gamma' gamma^-1
+    lies in Gamma_0(n) exactly when the bottom rows (c : d) of gamma and
+    gamma' agree in P^1(Z/n), i.e. (c', d') = lambda (c, d) mod n for a
+    unit lambda.  A matrix of Gamma_0(h) has c = 0 or h (mod n); c = 0 is
+    the identity coset.  Every unit is odd, so lambda h = h (mod n), and
+    the rows (h : d) with gcd(d, h) = 1 fall into the unit orbits of d
+    mod n, which are told apart by gcd(d, n), a divisor of 2.  If h is
+    even, d is odd and gcd(d, n) = 1: one coset, d = 1.  If h is odd,
+    gcd(d, n) = 1 or 2 gives two, d = 1 and d = 2.  So the index
+    [Gamma_0(h) : Gamma_0(n)] is 2 when 4 | n and 3 otherwise.
+    """
     if n % 2:
         raise ValueError("n must be even")
-    half = n // 2
-    found = []
-    seen_pts = {_p1_normalize(0, 1, n)}
-    for k in range(1, 8):
-        c = half * k
-        for d in range(1, 4 * n + 2):
-            if math.gcd(c, d) != 1:
-                continue
-            pt = _p1_normalize(c, d, n)
-            if pt in seen_pts:
-                continue
-            g, u, v = xgcd(d, c)
-            if g != 1:
-                continue
-            seen_pts.add(pt)
-            found.append((u, -v, c, d))
-            if len(found) == count:
-                return found
-    raise RuntimeError(f"could not find {count} coset copies for n={n}")
+    h = n // 2
+    copies = []
+    for d in (1, 2) if h % 2 else (1,):
+        _, u, v = xgcd(d, h)
+        copies.append((u, -v, h, d))
+    return copies
 
 
 # ----------------------------------------------------------------------
@@ -295,7 +281,7 @@ def base_geodesic_set(D: int, n: int = 1, nu: int = 0) -> BaseGeodesicSet:
         if n % 2 == 1 or s == 1:
             copies = [MAT_ID]
         else:
-            copies = [MAT_ID] + extra_coset_copies(n, s - 1)
+            copies = [MAT_ID] + extra_coset_copies(n)
         g2 = narrow_class_group(D, OrderTag.O2)
         for l, rep in enumerate(g2.reps):
             shifted = class_shift_representative(D, OrderTag.O2, rep, n, nu,

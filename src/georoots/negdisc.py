@@ -42,7 +42,7 @@ def take_n_neg(D: int, N: int,
                filt: RootFilter = RootFilter()) -> RootSequence:
     """The first N filtered roots for negative D (ordered by modulus)."""
     validate_negative_discriminant(D)
-    return first_n(D, N, filt)
+    return first_n(D, N, filt)[0]
 
 
 def class_forms(D: int, order: OrderTag) -> list:

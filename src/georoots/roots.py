@@ -251,40 +251,64 @@ def _non_squares(p):
 
 
 def first_n(D: int, N: int, filt: RootFilter = None,
-            keep=None) -> RootSequence:
-    """The first N filtered roots (ordered by modulus) of either sign of D.
+            classes=("total",)) -> tuple:
+    """The first N filtered roots (ordered by modulus) of either sign of D,
+    one RootSequence per name in `classes`.
 
-    `keep`, if given, maps a RootSequence to a boolean mask and restricts
-    the sequence to the marked roots (order preserved), e.g. one order
-    class.  The bound M starts at first_sieve_bound and doubles until N
-    roots are found, at most 24 times.
+    "total" names the whole sequence; "O1" and "O2" name the roots of
+    each order (`RootSequence.class_tags`), order preserved.  One sieve
+    per bound serves every class: the bound M starts at
+    first_sieve_bound and doubles, at most 24 times, until each class has
+    N roots.  The roots of m <= M are the prefix m <= M of the sequence,
+    so each class's first N roots do not depend on the M that finds them.
     """
     if N < 1:
         raise ValueError("N >= 1 required")
+    if not classes or not set(classes) <= {"total", "O1", "O2"}:
+        raise ValueError(f"classes {classes} are not total, O1 or O2")
     if D < 0:
         validate_negative_discriminant(D)
     else:
         validate_discriminant(D)
     if filt is None:
         filt = RootFilter()
-    M = first_sieve_bound(N, filt.n, keep is not None)
+    M = first_sieve_bound(N, filt.n, classes)
     for _ in range(24):
         seq = _sieve(D, M, filt)
-        if keep is not None:
-            seq = seq.subset(keep(seq))
-        if len(seq) >= N:
-            return seq.head(N)
+        heads = _class_heads(seq, classes, N)
+        del seq                        # freed before the next bound
+        if heads is not None:
+            return heads
         M *= 2
     raise SequenceExhausted(
-        f"fewer than {N} roots below m = {M} for D={D}, filter {filt}")
+        f"fewer than {N} roots of {classes} below m = {M} for D={D}, "
+        f"filter {filt}")
 
 
-def first_sieve_bound(N: int, n: int, masked: bool) -> int:
-    """The bound M of first_n's first sieve for N roots at level n."""
-    return max(32, (4 if masked else 2) * N * n)
+def _class_heads(seq, classes, N):
+    """The first N roots of each named class of seq, or None if one has
+    fewer.  A class gathers only its first N rows, so no full class
+    subset is built; "total" is a view of seq."""
+    tags = seq.class_tags() if set(classes) != {"total"} else None
+    o1 = 0 if tags is None else int(np.count_nonzero(tags))
+    have = {"total": len(seq), "O1": o1, "O2": len(seq) - o1}
+    if min(have[c] for c in classes) < N:
+        return None
+    heads = []
+    for c in classes:
+        rows = (slice(N) if c == "total"
+                else np.flatnonzero(tags == (c == "O1"))[:N])
+        heads.append(RootSequence(seq.D, seq.ms[rows], seq.mus[rows]))
+    return tuple(heads)
+
+
+def first_sieve_bound(N: int, n: int, classes) -> int:
+    """The bound M of first_n's first sieve for N roots of each of
+    `classes` at level n (twice as far when one order's class is asked)."""
+    return max(32, (2 if set(classes) == {"total"} else 4) * N * n)
 
 
 def take_n(D: int, N: int, filt: RootFilter = None) -> RootSequence:
     """The first N filtered roots (ordered by modulus), however far that is."""
     validate_discriminant(D)
-    return first_n(D, N, filt)
+    return first_n(D, N, filt)[0]

@@ -24,7 +24,6 @@ from georoots.forms import (
     mat_mul,
     zagier_step,
 )
-from georoots.geodesics import _p1_normalize
 from georoots.statistics import (
     _WINDOW_EPS,
     Histogram,
@@ -107,6 +106,20 @@ def zagier_reduce_stepwise(f):
 def sigma_canonical(G, sig, sig_inv):
     """Unique representative of {sigma^t G}; see `density._canon`."""
     return _canon(G, _SigmaFrame(sig, sig_inv))
+
+
+def _p1_normalize(c, d, n):
+    """Canonical representative of the projective point (c : d) mod n."""
+    if n == 1:
+        return (0, 0)
+    best = None
+    for lam in range(1, n):
+        if math.gcd(lam, n) != 1:
+            continue
+        cand = (lam * c % n, lam * d % n)
+        if best is None or cand < best:
+            best = cand
+    return best
 
 
 def gamma0_coset_transversal(n: int):

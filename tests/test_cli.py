@@ -492,3 +492,81 @@ def test_figure_files_and_reproducibility(tmp_path, capsys):
     code, _, _ = run_cli(argv + ["--threads", "2"], capsys)
     assert code == 0
     assert (emp.read_bytes(), th.read_bytes()) == first
+
+
+# SHA-256 of both files of figures 2 and 3 at N = 20000, recorded while
+# each panel still ran its own first-N loop: one sieve for both panels
+# must give the same bytes.
+FIGURE_SHA256 = {
+    2: ("1990e4c9dd0ce5573b04a7c0df8927cf860ba6852a29f78c8f0ef278d565ee49",
+        "999adfd15e1e29c70c80afb23f6cb9453323d38c6a0f557463b33dafa0ab70f3"),
+    3: ("65d4112e31564e2582bf1909d4385118910edd906b229fecd715b50201c60d57",
+        "e364660e30810e10872dca80bd8bbe1c32c20e74c58b6d3cef9b51fd758ec39a"),
+}
+
+
+@pytest.mark.parametrize("fig", sorted(FIGURE_SHA256))
+def test_figure_bytes_pinned(fig, tmp_path, capsys):
+    code, _, _ = run_cli(["figure", str(fig), "--N", "20000",
+                          "--outdir", str(tmp_path)], capsys)
+    assert code == 0
+    got = tuple(
+        hashlib.sha256((tmp_path / f"georoots_fig{fig}_{kind}.csv")
+                       .read_bytes()).hexdigest()
+        for kind in ("empirical", "theory"))
+    assert got == FIGURE_SHA256[fig]
+
+
+def _spy_sieve(monkeypatch):
+    from georoots import roots
+
+    bounds = []
+    sieve = roots._sieve
+
+    def spy(D, M, filt):
+        bounds.append(M)
+        return sieve(D, M, filt)
+
+    monkeypatch.setattr(roots, "_sieve", spy)
+    return bounds
+
+
+@pytest.mark.parametrize("fig", [2, 3])
+def test_figure_sieves_once_per_bound(fig, monkeypatch, tmp_path, capsys):
+    # the panels share one first-N loop, so a figure sieves exactly the
+    # bounds its most demanding panel would sieve alone
+    from georoots.cli import _FIGURES, RunConfig, _first_n_points
+
+    N = 20000
+    bounds = _spy_sieve(monkeypatch)
+    code, _, _ = run_cli(["figure", str(fig), "--N", str(N),
+                          "--outdir", str(tmp_path)], capsys)
+    assert code == 0
+    figure_bounds = bounds[:]
+    D, classes, _ = _FIGURES[fig]
+    alone = {}
+    for cls in classes:
+        bounds.clear()
+        _first_n_points(RunConfig(D=D, N=N, class_filter=cls))
+        alone[cls] = bounds[:]
+    assert figure_bounds == max(alone.values(), key=len)
+    if fig == 2:   # the O2 panel needs a second bound
+        assert alone["O2"] == [4 * N, 8 * N] and alone["O1"] == [4 * N]
+
+
+@pytest.mark.parametrize("kind", ["missing", "file"])
+def test_figure_outdir_checked_before_work(kind, monkeypatch, tmp_path,
+                                           capsys):
+    outdir = tmp_path / "out"
+    if kind == "file":
+        outdir.write_text("keep\n")
+    bounds = _spy_sieve(monkeypatch)
+    code, out, err = run_cli(["figure", "1", "--N", "2000",
+                              "--outdir", str(outdir)], capsys)
+    assert code == 2
+    assert out == "" and err.startswith("error:") and "outdir" in err
+    assert bounds == []
+    assert [p.name for p in tmp_path.iterdir()] == (
+        ["out"] if kind == "file" else [])
+    if kind == "file":
+        assert outdir.read_text() == "keep\n"

@@ -171,7 +171,7 @@ def test_generators_live_in_gamma0():
 
 def test_extra_coset_copies_distinct():
     for n, count in [(2, 2), (4, 1), (6, 2), (8, 1)]:
-        copies = extra_coset_copies(n, count)
+        copies = extra_coset_copies(n)
         assert len(copies) == count
         for g in copies:
             assert mat_det(g) == 1
@@ -179,6 +179,29 @@ def test_extra_coset_copies_distinct():
         if count == 2:
             w = mat_mul(copies[1], mat_inv(copies[0]))
             assert w[2] % n != 0   # genuinely different cosets
+
+
+def _gamma0_index(n):
+    # [SL2(Z) : Gamma_0(n)] = n * prod(1 + 1/p)
+    for p, _ in factorize(n):
+        n = n // p * (p + 1)
+    return n
+
+
+def test_extra_coset_copies_are_the_cosets():
+    # with the identity, the copies form a transversal of Gamma_0(n) in
+    # Gamma_0(n/2): each lies in Gamma_0(n/2), no two share a right coset
+    # of Gamma_0(n), and there are as many as the index says
+    for n in range(2, 401, 2):
+        copies = extra_coset_copies(n)
+        for g in copies:
+            assert mat_det(g) == 1 and g[2] % (n // 2) == 0
+        reps = [MAT_ID] + copies
+        for i, a in enumerate(reps):
+            for b in reps[:i]:
+                assert mat_mul(a, mat_inv(b))[2] % n != 0, (n, a, b)
+        index = _gamma0_index(n) // _gamma0_index(n // 2)
+        assert len(copies) == index - 1 == (1 if n % 4 == 0 else 2)
 
 
 def test_filter_is_gamma0_invariant():

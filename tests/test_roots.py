@@ -203,10 +203,38 @@ def test_first_n_points_is_class_prefix(D, cls):
     assert len(want) >= N
     assert np.array_equal(got.ms, want.ms[:N])
     assert np.array_equal(got.mus, want.mus[:N])
+    # one call for both classes hands back the same prefix
+    both = dict(zip(("O1", "O2"), first_n(D, N, classes=("O1", "O2"))))
+    assert np.array_equal(both[cls].ms, want.ms[:N])
+    assert np.array_equal(both[cls].mus, want.mus[:N])
+
+
+@pytest.mark.parametrize("D,n,nu", [(5, 2, 1), (17, 4, 1)])
+def test_first_n_classes_at_level_n(D, n, nu):
+    # every name of one call against an independent sieve and subset
+    N = 2000
+    filt = RootFilter(n, nu)
+    classes = ("O2", "total", "O1")
+    got = first_n(D, N, filt, classes)
+    pool = sieve_roots(D, 400_000, filt)
+    tags = pool.class_tags()
+    for cls, seq in zip(classes, got):
+        want = {"total": pool, "O1": pool.subset(tags),
+                "O2": pool.subset(~tags)}[cls]
+        assert len(want) >= N
+        assert np.array_equal(seq.ms, want.ms[:N])
+        assert np.array_equal(seq.mus, want.mus[:N])
+        assert (seq.ms % n == 0).all() and (seq.mus % n == nu).all()
+
+
+def test_first_n_rejects_unknown_classes():
+    for classes in ((), ("O3",), ("total", "o1")):
+        with pytest.raises(ValueError):
+            first_n(5, 10, classes=classes)
 
 
 def test_first_n_validates_by_sign():
-    assert len(first_n(-15, 10)) == 10
+    assert len(first_n(-15, 10)[0]) == 10
     with pytest.raises(ValueError):
         take_n(-15, 10)
     for D in (-4, 45, 6):

@@ -120,7 +120,7 @@ def _points(kind, n):
     if kind == "roots":
         return take_n(5, n)
     if kind == "O2":
-        return first_n(5, n, keep=lambda seq: ~seq.class_tags())
+        return first_n(5, n, classes=("O2",))[0]
     return np.random.default_rng(n).random(n)
 
 
@@ -147,7 +147,7 @@ def test_memory_is_linear_in_points():
     # _CHUNK int64/float64.  Pairs, about 2rn for the window [-r, r), are
     # never held, so the bound does not depend on r.
     n = 10**5
-    seq = first_n(5, n)
+    seq = first_n(5, n)[0]
     bound = 8 * (10 * n + 16 * statistics._CHUNK)
     for r in (5.0, 50.0):
         tracemalloc.start()
