@@ -11,8 +11,12 @@ units       totally positive fundamental units of the two orders
 classgroup  narrow class representatives (definite classes for D < 0)
 
 Exit codes: 0 success, 1 runtime failure, 2 invalid configuration.
---threads (or the GEOROOTS_THREADS variable) caps worker threads where a
-command supports them; output bytes never depend on the thread count.
+paircorr and figure take --threads (or the GEOROOTS_THREADS variable) to
+cap the pair correlation's worker threads; output bytes never depend on
+the thread count.  No other command takes or reads either.
+
+The parsed argparse namespace is the run configuration: each command
+receives it after config_from_args has checked its options.
 """
 
 import argparse
@@ -20,7 +24,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 # Each command imports the layers it uses when it runs, so start-up loads
 # none of them and `roots` or `paircorr` never load the walks.
@@ -30,36 +33,15 @@ class ConfigError(ValueError):
     """Invalid run configuration; reported with exit code 2."""
 
 
-@dataclass
-class RunConfig:
-    """One command's validated knobs (not every field matters to all)."""
+def _root_filter(args):
+    from .roots import RootFilter
 
-    D: int = None
-    n: int = 1
-    nu: int = 0
-    N: int = None
-    M: int = None
-    bins: int = 100
-    range: float = 5.0
-    q_max: float = 50.0
-    step: float = 0.01
-    class_filter: str = "total"    # total | O1 | O2
-    out: str = None
-    outdir: str = "."
-    format: str = "csv"
-    threads: int = None
-    figure: int = None
-
-    def root_filter(self):
-        from .roots import RootFilter
-
-        try:
-            filt = RootFilter(self.n, self.nu)
-            if self.D is not None:
-                filt.validate_for(self.D)
-        except ValueError as e:
-            raise ConfigError(str(e))
-        return filt
+    try:
+        filt = RootFilter(args.n, args.nu)
+        filt.validate_for(args.D)
+    except ValueError as e:
+        raise ConfigError(str(e))
+    return filt
 
 
 def _check_discriminant(D: int):
@@ -87,44 +69,48 @@ def _resolve_threads(threads):
     return threads
 
 
-def config_from_args(args) -> RunConfig:
-    cfg = RunConfig()
-    for name in vars(cfg):
-        if hasattr(args, name):
-            setattr(cfg, name, getattr(args, name))
-    if cfg.D is not None:
-        _check_discriminant(cfg.D)
-    cfg.root_filter()
-    cfg.threads = _resolve_threads(cfg.threads)
-    for name, low in (("bins", 1), ("M", 1), ("N", 1)):
-        v = getattr(cfg, name)
-        if v is not None and v < low:
-            raise ConfigError(f"{name} must be >= {low}")
-    _check_bounds(cfg)
-    if cfg.figure is not None and not os.path.isdir(cfg.outdir):
-        raise ConfigError(f"outdir {cfg.outdir!r} is not a directory")
-    for flag, v in (("range", cfg.range), ("step", cfg.step),
-                    ("qmax", cfg.q_max)):
-        if not math.isfinite(v):
-            raise ConfigError(f"{flag} must be finite")
-    if cfg.range <= 0 or cfg.step <= 0:
+def config_from_args(args):
+    """Check the options args's subcommand declares, in place; returns
+    args.  An option the subcommand lacks is neither checked nor added."""
+    opts = vars(args)
+    if "D" in opts:
+        _check_discriminant(args.D)
+    if "n" in opts:
+        _root_filter(args)
+    if "threads" in opts:
+        args.threads = _resolve_threads(args.threads)
+    for name in ("bins", "M", "N"):
+        if name in opts and opts[name] < 1:
+            raise ConfigError(f"{name} must be >= 1")
+    _check_bounds(args)
+    if "outdir" in opts and not os.path.isdir(args.outdir):
+        raise ConfigError(f"outdir {args.outdir!r} is not a directory")
+    for name in ("range", "step", "qmax"):
+        if name in opts and not math.isfinite(opts[name]):
+            raise ConfigError(f"{name} must be finite")
+    if any(opts[name] <= 0 for name in ("range", "step") if name in opts):
         raise ConfigError("range and step must be positive")
-    if cfg.q_max <= 1:
+    if "qmax" in opts and args.qmax <= 1:
         raise ConfigError("qmax must exceed 1")
-    return cfg
+    if "N" in opts and args.N < 2:
+        raise ConfigError("need N >= 2 for pair statistics")
+    return args
 
 
-def _check_bounds(cfg: RunConfig):
+def _check_bounds(args):
     """Every modulus bound a command will sieve first stays below 2^31."""
     from .roots import M_LIMIT, first_sieve_bound
 
-    if cfg.M is not None and cfg.M >= M_LIMIT:
+    opts = vars(args)
+    if "M" in opts and args.M >= M_LIMIT:
         raise ConfigError("M must be below 2^31 (64-bit root arithmetic)")
-    if cfg.N is None:
+    if "N" not in opts:
         return
-    classes = (_FIGURES[cfg.figure][1] if cfg.figure is not None
-               else (cfg.class_filter,))
-    if first_sieve_bound(cfg.N, cfg.n, classes) >= M_LIMIT:
+    if "figure" in opts:            # figures sieve at level n = 1
+        n, classes = 1, _FIGURES[args.figure][1]
+    else:
+        n, classes = args.n, (args.class_filter,)
+    if first_sieve_bound(args.N, n, classes) >= M_LIMIT:
         raise ConfigError("N too large: its first modulus bound reaches "
                           "2^31 (64-bit root arithmetic)")
 
@@ -140,11 +126,12 @@ def _sieve_fn(D):
     return sieve_roots
 
 
-def _first_n_points(cfg: RunConfig):
+def _first_n_points(args):
     """First N roots, restricted to one order's subsequence if asked."""
     from .roots import first_n
 
-    return first_n(cfg.D, cfg.N, cfg.root_filter(), (cfg.class_filter,))[0]
+    return first_n(args.D, args.N, _root_filter(args),
+                   (args.class_filter,))[0]
 
 
 def _class_mask(base, class_filter):
@@ -161,55 +148,53 @@ def _class_mask(base, class_filter):
 # ----------------------------------------------------------------------
 # commands
 
-def cmd_roots(cfg: RunConfig) -> int:
+def cmd_roots(args) -> int:
     from .csvio import write_table
 
-    seq = _sieve_fn(cfg.D)(cfg.D, cfg.M, cfg.root_filter())
-    meta = {"command": "roots", "D": cfg.D, "n": cfg.n, "nu": cfg.nu,
-            "M": cfg.M, "count": len(seq)}
-    write_table(cfg.out, cfg.format, meta, ("m", "mu", "class"),
+    seq = _sieve_fn(args.D)(args.D, args.M, _root_filter(args))
+    meta = {"command": "roots", "D": args.D, "n": args.n, "nu": args.nu,
+            "M": args.M, "count": len(seq)}
+    write_table(args.out, args.format, meta, ("m", "mu", "class"),
                 (seq.ms, seq.mus, seq.class_labels()))
     return 0
 
 
-def cmd_paircorr(cfg: RunConfig) -> int:
+def cmd_paircorr(args) -> int:
     from .csvio import write_table
     from .statistics import pair_correlation
 
-    if cfg.N < 2:
-        raise ConfigError("need N >= 2 for pair statistics")
-    points = _first_n_points(cfg)
-    result = pair_correlation(points, lo=-cfg.range, hi=cfg.range,
-                              bins=cfg.bins, threads=cfg.threads)
-    meta = {"command": "paircorr", "D": cfg.D, "n": cfg.n, "nu": cfg.nu,
-            "N": cfg.N, "class": cfg.class_filter,
-            "lo": -cfg.range, "hi": cfg.range, "bins": cfg.bins}
+    points = _first_n_points(args)
+    result = pair_correlation(points, lo=-args.range, hi=args.range,
+                              bins=args.bins, threads=args.threads)
+    meta = {"command": "paircorr", "D": args.D, "n": args.n, "nu": args.nu,
+            "N": args.N, "class": args.class_filter,
+            "lo": -args.range, "hi": args.range, "bins": args.bins}
     counts = result.histogram.counts
-    write_table(cfg.out, cfg.format, meta,
+    write_table(args.out, args.format, meta,
                 ("center", "count", "r2", "density"),
                 (result.histogram.centers(), counts,
                  counts / result.n_points, result.values()))
     return 0
 
 
-def cmd_density(cfg: RunConfig) -> int:
+def cmd_density(args) -> int:
     from .csvio import write_table
     from .density import default_grid, omega
     from .geodesics import base_geodesic_set
 
-    if cfg.D < 0:
+    if args.D < 0:
         raise ConfigError("the theoretical density needs D > 0")
-    if cfg.n != 1:
-        raise ConfigError("the theoretical density is available for n = 1")
-    base = base_geodesic_set(cfg.D)
-    mask = _class_mask(base, cfg.class_filter)
-    grid = default_grid(-cfg.range, cfg.range, cfg.step, v_min=cfg.step)
-    tab = omega(base, grid, q_max=cfg.q_max, mask=mask)
-    meta = {"command": "density", "D": cfg.D, "n": 1,
-            "class": cfg.class_filter, "kappa": tab.kappa, "vol": tab.vol,
+    grid = default_grid(-args.range, args.range, args.step, v_min=args.step)
+    if not grid.size:
+        raise ConfigError("range and step leave no nonzero v on the grid")
+    base = base_geodesic_set(args.D)
+    mask = _class_mask(base, args.class_filter)
+    tab = omega(base, grid, q_max=args.qmax, mask=mask)
+    meta = {"command": "density", "D": args.D, "n": 1,
+            "class": args.class_filter, "kappa": tab.kappa, "vol": tab.vol,
             "q_max": tab.q_max, "terms": tab.terms_used,
             "tail_estimate": tab.tail_estimate, "skipped": tab.skipped}
-    write_table(cfg.out, cfg.format, meta, ("v", "omega"),
+    write_table(args.out, args.format, meta, ("v", "omega"),
                 (tab.grid, tab.omega))
     return 0
 
@@ -225,19 +210,19 @@ _FIG_BINS = 100
 _FIG_HI = 5.0
 
 
-def cmd_figure(cfg: RunConfig) -> int:
+def cmd_figure(args) -> int:
     from .csvio import fmt_float, write_table
     from .density import omega
     from .geodesics import base_geodesic_set
     from .roots import first_n
     from .statistics import pair_correlation
 
-    D, classes, qmaxes = _FIGURES[cfg.figure]
+    D, classes, qmaxes = _FIGURES[args.figure]
     emp_cols = ["center"] + [f"density_{cls}" for cls in classes]
     emp_data = []
-    for points in first_n(D, cfg.N, classes=classes):
+    for points in first_n(D, args.N, classes=classes):
         res = pair_correlation(points, lo=0.0, hi=_FIG_HI, bins=_FIG_BINS,
-                               threads=cfg.threads)
+                               threads=args.threads)
         emp_data.append(res.values())
     centers = res.histogram.centers()
 
@@ -251,11 +236,11 @@ def cmd_figure(cfg: RunConfig) -> int:
         th_data.append(tab.omega)
         kappas.append(tab.kappa)
 
-    meta = {"command": "figure", "figure": cfg.figure, "D": D, "N": cfg.N,
+    meta = {"command": "figure", "figure": args.figure, "D": D, "N": args.N,
             "bins": _FIG_BINS, "lo": 0.0, "hi": _FIG_HI,
             "classes": " ".join(classes)}
-    emp_path = os.path.join(cfg.outdir, f"georoots_fig{cfg.figure}_empirical.csv")
-    th_path = os.path.join(cfg.outdir, f"georoots_fig{cfg.figure}_theory.csv")
+    stem = os.path.join(args.outdir, f"georoots_fig{args.figure}")
+    emp_path, th_path = stem + "_empirical.csv", stem + "_theory.csv"
     write_table(emp_path, "csv", meta, emp_cols, (centers, *emp_data))
     th_meta = dict(meta)
     th_meta["q_max"] = " ".join(fmt_float(q) for q in qmaxes)
@@ -281,7 +266,7 @@ def _check_orbit_equals_sieve(checks, got, seq):
     return sieve_set
 
 
-def _verify_positive(cfg: RunConfig, checks):
+def _verify_positive(args, checks):
     from .geodesics import base_geodesic_set, enumerate_tops
     from .orders import (
         OrderTag,
@@ -294,9 +279,9 @@ def _verify_positive(cfg: RunConfig, checks):
     )
     from .roots import sieve_roots
 
-    D, M = cfg.D, cfg.M
-    filt = cfg.root_filter()
-    base = base_geodesic_set(D, cfg.n, cfg.nu)
+    D, M = args.D, args.M
+    filt = _root_filter(args)
+    base = base_geodesic_set(D, args.n, args.nu)
     got = enumerate_tops(base, M)
     sieve_set = _check_orbit_equals_sieve(checks, got,
                                           sieve_roots(D, M, filt))
@@ -324,7 +309,7 @@ def _verify_positive(cfg: RunConfig, checks):
     _check(checks, "unit_relation", ok,
            {"eps1": str(u.eps1), "eps2": str(u.eps2), "relation": u.relation})
 
-    if cfg.n == 1:
+    if args.n == 1:
         h1 = narrow_class_group(D, OrderTag.O1).h_plus
         h2 = narrow_class_group(D, OrderTag.O2).h_plus
         _check(checks, "base_count_is_class_number",
@@ -333,12 +318,12 @@ def _verify_positive(cfg: RunConfig, checks):
                 "h2_plus": h2})
 
 
-def _verify_negative(cfg: RunConfig, checks):
+def _verify_negative(args, checks):
     from .negdisc import enumerate_orbit_points, sieve_roots_neg
 
-    D, M = cfg.D, cfg.M
-    got = enumerate_orbit_points(D, M, cfg.root_filter())
-    seq = sieve_roots_neg(D, M, cfg.root_filter())
+    D, M, filt = args.D, args.M, _root_filter(args)
+    got = enumerate_orbit_points(D, M, filt)
+    seq = sieve_roots_neg(D, M, filt)
     _check_orbit_equals_sieve(checks, got, seq)
     tags = seq.class_tags()
     qs = (D - seq.mus * seq.mus) // seq.ms
@@ -347,47 +332,47 @@ def _verify_negative(cfg: RunConfig, checks):
            {"roots": len(seq), "o1": int(tags.sum())})
 
 
-def cmd_verify(cfg: RunConfig) -> int:
+def cmd_verify(args) -> int:
     checks = []
-    if cfg.D < 0:
-        _verify_negative(cfg, checks)
+    if args.D < 0:
+        _verify_negative(args, checks)
     else:
-        _verify_positive(cfg, checks)
-    report = {"command": "verify", "D": cfg.D, "n": cfg.n, "nu": cfg.nu,
-              "M": cfg.M, "checks": checks,
+        _verify_positive(args, checks)
+    report = {"command": "verify", "D": args.D, "n": args.n, "nu": args.nu,
+              "M": args.M, "checks": checks,
               "all_pass": all(c["pass"] for c in checks)}
     text = json.dumps(report, indent=2) + "\n"
-    if cfg.out:
-        with open(cfg.out, "w") as fh:
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
     return 0 if report["all_pass"] else 1
 
 
-def cmd_units(cfg: RunConfig) -> int:
+def cmd_units(args) -> int:
     from .csvio import write_table
     from .orders import unit_relation
 
-    if cfg.D < 0:
+    if args.D < 0:
         raise ConfigError("unit relation diagnostics need D > 0")
-    u = unit_relation(cfg.D)
-    meta = {"command": "units", "D": cfg.D}
-    write_table(cfg.out, cfg.format, meta, ("eps1", "eps2", "relation"),
+    u = unit_relation(args.D)
+    meta = {"command": "units", "D": args.D}
+    write_table(args.out, args.format, meta, ("eps1", "eps2", "relation"),
                 ([str(u.eps1)], [str(u.eps2)], [u.relation]))
     return 0
 
 
-def cmd_classgroup(cfg: RunConfig) -> int:
+def cmd_classgroup(args) -> int:
     from .csvio import write_table
     from .orders import OrderTag
 
-    meta = {"command": "classgroup", "D": cfg.D}
-    if cfg.D > 0:
+    meta = {"command": "classgroup", "D": args.D}
+    if args.D > 0:
         from .orders import narrow_class_group
 
-        g1 = narrow_class_group(cfg.D, OrderTag.O1)
-        g2 = narrow_class_group(cfg.D, OrderTag.O2)
+        g1 = narrow_class_group(args.D, OrderTag.O1)
+        g2 = narrow_class_group(args.D, OrderTag.O2)
         meta["h1_plus"] = g1.h_plus
         meta["h2_plus"] = g2.h_plus
         header = ("side", "index", "m", "mu")
@@ -395,24 +380,23 @@ def cmd_classgroup(cfg: RunConfig) -> int:
     else:
         from .negdisc import class_forms
 
-        sides = [class_forms(cfg.D, tag) for tag in (OrderTag.O1, OrderTag.O2)]
+        sides = [class_forms(args.D, tag)
+                 for tag in (OrderTag.O1, OrderTag.O2)]
         meta["h1"], meta["h2"] = map(len, sides)
         header = ("side", "index", "a", "b", "c")
     side = [name for name, reps in zip(("O1", "O2"), sides) for _ in reps]
     index = [i for reps in sides for i in range(len(reps))]
     values = zip(*(rep for reps in sides for rep in reps))
-    write_table(cfg.out, cfg.format, meta, header, (side, index, *values))
+    write_table(args.out, args.format, meta, header, (side, index, *values))
     return 0
 
 
 # ----------------------------------------------------------------------
 # parser
 
-def _add_common(sp, *, disc=True, filt=True, table_out=True):
-    if disc:
-        sp.add_argument("--D", type=int, required=True,
-                        help="discriminant: squarefree, = 1 (mod 4), "
-                             "either sign")
+def _add_common(sp, *, filt=True, table_out=True):
+    sp.add_argument("--D", type=int, required=True,
+                    help="discriminant: squarefree, = 1 (mod 4), either sign")
     if filt:
         sp.add_argument("--n", type=int, default=1,
                         help="congruence level (m = 0 mod n)")
@@ -421,7 +405,6 @@ def _add_common(sp, *, disc=True, filt=True, table_out=True):
     if table_out:
         sp.add_argument("--out", default=None, help="output path (stdout)")
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
-    sp.add_argument("--threads", type=int, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -444,11 +427,12 @@ def build_parser() -> argparse.ArgumentParser:
                     help="histogram covers [-range, range]")
     sp.add_argument("--class", dest="class_filter", default="total",
                     choices=("total", "O1", "O2"))
+    sp.add_argument("--threads", type=int, default=None)
     sp.set_defaults(func=cmd_paircorr)
 
     sp = sub.add_parser("density", help="theoretical density on a v grid")
     _add_common(sp, filt=False)
-    sp.add_argument("--qmax", dest="q_max", type=float, default=50.0,
+    sp.add_argument("--qmax", type=float, default=50.0,
                     help="double-coset truncation")
     sp.add_argument("--range", type=float, default=5.0)
     sp.add_argument("--step", type=float, default=0.01)
@@ -484,8 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = config_from_args(args)
-        return args.func(cfg)
+        return args.func(config_from_args(args))
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -284,16 +284,13 @@ def _pq(G, A, B, disc):
 
 
 def _geodesic_data(base):
-    """Per base geodesic: (form, sqrt scale s, stabilizer pair, endpoints)."""
+    """Per base geodesic: (form, sqrt scale s, stabilizer pair), where
+    disc(form) = s^2 D."""
     out = []
     for g in base.geodesics:
         f, mult = start_form(base.D, g)
-        s = 2 if mult == 1 else 1
         sig = g.stabilizer
-        a, b, _ = f
-        minus = QuadNum(base.D, -b, -s, 2 * a)
-        plus = QuadNum(base.D, -b, s, 2 * a)
-        out.append((f, s, (sig, mat_inv(sig)), minus, plus))
+        out.append((f, 2 if mult == 1 else 1, (sig, mat_inv(sig))))
     return out
 
 
@@ -392,6 +389,17 @@ def enumerate_coset_terms(base: BaseGeodesicSet, q_max: float,
       is).  Trying t = 0 alone yields every state the scan of all
       translates would.
 
+    A kept term's flavour sign is decided by integers.  For the state
+    G = (a, b, c), of discriminant s_l^2 D, cross_ratio_q takes the sign
+    of (beta - alpha_-)(alpha_+ - beta), flipped when A < 0, where beta =
+    (-b - s_l sqrt D)/(2a) is the backward endpoint of G and alpha_+- the
+    roots of f_k = (A, B, C).  Since f_k(x, 1) = A (x - alpha_+)(x -
+    alpha_-), that product is -f_k(beta, 1)/A, so the flip cancels and
+    the sign is -sign f_k(beta, 1).  With (P, Q) = _pq(f_k, a, b, s_l^2
+    D), 4 a^2 f_k(beta, 1) = P - s_l Q sqrt D (_canon's identity with
+    beta the conjugate root of G).  A zero sign means beta is an
+    endpoint of c_k; it counts as skipped.
+
     More than `budget` states popped, counted over all pairs together,
     raises BudgetExceeded.
     """
@@ -406,15 +414,14 @@ def enumerate_coset_terms(base: BaseGeodesicSet, q_max: float,
     skipped = 0
     visited_total = 0
     for k in idx:
-        fk, sk, (sig_k, sig_k_inv), minus_k, plus_k = data[k]
-        pos_k = fk[0] > 0
+        fk, sk, (sig_k, sig_k_inv) = data[k]
         frame = _SigmaFrame(sig_k, sig_k_inv)
         canon_self = _canon(fk, frame)
         canon_rev = _canon((-fk[0], -fk[1], -fk[2]), frame)
         moves = [(g, _linear_form(fk, g), _normalizes(g, sig_k, sig_k_inv))
                  for g in _GENERATORS]
         for l in idx:
-            fl, sl, _, _, _ = data[l]
+            fl, sl, _ = data[l]
             den_kl = sk * sl * base.D
             start = _canon(fl, frame)
             seen = {start}
@@ -433,10 +440,8 @@ def enumerate_coset_terms(base: BaseGeodesicSet, q_max: float,
                     if abs(B) == den_kl:
                         skipped += 1
                     else:
-                        beta = QuadNum(base.D, -G[1], -sl, 2 * G[0])
-                        sgn = (beta - minus_k).sign() * (plus_k - beta).sign()
-                        if not pos_k:
-                            sgn = -sgn
+                        P, Q = _pq(fk, G[0], G[1], sl * sl * base.D)
+                        sgn = -QuadNum(base.D, P, -sl * Q).sign()
                         if sgn == 0:
                             skipped += 1
                         else:

@@ -241,9 +241,6 @@ def unit_relation(D: int) -> UnitData:
 # ----------------------------------------------------------------------
 # narrow class groups
 
-_SEARCH_FACTOR = 50
-
-
 @dataclass(frozen=True, eq=False)
 class NarrowClassGroup:
     D: int
@@ -271,41 +268,48 @@ def narrow_class_group(D: int, order: OrderTag) -> NarrowClassGroup:
     """Representatives and membership test for the narrow class group.
 
     Classes are the Zagier cycles of primitive indefinite forms of
-    discriminant 4D (O1) or D (O2) (`forms.zagier_cycle`); each rep is
-    the lexicographically smallest root (m, mu) of the order landing in
-    its cycle, so reps[0] is always the unit ideal.
+    discriminant 4D (O1) or D (O2) (`forms.zagier_cycle`).  Each rep is
+    the lexicographically smallest root (m, mu) of the order in its
+    class, and the classes are numbered in the order of their reps, so
+    reps[0] is always the unit ideal.
+
+    The rep is read off the cycle: it is the least (m, mu) = (a, -b/2
+    mod a) (O1) or (2a, -b mod 2a) (O2) over the cycle's forms (a, b, c).
+    The roots of a class are those of the forms f o U, U in SL(2, Z),
+    whose first coefficient f(u) is positive, u the first column of U;
+    up to the sign of U, u is a primitive lattice point of the sector P
+    of f > 0 that holds the cycle's bases, and m = f(u) (O1) or 2 f(u)
+    (O2).  Let H be the convex hull of the nonzero lattice points of P.
+    Its boundary is the chain of edges [u_i, u_{i+1}] through the walk's
+    bases, whose lattice points are the u_i (`forms.zagier_cycle`), and
+    f(u_i) is the first coefficient a_i of the cycle form g_i = f o U_i.
+    sqrt(f) is concave on P (the geometric mean of the two linear
+    factors of f, both positive there), so on each edge it is least at
+    an end: f >= min a_i on the boundary.  A lattice point v of P off
+    the boundary is interior to H, and 0 is not in H, so the ray from 0
+    through v enters H at a boundary point w = v/t with t > 1, and
+    f(v) = t^2 f(w) > f(w).  The least m of the class is therefore met,
+    ties included, only at the u_i, whose roots are those of the g_i.
     """
     validate_discriminant(D)
-    delta = 4 * D if order is OrderTag.O1 else D
-    cycles = zagier_cycles(delta)
-    cycle_of = {}
-    for i, cyc in enumerate(cycles):
-        for f in cyc:
-            cycle_of[f] = i
-    found: dict = {}
-    order_of_discovery = []
-    bound = _SEARCH_FACTOR * isqrt(D) + _SEARCH_FACTOR
-    for m in range(1, bound + 1):
-        for mu in sqrt_mod(D, m):
-            if not fits_order(D, m, mu, order):
-                continue
-            i = cycle_of[zagier_reduce(form_of_root(D, m, mu, order))[1]]
-            if i not in found:
-                found[i] = ideal_from_root(D, m, mu, order)
-                order_of_discovery.append(i)
-        if len(found) == len(cycles):
-            break
-    else:
-        raise SearchExhausted(
-            f"class reps of D={D} not all found below {bound}")
-    renumber = {old: new for new, old in enumerate(order_of_discovery)}
-    reps = tuple(found[old] for old in order_of_discovery)
-    form_class = {f: renumber[i] for f, i in cycle_of.items()}
+    delta, mult = (4 * D, 1) if order is OrderTag.O1 else (D, 2)
+
+    def least_root(cycle):
+        # (a, -b/2 mod a) for O1 (b is even), (2a, -b mod 2a) for O2
+        return min((mult * a, (-b * mult // 2) % (mult * a))
+                   for a, b, _ in cycle)
+
+    cycles = sorted(zagier_cycles(delta), key=least_root)
+    reps = tuple(ideal_from_root(D, *least_root(c), order) for c in cycles)
+    form_class = {f: i for i, cyc in enumerate(cycles) for f in cyc}
     return NarrowClassGroup(D, order, reps, len(cycles), form_class)
 
 
 # ----------------------------------------------------------------------
 # shifting a class representative into a congruence filter
+
+_SEARCH_FACTOR = 50
+
 
 def _v2(n: int) -> int:
     return (n & -n).bit_length() - 1

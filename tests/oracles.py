@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from georoots.arith import sqrt_mod
 from georoots.csvio import fmt_cell, fmt_float
 from georoots.density import _canon, _SigmaFrame
 from georoots.forms import (
@@ -22,8 +23,11 @@ from georoots.forms import (
     is_zagier_reduced,
     mat_inv,
     mat_mul,
+    zagier_cycles,
+    zagier_reduce,
     zagier_step,
 )
+from georoots.orders import OrderTag, fits_order, form_of_root
 from georoots.statistics import (
     _WINDOW_EPS,
     Histogram,
@@ -101,6 +105,24 @@ def zagier_reduce_stepwise(f):
     while not is_zagier_reduced(f):
         U, f = zagier_step(U, f)
     return U, f
+
+
+def class_reps_by_search(D: int, order: OrderTag):
+    """(m, mu) of each narrow class's first root, walking the roots of the
+    order by m, then mu, and placing each in its Zagier cycle; in the
+    order the classes are met.  Every class has roots, so it ends."""
+    delta = 4 * D if order is OrderTag.O1 else D
+    cycles = zagier_cycles(delta)
+    cycle_of = {f: i for i, cyc in enumerate(cycles) for f in cyc}
+    found = {}
+    m = 0
+    while len(found) < len(cycles):
+        m += 1
+        for mu in sqrt_mod(D, m):
+            if fits_order(D, m, mu, order):
+                f = zagier_reduce(form_of_root(D, m, mu, order))[1]
+                found.setdefault(cycle_of[f], (m, mu))
+    return list(found.values())
 
 
 def sigma_canonical(G, sig, sig_inv):

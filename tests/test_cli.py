@@ -1,5 +1,6 @@
 """End-to-end checks of the command line, run in process via main(argv)."""
 
+import argparse
 import hashlib
 import json
 import math
@@ -137,7 +138,8 @@ IMPORTS_SCRIPT = """
 import json, sys
 import georoots.cli
 print(json.dumps(sorted(m for m in sys.modules
-                        if m.startswith(("georoots", "numpy")))))
+                        if m.startswith(("georoots", "numpy",
+                                         "dataclasses")))))
 georoots.cli.main(sys.argv[1:])
 print(json.dumps(sorted(m for m in sys.modules if m.startswith("georoots"))))
 """
@@ -153,6 +155,7 @@ def test_commands_load_only_their_layers(argv):
                           capture_output=True, text=True, env=env,
                           check=True)
     lines = proc.stdout.splitlines()
+    # importing the CLI loads no layer, nor dataclasses (and its inspect)
     assert json.loads(lines[0]) == ["georoots", "georoots.cli"]
     loaded = set(json.loads(lines[-1]))
     assert "georoots.roots" in loaded
@@ -191,10 +194,12 @@ def test_paircorr_bytes_pinned(argv, digest, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-def test_paircorr_needs_two_points(capsys):
-    code, _, err = run_cli(["paircorr", "--D", "5", "--N", "1"], capsys)
+def test_paircorr_needs_two_points(monkeypatch, capsys):
+    bounds = _spy_sieve(monkeypatch)
+    code, out, err = run_cli(["paircorr", "--D", "5", "--N", "1"], capsys)
     assert code == 2
-    assert "N >= 2" in err
+    assert out == "" and "N >= 2" in err
+    assert bounds == []
 
 
 def test_paircorr_class_subsequence(capsys):
@@ -230,6 +235,41 @@ def test_threads_flag_must_be_positive(capsys):
     assert "threads" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["roots", "--D", "5", "--M", "11"],
+    ["density", "--D", "5"],
+    ["verify", "--D", "5"],
+    ["units", "--D", "5"],
+    ["classgroup", "--D", "5"],
+])
+def test_threads_only_on_commands_that_use_them(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--threads", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --threads" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["paircorr", "--D", "5", "--N", "4"],
+    ["figure", "1"],
+])
+def test_threads_accepted_where_used(argv, monkeypatch):
+    monkeypatch.delenv("GEOROOTS_THREADS", raising=False)
+    args = config_from_args(build_parser().parse_args([*argv, "--threads",
+                                                       "2"]))
+    assert args.threads == 2
+    monkeypatch.setenv("GEOROOTS_THREADS", "3")
+    assert config_from_args(build_parser().parse_args(argv)).threads == 3
+
+
+def test_threads_env_ignored_by_commands_without_threads(monkeypatch,
+                                                         capsys):
+    monkeypatch.setenv("GEOROOTS_THREADS", "zebra")
+    code, out, err = run_cli(["roots", "--D", "5", "--M", "11"], capsys)
+    assert code == 0 and err == ""
+    assert parse_csv(out)[0]["count"] == "8"
+
+
 # -------------------------------------------------------------- density
 
 def test_density_header_and_evenness(capsys):
@@ -246,10 +286,58 @@ def test_density_header_and_evenness(capsys):
         assert abs(w - table[-v]) < 1e-9
 
 
+# Stdout digests of `density`, recorded while the options were still
+# copied into a run-configuration dataclass and the walk still compared
+# Q(sqrt D) endpoints for the flavour sign.
+DENSITY_SHA256 = [
+    (["--D", "5", "--qmax", "12", "--range", "1", "--step", "0.25"],
+     "10805d7da5676f84640f3bb666b21e2293e2317ea11a05a40c203cf8624a5c1e"),
+    (["--D", "17", "--qmax", "10", "--step", "0.05", "--class", "O1"],
+     "3eeb217bd47b55f3958ecf0de5d998b64ea836886a21351fac920991277e9c75"),
+    (["--D", "5", "--qmax", "8", "--step", "0.1", "--class", "O2"],
+     "c5c7b49801a1cf7cd918ce96fffc016eae48a21d58f2a2addf553e4b416a4d46"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", DENSITY_SHA256,
+                         ids=["_".join(a) for a, _ in DENSITY_SHA256])
+def test_density_bytes_pinned(argv, digest, capsys):
+    code, out, _ = run_cli(["density", *argv], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_density_rejects_negative_discriminant(capsys):
     code, _, err = run_cli(["density", "--D", "-15"], capsys)
     assert code == 2
     assert "D > 0" in err
+
+
+@pytest.mark.parametrize("rng,step,empty", [
+    ("1", "3", True), ("1", "1.4", True), ("1", "1.2", False),
+])
+def test_density_empty_grid_is_a_config_error(rng, step, empty, monkeypatch,
+                                              capsys):
+    """The check reads the grid default_grid builds, not a rule on range
+    and step: for range < step <= 4/3 range the grid keeps the one point
+    -range + 2 step, which lies outside [-range, range]."""
+    from georoots import density
+
+    grid = density.default_grid(-float(rng), float(rng), float(step),
+                                v_min=float(step))
+    assert (grid.size == 0) == empty
+    calls = []
+    omega = density.omega
+    monkeypatch.setattr(density, "omega",
+                        lambda *a, **k: calls.append(a) or omega(*a, **k))
+    code, out, err = run_cli(["density", "--D", "5", "--qmax", "2",
+                              "--range", rng, "--step", step], capsys)
+    if empty:
+        assert code == 2 and out == "" and calls == []
+        assert err.startswith("error:") and "grid" in err
+    else:
+        assert code == 0 and len(calls) == 1
+        assert [float(r[0]) for r in parse_csv(out)[2]] == grid.tolist()
 
 
 def test_density_rejects_small_qmax(capsys):
@@ -535,7 +623,7 @@ def _spy_sieve(monkeypatch):
 def test_figure_sieves_once_per_bound(fig, monkeypatch, tmp_path, capsys):
     # the panels share one first-N loop, so a figure sieves exactly the
     # bounds its most demanding panel would sieve alone
-    from georoots.cli import _FIGURES, RunConfig, _first_n_points
+    from georoots.cli import _FIGURES, _first_n_points
 
     N = 20000
     bounds = _spy_sieve(monkeypatch)
@@ -547,7 +635,8 @@ def test_figure_sieves_once_per_bound(fig, monkeypatch, tmp_path, capsys):
     alone = {}
     for cls in classes:
         bounds.clear()
-        _first_n_points(RunConfig(D=D, N=N, class_filter=cls))
+        _first_n_points(argparse.Namespace(D=D, N=N, n=1, nu=0,
+                                           class_filter=cls))
         alone[cls] = bounds[:]
     assert figure_bounds == max(alone.values(), key=len)
     if fig == 2:   # the O2 panel needs a second bound
@@ -570,3 +659,13 @@ def test_figure_outdir_checked_before_work(kind, monkeypatch, tmp_path,
         ["out"] if kind == "file" else [])
     if kind == "file":
         assert outdir.read_text() == "keep\n"
+
+
+def test_figure_needs_two_points_before_work(monkeypatch, tmp_path, capsys):
+    bounds = _spy_sieve(monkeypatch)
+    code, out, err = run_cli(["figure", "1", "--N", "1",
+                              "--outdir", str(tmp_path)], capsys)
+    assert code == 2
+    assert out == "" and err.startswith("error:") and "N >= 2" in err
+    assert bounds == []
+    assert list(tmp_path.iterdir()) == []

@@ -291,8 +291,8 @@ def test_coset_terms_match_brute_force():
     terms, skipped = enumerate_coset_terms(base, q_max)
     assert skipped == 0
     for k, l in ((0, 0), (0, 1), (1, 1)):
-        fk, sk, (sig_k, sig_k_inv), _, _ = data[k]
-        fl, sl, _, _, _ = data[l]
+        fk, sk, (sig_k, sig_k_inv) = data[k]
+        fl, sl, _ = data[l]
         den = sk * sl * D
         ak, bk, ck = fk
         canon_self = sigma_canonical(fk, sig_k, sig_k_inv)
@@ -388,7 +388,7 @@ def test_sigma_frame_step_scales_pq_by_omega(case):
 
 @pytest.mark.parametrize("D", [5, 13, 17, 21, 65])
 def test_sigma_canonical_fixes_the_reference_forms(D):
-    for f, _, (sig, sig_inv), _, _ in _geodesic_data(base_geodesic_set(D)):
+    for f, _, (sig, sig_inv) in _geodesic_data(base_geodesic_set(D)):
         assert act(sig, f) == f
         fr = _SigmaFrame(sig, sig_inv)
         C = (fr.B * fr.B - fr.disc) // (4 * fr.A)
@@ -449,7 +449,7 @@ def _full_scan(base, calls):
     reference form (not from ell), with no three-miss stop and no
     normalizer shortcut.  Each call is counted in calls."""
     ref = {}
-    for f, _, (sig, _), _, _ in _geodesic_data(base):
+    for f, _, (sig, _) in _geodesic_data(base):
         assert ref.setdefault(sig, f) in (f, tuple(-x for x in f))
 
     def scan(chains, g, ell, normal, den, prune):
@@ -610,14 +610,14 @@ def test_only_S_inverse_on_the_D5_O2_geodesic_normalizes_sigma():
     there the translates reach more than one state."""
     s_inv = density._GENERATORS[0]
     for D in sorted(PINNED_TERMS):
-        for k, (_, _, (sig, sig_inv), _, _) in enumerate(_pinned_data(D)):
+        for k, (_, _, (sig, sig_inv)) in enumerate(_pinned_data(D)):
             for g in density._GENERATORS:
                 assert _normalizes(g, sig, sig_inv) == \
                     ((D, k, g) == (5, 1, s_inv))
     base = base_geodesic_set(5)
     terms, _ = enumerate_coset_terms(base, 10.0, [1])
     for k, g in ((1, s_inv), (0, s_inv), (1, density._GENERATORS[2])):
-        fk, _, (sig, sig_inv), _, _ = _pinned_data(5)[k]
+        fk, _, (sig, sig_inv) = _pinned_data(5)[k]
         fr = _SigmaFrame(sig, sig_inv)
         for t in terms[:8]:
             moved = [act(g, act(mat_pow(sig if e >= 0 else sig_inv, abs(e)),
@@ -636,7 +636,7 @@ def test_translate_probe_tests_the_float_q():
     den * prune instead decides some of these cases the other way."""
     data = _pinned_data(13)
     disagree = 0
-    for fk, sk, (sig, sig_inv), _, _ in data:
+    for fk, sk, (sig, sig_inv) in data:
         for den in sorted({sk * sl * 13 for _, sl, *_ in data}):
             for G in itertools.product(range(-4, 5), repeat=3):
                 for g in density._GENERATORS:
@@ -663,10 +663,11 @@ def test_coset_term_q_is_exact_pair_invariant():
     data = _geodesic_data(base)
     terms, _ = enumerate_coset_terms(base, 8.0)
     for t in terms:
-        fk, sk, _, minus_k, plus_k = data[t.k]
+        fk, sk, _ = data[t.k]
         sl = data[t.l][1]
         a, b, _ = t.state
-        geo_k = Geodesic(D, minus_k, plus_k)
+        geo_k = Geodesic(D, QuadNum(D, -fk[1], -sk, 2 * fk[0]),
+                         QuadNum(D, -fk[1], sk, 2 * fk[0]))
         geo = Geodesic(D, QuadNum(D, -b, -sl, 2 * a),
                        QuadNum(D, -b, sl, 2 * a))
         q_cr, s_cr = cross_ratio_q(geo_k, geo)

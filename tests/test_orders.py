@@ -28,7 +28,7 @@ from georoots.orders import (
     validate_discriminant,
 )
 from georoots.quadnum import QuadNum
-from oracles import is_totally_positive
+from oracles import class_reps_by_search, is_totally_positive
 
 O1, O2 = OrderTag.O1, OrderTag.O2
 
@@ -226,6 +226,22 @@ def test_narrow_class_numbers():
         for i, rep in enumerate(g.reps):
             assert g.class_of_ideal(rep) == i
             assert rep.scalar == 1
+
+
+@pytest.mark.parametrize("order", [O1, O2])
+def test_class_reps_read_off_cycles_match_root_search(order):
+    """Each rep, the least root over its cycle's forms, is the first root
+    of its class that a search by m, then mu, meets, and the classes are
+    numbered as the search meets them."""
+    for D in range(5, 1000, 4):
+        try:
+            validate_discriminant(D)
+        except ValueError:
+            continue
+        g = narrow_class_group(D, order)
+        assert [(r.m, r.mu) for r in g.reps] == \
+            class_reps_by_search(D, order), D
+        assert [g.class_of_ideal(r) for r in g.reps] == list(range(g.h_plus))
 
 
 def test_class_count_relation_between_orders():

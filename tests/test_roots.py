@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from georoots.arith import sqrt_mod
-from georoots.cli import RunConfig, _first_n_points
+from georoots.cli import _first_n_points
 from georoots.negdisc import sieve_roots_neg
 from georoots.orders import OrderTag, fits_order
 from georoots.roots import RootFilter, _sieve, first_n, sieve_roots, take_n
@@ -196,7 +197,8 @@ def test_sieve_digest_pinned(D, M, digest):
 @pytest.mark.parametrize("cls", ["O1", "O2"])
 def test_first_n_points_is_class_prefix(D, cls):
     N = 5000
-    got = _first_n_points(RunConfig(D=D, N=N, class_filter=cls))
+    got = _first_n_points(argparse.Namespace(D=D, N=N, n=1, nu=0,
+                                             class_filter=cls))
     pool = (sieve_roots_neg if D < 0 else sieve_roots)(D, 200_000)
     tags = pool.class_tags()
     want = pool.subset(tags if cls == "O1" else ~tags)
