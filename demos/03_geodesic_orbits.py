@@ -2,7 +2,9 @@
 """From roots to geodesics and back.
 
 Every root (m, mu) marks the top of a semicircular geodesic with
-endpoints (mu - sqrt D)/m and (mu + sqrt D)/m.  Conversely, sweeping the
+endpoints (mu - sqrt D)/m and (mu + sqrt D)/m, the roots of the integral
+form of (m, mu); matrices move the geodesic by acting on the form, and
+the top is read back off its coefficients.  Conversely, sweeping the
 modular-group orbit of a handful of base geodesics and recording each
 translate's top recovers the full root sequence.  This script walks the
 correspondence in both directions at small scale, then does the same
@@ -11,15 +13,12 @@ for a negative discriminant, where tops become single orbit points.
 
 import argparse
 import sys
+from fractions import Fraction
 
-from georoots.geodesics import (
-    apply_gamma,
-    base_geodesic_set,
-    enumerate_tops,
-    geodesic_from_root,
-    top_of,
-)
+from georoots.forms import MAT_S, MAT_T, act, disc
+from georoots.geodesics import base_geodesic_set, enumerate_tops
 from georoots.negdisc import enumerate_orbit_points, sieve_roots_neg
+from georoots.orders import OrderTag, form_of_root, is_invertible, root_of_form
 from georoots.roots import RootFilter, sieve_roots
 
 LINE = "-" * 74
@@ -39,18 +38,22 @@ def one_geodesic(D: int, m: int, mu: int) -> None:
     print(LINE)
     print(f"The geodesic of root ({m}, {mu}) for D = {D}")
     print(LINE)
-    g = geodesic_from_root(D, m, mu)
-    print(f"  backward endpoint {g.minus}, forward endpoint {g.plus}")
-    top = top_of(g)
-    print(f"  top at x = {top.x}, modulus {top.m}")
-    ok_line(top.root() == (m, mu), "top recovers the root")
+    order = OrderTag.O1 if is_invertible(D, m, mu) else OrderTag.O2
+    mult = 1 if order is OrderTag.O1 else 2
+    f = form_of_root(D, m, mu, order)
+    print(f"  form (a, b, c) = {f} of {order.value}, discriminant {disc(f)}")
+    print("  endpoints: its roots (-b -+ sqrt(disc))/(2a)")
+    x = Fraction(-f[1], 2 * f[0])
+    print(f"  top at x = -b/(2a) = {x}, modulus {mult * f[0]}")
+    ok_line(root_of_form(f, mult) == (m, mu), "top recovers the root")
     # a translate by T = [[1,1],[0,1]] shifts the top by one
-    moved = top_of(apply_gamma((1, 1, 0, 1), g))
-    ok_line(moved.x == top.x + 1, "T-translate shifts the top by 1")
-    swapped = top_of(apply_gamma((0, -1, 1, 0), g))
-    ok_line(swapped.root() != (m, mu),
-            "S-translate lands on another orbit member",
-            f"new root {swapped.root()}")
+    moved = act(MAT_T, f)
+    ok_line(Fraction(-moved[1], 2 * moved[0]) == x + 1,
+            "T-translate shifts the top by 1")
+    swapped = act(MAT_S, f)
+    new = root_of_form(swapped, mult)
+    ok_line(swapped[0] > 0 and new != (m, mu),
+            "S-translate lands on another orbit member", f"new root {new}")
 
 
 def orbit_vs_sieve(D: int, n: int, nu: int, M: int) -> None:

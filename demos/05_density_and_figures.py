@@ -15,6 +15,7 @@ import argparse
 import math
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,7 @@ from georoots.cli import main as cli_main
 from georoots.density import (
     H_minus,
     H_plus,
-    cross_ratio_q,
+    _pairing,
     enumerate_coset_terms,
     kappa_and_vol,
     omega,
@@ -71,11 +72,14 @@ def invariants(D: int) -> None:
         closed = 12.0 * math.log((3 + math.sqrt(5)) / 2) / math.pi ** 2
         ok_line(abs(kappa - closed) < 1e-12, "kappa(5) closed form",
                 f"{closed:.12f}")
-    c1, c2 = base.geodesics[0].geodesic, base.geodesics[1].geodesic
-    q, sign = cross_ratio_q(c1, c2)
-    print(f"  q(c1, c2) = {q} with sign {sign:+d}")
-    ok_line(sign in (-1, 1) and q.b == 0, "q is exact and rational here",
-            f"value {q.a}/{q.c}")
+    # q = B/(s1 s2 D), B the polar form of the discriminant at the two
+    # forms, s_i^2 D their discriminants (s = 2 on the I side, 1 on J)
+    c1, c2 = base.geodesics[0], base.geodesics[1]
+    s1, s2 = 2 // c1.mult, 2 // c2.mult
+    q = Fraction(_pairing(c1.form, c2.form), s1 * s2 * D)
+    print(f"  forms {c1.form} and {c2.form}: q(c1, c2) = {q}")
+    ok_line(abs(q) != 1, "q is exact; the geodesics share no endpoint",
+            f"value {q}")
 
 
 def truncated_sum(D: int, q_max: float) -> None:

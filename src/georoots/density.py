@@ -4,8 +4,20 @@ The density is a sum over pairs of base geodesics and double cosets of
 their stabilizers: each coset contributes (1/v^2) H(q, v/kappa), where q
 is a projective invariant of the two geodesics (a normalized cross
 ratio) and H comes in two signed flavours with explicit piecewise
-closed forms.  Everything here feeds on the exact geodesic machinery;
-floats appear only in the final H evaluations.
+closed forms.  A geodesic is its integral form (`geodesics`), and both
+invariants are read off pairs of forms by integer arithmetic.  For
+forms f_i = (a_i, b_i, c_i) of discriminant s_i^2 D,
+
+    q = (b_1 b_2 - 2 a_1 c_2 - 2 c_1 a_2) / (s_1 s_2 D)
+
+(`_pairing`, the polar form of the discriminant), which is (r+1)/(r-1)
+for the cross ratio r of the endpoints (plus_2, minus_1; minus_2,
+plus_1): |q| < 1 when the geodesics cross, |q| > 1 when they are
+disjoint, and q = +-1 when they share an endpoint.  The sign picks the
+H flavour: +1 when the backward endpoint of the second geodesic lies on
+the positive side of the first, once the first is moved to the
+vertical geodesic from 0 to infinity.  Floats appear only in the final
+division of q and the H evaluations.
 
 The double cosets are those of the full modular group SL_2(Z); for
 proper congruence levels the status of the sum is unsettled (see
@@ -25,16 +37,12 @@ import numpy as np
 
 from .arith import factorize
 from .forms import MAT_ID, act, mat_inv, mat_mul
-from .geodesics import BaseGeodesicSet, BudgetExceeded, start_form
+from .geodesics import BaseGeodesicSet, BudgetExceeded
 from .quadnum import QuadNum
 
 
 class DomainError(ValueError):
     """H evaluated on a boundary locus where the piecewise form is silent."""
-
-
-class SharedEndpoint(ValueError):
-    """Cross-ratio of two geodesics with a common endpoint."""
 
 
 # ----------------------------------------------------------------------
@@ -92,54 +100,6 @@ def _H_on_grid(sign: int, q: float, v: np.ndarray) -> np.ndarray:
         vm = v[mask]
         out[mask] = 2.0 * np.log(q + np.sqrt(vm * vm + q * q - 1.0))
     return out
-
-
-# ----------------------------------------------------------------------
-# pair invariants
-
-def _flavour_sign(c1, beta):
-    """+1 when beta lands positive under the map sending c1 to the
-    standard vertical geodesic (0 -> infinity), -1 when negative."""
-    am, ap = c1.minus, c1.plus
-    if am is None:                      # c1 runs from infinity down to ap
-        return (ap - beta).sign()
-    if ap is None:                      # c1 runs from am up to infinity
-        return (beta - am).sign()
-    t = (ap - am).sign()
-    if beta is None:
-        return -t
-    return t * (beta - am).sign() * (ap - beta).sign()
-
-
-def cross_ratio_q(c1, c2):
-    """Pair invariant (q, sign) of two geodesics, exact over Q(sqrt D).
-
-    q = (r+1)/(r-1) with r the cross ratio of the four endpoints
-    (c2.plus, c1.minus; c2.minus, c1.plus); infinite endpoints are
-    evaluated as limits.  |q| < 1 for crossing geodesics, |q| > 1 for
-    disjoint ones; a shared endpoint would give q = +-1 and raises
-    SharedEndpoint instead.  sign selects which H flavour the pair
-    feeds: +1 when the backward endpoint of c2 lies on the positive
-    side of c1.
-    """
-    v1 = c1.minus is None or c1.plus is None
-    v2 = c2.minus is None or c2.plus is None
-    if v1 and v2:
-        raise SharedEndpoint("two vertical geodesics meet at infinity")
-    num = [(c2.plus, c1.minus), (c2.minus, c1.plus)]
-    den = [(c2.plus, c1.plus), (c2.minus, c1.minus)]
-    num = [a - b for a, b in num if a is not None and b is not None]
-    den = [a - b for a, b in den if a is not None and b is not None]
-    rn = num[0] if len(num) == 1 else num[0] * num[1]
-    rd = den[0] if len(den) == 1 else den[0] * den[1]
-    if rn == 0 or rd == 0:
-        raise SharedEndpoint("geodesics share an endpoint")
-    r = rn / rd
-    q = (r + 1) / (r - 1)
-    sgn = _flavour_sign(c1, c2.minus)
-    if sgn == 0:
-        raise SharedEndpoint("backward endpoint lies on an endpoint of c1")
-    return q, sgn
 
 
 # ----------------------------------------------------------------------
@@ -286,12 +246,8 @@ def _pq(G, A, B, disc):
 def _geodesic_data(base):
     """Per base geodesic: (form, sqrt scale s, stabilizer pair), where
     disc(form) = s^2 D."""
-    out = []
-    for g in base.geodesics:
-        f, mult = start_form(base.D, g)
-        sig = g.stabilizer
-        out.append((f, 2 if mult == 1 else 1, (sig, mat_inv(sig))))
-    return out
+    return [(g.form, 2 if g.mult == 1 else 1,
+             (g.stabilizer, mat_inv(g.stabilizer))) for g in base.geodesics]
 
 
 # S^-1, T^-1 and T: they generate SL_2(Z), and the walk moves by each in
@@ -390,15 +346,15 @@ def enumerate_coset_terms(base: BaseGeodesicSet, q_max: float,
       translates would.
 
     A kept term's flavour sign is decided by integers.  For the state
-    G = (a, b, c), of discriminant s_l^2 D, cross_ratio_q takes the sign
-    of (beta - alpha_-)(alpha_+ - beta), flipped when A < 0, where beta =
-    (-b - s_l sqrt D)/(2a) is the backward endpoint of G and alpha_+- the
-    roots of f_k = (A, B, C).  Since f_k(x, 1) = A (x - alpha_+)(x -
-    alpha_-), that product is -f_k(beta, 1)/A, so the flip cancels and
-    the sign is -sign f_k(beta, 1).  With (P, Q) = _pq(f_k, a, b, s_l^2
-    D), 4 a^2 f_k(beta, 1) = P - s_l Q sqrt D (_canon's identity with
-    beta the conjugate root of G).  A zero sign means beta is an
-    endpoint of c_k; it counts as skipped.
+    G = (a, b, c), of discriminant s_l^2 D, the sign (see the module
+    docstring) is that of (beta - alpha_-)(alpha_+ - beta), flipped when
+    A < 0, where beta = (-b - s_l sqrt D)/(2a) is the backward endpoint
+    of G and alpha_+- the roots of f_k = (A, B, C).  Since f_k(x, 1) =
+    A (x - alpha_+)(x - alpha_-), that product is -f_k(beta, 1)/A, so
+    the flip cancels and the sign is -sign f_k(beta, 1).  With (P, Q) =
+    _pq(f_k, a, b, s_l^2 D), 4 a^2 f_k(beta, 1) = P - s_l Q sqrt D
+    (_canon's identity with beta the conjugate root of G).  A zero sign
+    means beta is an endpoint of c_k; it counts as skipped.
 
     More than `budget` states popped, counted over all pairs together,
     raises BudgetExceeded.
@@ -480,8 +436,12 @@ class DensityTable:
 
 def default_grid(lo: float = -5.0, hi: float = 5.0, step: float = 0.01,
                  v_min: float = 0.01) -> np.ndarray:
+    """The points lo + i step in [lo, hi] with |v| >= v_min.
+
+    The arange runs to hi + step/2 so that rounding cannot drop hi
+    itself; its points beyond hi + step * 1e-6 are off the grid."""
     g = np.arange(lo, hi + step / 2, step)
-    return g[np.abs(g) >= v_min - 1e-12]
+    return g[(g <= hi + step * 1e-6) & (np.abs(g) >= v_min - 1e-12)]
 
 
 def omega(base: BaseGeodesicSet, grid: np.ndarray = None,

@@ -3,8 +3,11 @@
 A root (m, mu) of mu^2 = D (mod m) gives the semicircle geodesic with
 endpoints (mu -+ sqrt(D))/m; its highest point ("top") sits at
 mu/m + i sqrt(D)/m, so the normalized root mu/m is read off a geodesic by
-taking the top modulo horizontal integer translation.  This module makes
-that correspondence executable in both directions: build geodesics from
+taking the top modulo horizontal integer translation.  A geodesic is
+held as the integral binary quadratic form whose roots are its endpoints
+(`orders.form_of_root`); matrices act on it by `forms.act`, and its top
+is read back by `orders.root_of_form`.  This module makes the
+correspondence executable in both directions: build base geodesics from
 the narrow-class machinery, then enumerate every top of bounded modulus
 in their Gamma_0(n) orbits exactly, as the primitive lattice points of
 the Zagier-reduced cones of each base form.
@@ -33,15 +36,12 @@ from .orders import (
     form_of_root,
     is_invertible,
     narrow_class_group,
+    root_of_form,
     totally_positive_fundamental_unit,
     unit_relation,
 )
 from .quadnum import QuadNum
 from .roots import RootFilter
-
-
-class NotRootGeodesic(ValueError):
-    """Positively oriented geodesic whose top is not at a root of D."""
 
 
 class IntegralityFailure(RuntimeError):
@@ -50,27 +50,6 @@ class IntegralityFailure(RuntimeError):
 
 class BudgetExceeded(RuntimeError):
     """Orbit search grew past its node budget before closing."""
-
-
-@dataclass(frozen=True)
-class Geodesic:
-    """Oriented geodesic with exact endpoints; None stands for infinity."""
-
-    D: int
-    minus: QuadNum  # backward endpoint (or None)
-    plus: QuadNum   # forward endpoint (or None)
-
-    def __post_init__(self):
-        if self.minus is not None and self.plus is not None \
-                and self.minus == self.plus:
-            raise ValueError("endpoints must be distinct")
-
-    def is_positively_oriented(self) -> bool:
-        return (self.minus is not None and self.plus is not None
-                and self.minus < self.plus)
-
-    def reversed(self) -> "Geodesic":
-        return Geodesic(self.D, self.plus, self.minus)
 
 
 @dataclass(frozen=True)
@@ -84,55 +63,6 @@ class TopPoint:
     def root(self):
         mu = self.x * self.m
         return (self.m, int(mu) % self.m)
-
-
-def geodesic_from_root(D: int, m: int, mu: int) -> Geodesic:
-    if (mu * mu - D) % m:
-        raise ValueError("mu^2 = D (mod m) violated")
-    return Geodesic(D, QuadNum(D, mu, -1, m), QuadNum(D, mu, 1, m))
-
-
-def _mobius_endpoint(g, z, D):
-    p, q, r, s = g
-    if z is None:  # infinity
-        if r == 0:
-            return None
-        return QuadNum.from_fraction(D, Fraction(p, r))
-    den = z * r + s
-    if den == 0:
-        return None
-    return (z * p + q) / den
-
-
-def apply_gamma(g, c: Geodesic) -> Geodesic:
-    """Exact Mobius image of a geodesic under the matrix g = (p, q, r, s)."""
-    return Geodesic(c.D, _mobius_endpoint(g, c.minus, c.D),
-                    _mobius_endpoint(g, c.plus, c.D))
-
-
-def top_of(c: Geodesic):
-    """TopPoint of a positively oriented root geodesic, else None.
-
-    Returns None for vertical or right-to-left geodesics (no top in the
-    convention used here); raises NotRootGeodesic when the geodesic has a
-    top but it does not sit at mu/m + i sqrt(D)/m for a root (m, mu).
-    """
-    if not c.is_positively_oriented():
-        return None
-    half = (c.plus - c.minus) * Fraction(1, 2)
-    if half.a != 0 or half.b != 1:
-        raise NotRootGeodesic(f"half-width {half} is not sqrt(D)/m")
-    m = half.c
-    mid = (c.plus + c.minus) * Fraction(1, 2)
-    if not mid.is_rational():
-        raise NotRootGeodesic("top is not at a rational abscissa")
-    x = mid.as_fraction()
-    mu = x * m
-    if mu.denominator != 1:
-        raise NotRootGeodesic(f"mu = {mu} is not integral")
-    if (int(mu) ** 2 - c.D) % m:
-        raise NotRootGeodesic(f"({m}, {int(mu) % m}) is not a root of D={c.D}")
-    return TopPoint(x, m)
 
 
 # ----------------------------------------------------------------------
@@ -213,10 +143,17 @@ class BaseGeodesic:
     m: int                 # root of the shifted class representative
     mu: int
     conjugator: tuple      # matrix (p, q, r, s)
-    geodesic: Geodesic     # conjugator applied to the root geodesic
+    form: tuple            # conjugator applied to the form of (m, mu)
     stabilizer: tuple      # generates its Gamma_0(n) stabilizer, up to sign
     j_stab: int            # stabilizer realizes eps_order^j_stab
     length_mult: int       # geodesic length = 2 * length_mult * log(eps2)
+
+    @property
+    def mult(self):
+        """Modulus multiplier: a top with form coefficient a has root
+        modulus mult * a (1 on the I side, disc 4D; 2 on the J side,
+        disc D)."""
+        return 1 if self.source[0] == "I" else 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -272,8 +209,8 @@ def base_geodesic_set(D: int, n: int = 1, nu: int = 0) -> BaseGeodesicSet:
         m, mu = shifted.m, shifted.mu
         stab, j = stabilizer_generator(D, m, mu, n)
         geos.append(BaseGeodesic(("I", k), m, mu, MAT_ID,
-                                 geodesic_from_root(D, m, mu), stab, j,
-                                 j * (3 if cube else 1)))
+                                 form_of_root(D, m, mu, OrderTag.O1), stab,
+                                 j, j * (3 if cube else 1)))
 
     s = _splitting_number(D, n, rel.relation)
     j_side_exists = n % 2 == 1 or ((D - nu * nu) // n) % 2 == 0
@@ -287,11 +224,11 @@ def base_geodesic_set(D: int, n: int = 1, nu: int = 0) -> BaseGeodesicSet:
             shifted = class_shift_representative(D, OrderTag.O2, rep, n, nu,
                                                  g2)
             m, mu = shifted.m, shifted.mu
-            base = geodesic_from_root(D, m, mu)
+            f = form_of_root(D, m, mu, OrderTag.O2)
             for conj in copies:
                 stab, j = stabilizer_generator(D, m, mu, n, conj)
                 geos.append(BaseGeodesic(("J", l), m, mu, conj,
-                                         apply_gamma(conj, base), stab, j, j))
+                                         act(conj, f), stab, j, j))
 
     out = BaseGeodesicSet(D, n, nu, s, tuple(geos), rel.eps2, rel.relation)
     _check_base_tops(out, filt)
@@ -299,16 +236,28 @@ def base_geodesic_set(D: int, n: int = 1, nu: int = 0) -> BaseGeodesicSet:
 
 
 def _check_base_tops(base: BaseGeodesicSet, filt: RootFilter):
+    """Every base geodesic with a top has its root in the filter, and its
+    stabilizer fixes its form.
+
+    The geodesic of a form (a, b, c) runs between its roots, from
+    (-b - s sqrt D)/(2a) to (-b + s sqrt D)/(2a) for disc s^2 D, so it
+    has a top exactly when a > 0, and the top's root is
+    `orders.root_of_form`.  That readout is always a root, so a top
+    cannot fail to sit at one.  At disc 4D, b is even and (m, mu) =
+    (a, -b/2 mod a) has mu^2 - D = b^2/4 - D = ac.  At disc D, (m, mu) =
+    (2a, -b mod 2a) has mu^2 - D = b^2 - D = 4ac, a multiple of m, and
+    m and (D - mu^2)/m = -2c are both even, as the wider order asks.
+    act(sigma, f) = f says that sigma fixes both roots of f, each in its
+    place.
+    """
     for g in base.geodesics:
-        top = top_of(g.geodesic)
-        if top is None:
-            continue
-        m, mu = top.root()
-        if not filt.accepts(m, mu):
-            raise RuntimeError(
-                f"base geodesic {g.source} top ({m},{mu}) violates {filt}")
-        st = apply_gamma(g.stabilizer, g.geodesic)
-        if st != g.geodesic:
+        if g.form[0] > 0:
+            m, mu = root_of_form(g.form, g.mult)
+            if not filt.accepts(m, mu):
+                raise RuntimeError(
+                    f"base geodesic {g.source} top ({m},{mu}) violates "
+                    f"{filt}")
+        if act(g.stabilizer, g.form) != g.form:
             raise RuntimeError(f"stabilizer does not fix {g.source}")
 
 
@@ -326,14 +275,6 @@ class EnumerationResult:
     def from_arrays(cls, ms, mus, visited):
         roots = set(zip(ms.tolist(), mus.tolist()))
         return cls(roots, len(ms), len(ms) - len(roots), visited)
-
-
-def start_form(D, g: BaseGeodesic):
-    """Form of a base geodesic (conjugator applied) and its modulus
-    multiplier: the root modulus is mult * a for a top with coefficient a."""
-    order = OrderTag.O1 if g.source[0] == "I" else OrderTag.O2
-    f = form_of_root(D, g.m, g.mu, order)
-    return act(g.conjugator, f), (1 if order is OrderTag.O1 else 2)
 
 
 def enumerate_tops(base: BaseGeodesicSet, M: int,
@@ -363,9 +304,8 @@ def enumerate_tops(base: BaseGeodesicSet, M: int,
         raise ValueError("M >= 1 required")
     cones = []
     for bg in base.geodesics:
-        f0, mult = start_form(base.D, bg)
-        cones += [(f0, U, mult)
-                  for U in zagier_cones(f0, bg.stabilizer)]
+        cones += [(bg.form, U, bg.mult)
+                  for U in zagier_cones(bg.form, bg.stabilizer)]
     ms, mus, visited = cone_roots(cones, M, base.n, budget)
     return EnumerationResult.from_arrays(ms, mus, visited)
 

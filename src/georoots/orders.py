@@ -175,6 +175,14 @@ def form_of_root(D: int, m: int, mu: int, order: OrderTag):
     return (m // 2, -mu, (mu * mu - D) // (2 * m))
 
 
+def root_of_form(f, mult: int):
+    """The root (m, mu) of the form f = (a, b, c), a > 0: the inverse of
+    `form_of_root`.  mult is 1 for disc 4D (b is even), giving
+    (a, -b/2 mod a), and 2 for disc D, giving (2a, -b mod 2a)."""
+    a, b, _ = f
+    return mult * a, (-b * mult // 2) % (mult * a)
+
+
 # ----------------------------------------------------------------------
 # units
 
@@ -295,9 +303,7 @@ def narrow_class_group(D: int, order: OrderTag) -> NarrowClassGroup:
     delta, mult = (4 * D, 1) if order is OrderTag.O1 else (D, 2)
 
     def least_root(cycle):
-        # (a, -b/2 mod a) for O1 (b is even), (2a, -b mod 2a) for O2
-        return min((mult * a, (-b * mult // 2) % (mult * a))
-                   for a, b, _ in cycle)
+        return min(root_of_form(f, mult) for f in cycle)
 
     cycles = sorted(zagier_cycles(delta), key=least_root)
     reps = tuple(ideal_from_root(D, *least_root(c), order) for c in cycles)

@@ -3,11 +3,19 @@
 Each is the plain, obviously correct version of something the package
 does faster or more generally: a step-by-step loop, a group-action
 definition, a textbook reduction.  None of them is used by georoots.
+
+The package holds a geodesic as the integral form whose roots are its
+endpoints.  The endpoint layer here holds it as two exact QuadNum
+endpoints instead (`Geodesic`), moves it by Mobius maps
+(`apply_gamma`), reads its top off the endpoints (`top_of`) and its
+pair invariants off their cross ratio (`cross_ratio_q`): an independent
+check on every readout the package makes from forms.
 """
 
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -27,13 +35,147 @@ from georoots.forms import (
     zagier_reduce,
     zagier_step,
 )
+from georoots.geodesics import TopPoint
 from georoots.orders import OrderTag, fits_order, form_of_root
+from georoots.quadnum import QuadNum
 from georoots.statistics import (
     _WINDOW_EPS,
     Histogram,
     PairCorrResult,
     _point_data,
 )
+
+
+class NotRootGeodesic(ValueError):
+    """Positively oriented geodesic whose top is not at a root of D."""
+
+
+class SharedEndpoint(ValueError):
+    """Cross-ratio of two geodesics with a common endpoint."""
+
+
+@dataclass(frozen=True)
+class Geodesic:
+    """Oriented geodesic with exact endpoints; None stands for infinity."""
+
+    D: int
+    minus: QuadNum  # backward endpoint (or None)
+    plus: QuadNum   # forward endpoint (or None)
+
+    def __post_init__(self):
+        if self.minus is not None and self.plus is not None \
+                and self.minus == self.plus:
+            raise ValueError("endpoints must be distinct")
+
+    def is_positively_oriented(self) -> bool:
+        return (self.minus is not None and self.plus is not None
+                and self.minus < self.plus)
+
+    def reversed(self) -> "Geodesic":
+        return Geodesic(self.D, self.plus, self.minus)
+
+
+def geodesic_from_root(D: int, m: int, mu: int) -> Geodesic:
+    if (mu * mu - D) % m:
+        raise ValueError("mu^2 = D (mod m) violated")
+    return Geodesic(D, QuadNum(D, mu, -1, m), QuadNum(D, mu, 1, m))
+
+
+def _mobius_endpoint(g, z, D):
+    p, q, r, s = g
+    if z is None:  # infinity
+        if r == 0:
+            return None
+        return QuadNum.from_fraction(D, Fraction(p, r))
+    den = z * r + s
+    if den == 0:
+        return None
+    return (z * p + q) / den
+
+
+def apply_gamma(g, c: Geodesic) -> Geodesic:
+    """Exact Mobius image of a geodesic under the matrix g = (p, q, r, s)."""
+    return Geodesic(c.D, _mobius_endpoint(g, c.minus, c.D),
+                    _mobius_endpoint(g, c.plus, c.D))
+
+
+def top_of(c: Geodesic):
+    """TopPoint of a positively oriented root geodesic, else None.
+
+    Returns None for vertical or right-to-left geodesics (no top in the
+    convention used here); raises NotRootGeodesic when the geodesic has a
+    top but it does not sit at mu/m + i sqrt(D)/m for a root (m, mu).
+    """
+    if not c.is_positively_oriented():
+        return None
+    half = (c.plus - c.minus) * Fraction(1, 2)
+    if half.a != 0 or half.b != 1:
+        raise NotRootGeodesic(f"half-width {half} is not sqrt(D)/m")
+    m = half.c
+    mid = (c.plus + c.minus) * Fraction(1, 2)
+    if not mid.is_rational():
+        raise NotRootGeodesic("top is not at a rational abscissa")
+    x = mid.as_fraction()
+    mu = x * m
+    if mu.denominator != 1:
+        raise NotRootGeodesic(f"mu = {mu} is not integral")
+    if (int(mu) ** 2 - c.D) % m:
+        raise NotRootGeodesic(f"({m}, {int(mu) % m}) is not a root of D={c.D}")
+    return TopPoint(x, m)
+
+
+def form_geodesic(D: int, f, mult: int) -> Geodesic:
+    """The geodesic of a form (a, b, c) with a != 0, from the root
+    (-b - s sqrt D)/(2a) to (-b + s sqrt D)/(2a), where disc f = s^2 D:
+    s = 2 for mult 1 and s = 1 for mult 2."""
+    a, b, _ = f
+    s = 2 // mult
+    return Geodesic(D, QuadNum(D, -b, -s, 2 * a), QuadNum(D, -b, s, 2 * a))
+
+
+def _flavour_sign(c1, beta):
+    """+1 when beta lands positive under the map sending c1 to the
+    standard vertical geodesic (0 -> infinity), -1 when negative."""
+    am, ap = c1.minus, c1.plus
+    if am is None:                      # c1 runs from infinity down to ap
+        return (ap - beta).sign()
+    if ap is None:                      # c1 runs from am up to infinity
+        return (beta - am).sign()
+    t = (ap - am).sign()
+    if beta is None:
+        return -t
+    return t * (beta - am).sign() * (ap - beta).sign()
+
+
+def cross_ratio_q(c1, c2):
+    """Pair invariant (q, sign) of two geodesics, exact over Q(sqrt D).
+
+    q = (r+1)/(r-1) with r the cross ratio of the four endpoints
+    (c2.plus, c1.minus; c2.minus, c1.plus); infinite endpoints are
+    evaluated as limits.  |q| < 1 for crossing geodesics, |q| > 1 for
+    disjoint ones; a shared endpoint would give q = +-1 and raises
+    SharedEndpoint instead.  sign selects which H flavour the pair
+    feeds: +1 when the backward endpoint of c2 lies on the positive
+    side of c1.
+    """
+    v1 = c1.minus is None or c1.plus is None
+    v2 = c2.minus is None or c2.plus is None
+    if v1 and v2:
+        raise SharedEndpoint("two vertical geodesics meet at infinity")
+    num = [(c2.plus, c1.minus), (c2.minus, c1.plus)]
+    den = [(c2.plus, c1.plus), (c2.minus, c1.minus)]
+    num = [a - b for a, b in num if a is not None and b is not None]
+    den = [a - b for a, b in den if a is not None and b is not None]
+    rn = num[0] if len(num) == 1 else num[0] * num[1]
+    rd = den[0] if len(den) == 1 else den[0] * den[1]
+    if rn == 0 or rd == 0:
+        raise SharedEndpoint("geodesics share an endpoint")
+    r = rn / rd
+    q = (r + 1) / (r - 1)
+    sgn = _flavour_sign(c1, c2.minus)
+    if sgn == 0:
+        raise SharedEndpoint("backward endpoint lies on an endpoint of c1")
+    return q, sgn
 
 
 def mat_pow(g, k):

@@ -314,13 +314,15 @@ def test_density_rejects_negative_discriminant(capsys):
 
 
 @pytest.mark.parametrize("rng,step,empty", [
-    ("1", "3", True), ("1", "1.4", True), ("1", "1.2", False),
+    ("1", "3", True), ("1", "1.4", True), ("1", "1.2", True),
+    ("1", "0.7", False),
 ])
 def test_density_empty_grid_is_a_config_error(rng, step, empty, monkeypatch,
                                               capsys):
     """The check reads the grid default_grid builds, not a rule on range
-    and step: for range < step <= 4/3 range the grid keeps the one point
-    -range + 2 step, which lies outside [-range, range]."""
+    and step.  The grid stays inside [-range, range]: for step 1.2 the
+    point -range + 2 step = 1.4 is dropped, which leaves it empty, and
+    for step 0.7 only -1 remains, not 1.1."""
     from georoots import density
 
     grid = density.default_grid(-float(rng), float(rng), float(step),

@@ -1,8 +1,7 @@
-"""The self-checking demos 01-04 run clean from a fresh interpreter.
+"""The self-checking demos 01-05 run clean from a fresh interpreter.
 
 Each demo prints PASS/FAIL lines and ends with "Result: COMPLETE" only
-when every check passed.  Demo 05 (density and figures) takes about ten
-seconds and is left out.
+when every check passed.
 """
 
 import os
@@ -13,11 +12,11 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-DEMOS = sorted((ROOT / "demos").glob("0[1-4]_*.py"))
+DEMOS = sorted((ROOT / "demos").glob("0[1-5]_*.py"))
 
 
-def test_four_demos_found():
-    assert [p.name[:2] for p in DEMOS] == ["01", "02", "03", "04"]
+def test_five_demos_found():
+    assert [p.name[:2] for p in DEMOS] == ["01", "02", "03", "04", "05"]
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)

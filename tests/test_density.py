@@ -19,7 +19,6 @@ from georoots.cli import _class_mask
 from georoots.density import (
     CosetTerm,
     DomainError,
-    SharedEndpoint,
     H_minus,
     H_plus,
     _SigmaFrame,
@@ -28,7 +27,6 @@ from georoots.density import (
     _linear_form,
     _normalizes,
     _pq,
-    cross_ratio_q,
     default_grid,
     enumerate_coset_terms,
     gamma0_index,
@@ -36,18 +34,17 @@ from georoots.density import (
     omega,
 )
 from georoots.forms import act, mat_mul
-from georoots.geodesics import (
-    BudgetExceeded,
-    Geodesic,
-    apply_gamma,
-    base_geodesic_set,
-    geodesic_from_root,
-)
+from georoots.geodesics import BudgetExceeded, base_geodesic_set
 from georoots.orders import OrderTag, form_of_root
 from georoots.quadnum import QuadNum
 from oracles import (
+    Geodesic,
+    SharedEndpoint,
+    apply_gamma,
+    cross_ratio_q,
     form_pair_q,
     gamma0_generators,
+    geodesic_from_root,
     mat_pow,
     sigma_canonical,
 )

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import random
@@ -19,22 +20,26 @@ from georoots.forms import (
 )
 from georoots.geodesics import (
     BudgetExceeded,
-    Geodesic,
-    NotRootGeodesic,
-    apply_gamma,
+    _check_base_tops,
     base_geodesic_set,
     cone_roots,
     enumerate_tops,
     extra_coset_copies,
-    geodesic_from_root,
     stabilizer_generator,
-    start_form,
-    top_of,
 )
 from georoots.orders import OrderTag, form_of_root
 from georoots.quadnum import QuadNum
 from georoots.roots import RootFilter, sieve_roots
-from oracles import gamma0_coset_transversal, gamma0_generators
+from oracles import (
+    Geodesic,
+    NotRootGeodesic,
+    apply_gamma,
+    form_geodesic,
+    gamma0_coset_transversal,
+    gamma0_generators,
+    geodesic_from_root,
+    top_of,
+)
 
 
 def sieve_pairs(D, M, n=1, nu=0):
@@ -284,8 +289,10 @@ def test_base_sets_pinned():
                     continue
                 count += 1
                 for g in base_geodesic_set(D, n, nu).geodesics:
-                    f0, _ = start_form(D, g)
-                    assert act(g.stabilizer, f0) == f0
+                    assert act(g.stabilizer, g.form) == g.form
+                    # the endpoint oracle builds the same geodesic
+                    assert form_geodesic(D, g.form, g.mult) == apply_gamma(
+                        g.conjugator, geodesic_from_root(D, g.m, g.mu))
                     h.update(repr((D, n, nu, g.source, g.m, g.mu,
                                    g.conjugator, g.stabilizer, g.j_stab,
                                    g.length_mult)).encode() + b"\n")
@@ -296,6 +303,22 @@ def test_base_sets_pinned():
 def test_base_set_rejects_bad_filter():
     with pytest.raises(ValueError):
         base_geodesic_set(5, 3, 1)
+
+
+def test_check_base_tops_rejects_top_outside_filter():
+    base = base_geodesic_set(5, 4, 1)
+    _check_base_tops(base, RootFilter(4, 1))
+    with pytest.raises(RuntimeError, match="violates"):
+        _check_base_tops(base, RootFilter(4, 3))
+
+
+def test_check_base_tops_rejects_foreign_stabilizer():
+    base = base_geodesic_set(5, 1, 0)
+    g0, *rest = base.geodesics
+    bad = dataclasses.replace(
+        base, geodesics=(dataclasses.replace(g0, stabilizer=MAT_T), *rest))
+    with pytest.raises(RuntimeError, match="stabilizer does not fix"):
+        _check_base_tops(bad, RootFilter(1, 0))
 
 
 # ---------------------------------------------------------------- enumeration

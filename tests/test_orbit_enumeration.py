@@ -26,7 +26,6 @@ from georoots.geodesics import (
     BudgetExceeded,
     base_geodesic_set,
     enumerate_tops,
-    start_form,
     zagier_cones,
 )
 from georoots.negdisc import (
@@ -93,8 +92,7 @@ def _orbit_bfs(seeds, mult, n, M, accept=lambda m, mu: True, safety=4):
 def bfs_tops(base, M):
     found = []
     for bg in base.geodesics:
-        f0, mult = start_form(base.D, bg)
-        found += _orbit_bfs({tshift_canonical(f0)}, mult, base.n, M)
+        found += _orbit_bfs({tshift_canonical(bg.form)}, bg.mult, base.n, M)
     return found
 
 
@@ -218,7 +216,7 @@ def test_budget_counts_exactly_the_candidates():
 ])
 def test_zagier_cones_walk_j_periods_of_reduced_forms(D, n, nu):
     for bg in base_geodesic_set(D, n, nu).geodesics:
-        f0, _ = start_form(D, bg)
+        f0 = bg.form
         cones = zagier_cones(f0, bg.stabilizer)
         forms = []
         for U in cones:
