@@ -7,7 +7,7 @@ import argparse
 import sys
 from fractions import Fraction
 
-from georoots.negdisc import point_of_root, sieve_roots_neg
+from georoots.negdisc import sieve_roots_neg
 from georoots.roots import RootFilter, sieve_roots, take_n
 
 LINE = "=" * 72
@@ -87,13 +87,15 @@ def negative_disc(D: int, M: int) -> None:
     rows = list(zip(seq.ms.tolist(), seq.mus.tolist()))
     print(f"  {len(rows)} roots up to m = {M}; first few:")
     for m, mu in rows[:5]:
-        p = point_of_root(D, m, mu)
-        print(f"    (m, mu) = ({m}, {mu})  ->  x = {p.x}, height sqrt({-D})/{m}")
+        x = Fraction(mu, m)
+        print(f"    (m, mu) = ({m}, {mu})  ->  x = {x}, height sqrt({-D})/{m}")
     ok_line(all((mu * mu - D) % m == 0 for m, mu in rows),
             "every row solves mu^2 = D (mod m)")
-    ok_line(all(point_of_root(D, m, mu).root() == (m, mu)
-                for m, mu in rows[:50]),
-            "point <-> root round trip")
+    # z = x + i sqrt(|D|)/m has m |z|^2 = (mu^2 - D)/m: z is the root of
+    # the definite form (m, -2 mu, (mu^2 - D)/m)
+    ok_line(all((m * (Fraction(mu, m) ** 2 + Fraction(-D, m * m)))
+                .denominator == 1 for m, mu in rows[:50]),
+            "m |z|^2 is an integer at every point")
 
 
 def main() -> int:

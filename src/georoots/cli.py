@@ -77,6 +77,7 @@ def config_from_args(args):
         _check_discriminant(args.D)
     if "n" in opts:
         _root_filter(args)
+        _check_class_reachable(args)
     if "threads" in opts:
         args.threads = _resolve_threads(args.threads)
     for name in ("bins", "M", "N"):
@@ -95,6 +96,18 @@ def config_from_args(args):
     if "N" in opts and args.N < 2:
         raise ConfigError("need N >= 2 for pair statistics")
     return args
+
+
+def _check_class_reachable(args):
+    """A filtered order class holds roots at all; checked before any sieve
+    since the first-N search would otherwise double its bound forever."""
+    from .orders import OrderTag, filter_reaches_order
+
+    cls = vars(args).get("class_filter", "total")
+    if cls != "total" and not filter_reaches_order(args.D, OrderTag(cls),
+                                                   args.n, args.nu):
+        raise ConfigError(f"no {cls} root has m = 0 (mod {args.n}) and "
+                          f"mu = {args.nu} (mod {args.n})")
 
 
 def _check_bounds(args):

@@ -8,6 +8,13 @@ action used throughout is the *left* action
 
 under which the first root of Q (the solution w of Q(w,1)=0 carrying the
 sign convention +sqrt(disc)) transforms as w -> (p w + q)/(r w + s).
+
+Indefinite forms are reduced after Zagier.  `zagier_cycle` walks a
+form's cycle of reduced forms once and returns the bases it walks and
+the automorph E that closes it; E generates the automorphs of a
+primitive form that preserve its positive sector.  Narrow classes,
+units, the stabilizers of base geodesics and their orbit cones are all
+read off that one walk.
 """
 
 from math import gcd, isqrt
@@ -76,18 +83,6 @@ def principal_form(delta: int) -> Form:
     if delta % 4 == 1:
         return (1, 1, (1 - delta) // 4)
     raise ValueError("discriminant must be 0 or 1 mod 4")
-
-
-def automorph(f: Form, t: int, u: int) -> Mat:
-    """Generator of the proper automorphism group of f.
-
-    (t, u) must solve t^2 - disc(f) u^2 = 4; the returned matrix has
-    determinant 1 and fixes f under the left action.
-    """
-    a, b, c = f
-    if (t - b * u) % 2 or (t + b * u) % 2:
-        raise ValueError("parity: t and b*u must agree mod 2")
-    return ((t - b * u) // 2, -c * u, a * u, (t + b * u) // 2)
 
 
 # ----------------------------------------------------------------------
@@ -179,9 +174,10 @@ def zagier_reduce(f: Form):
 
 
 def zagier_cycle(f: Form):
-    """(cycle, E): the reduced forms g_0 .. g_{K-1} met by stepping from
-    (U_0, g_0) = zagier_reduce(f) until g_K = g_0, and the automorph
-    E = U_K U_0^-1 of f (f o E = f) that closes the cycle.
+    """(cycle, bases, E): the reduced forms g_0 .. g_{K-1} met by stepping
+    from (U_0, g_0) = zagier_reduce(f) until g_K = g_0, their bases
+    U_0 .. U_{K-1} (g_i = f o U_i), and the automorph E = U_K U_0^-1 of f
+    (f o E = f) that closes the cycle.
 
     Let P be the open sector of f > 0 that holds the cone of U_0 (a
     reduced g is positive on the closed quadrant).  The bases U_i,
@@ -198,15 +194,18 @@ def zagier_cycle(f: Form):
     a cone is a nonnegative combination of its edges).  So the walk from
     any reduced basis inside P visits the same bases, and two reduced
     forms are equivalent under SL(2, Z) exactly when they lie on one
-    cycle: the cycles of `zagier_cycles` are the proper classes.
+    cycle: the cycles of `zagier_cycles` are the proper classes.  For a
+    primitive f, E generates the automorphs of f that preserve P
+    (`orders.totally_positive_fundamental_unit`).
     """
     U0, g0 = zagier_reduce(f)
-    cycle, U, g = [g0], U0, g0
+    cycle, bases, U, g = [g0], [U0], U0, g0
     while True:
         U, g = zagier_step(U, g)
         if g == g0:
-            return tuple(cycle), mat_mul(U, mat_inv(U0))
+            return tuple(cycle), tuple(bases), mat_mul(U, mat_inv(U0))
         cycle.append(g)
+        bases.append(U)
 
 
 def zagier_reduced_forms(delta: int):
@@ -235,7 +234,7 @@ def zagier_cycles(delta: int):
     remaining = set(zagier_reduced_forms(delta))
     cycles = []
     while remaining:
-        cycle, _ = zagier_cycle(min(remaining))
+        cycle, _, _ = zagier_cycle(min(remaining))
         cycles.append(cycle)
         remaining -= set(cycle)
     return cycles

@@ -11,98 +11,64 @@ correspondence executable in both directions: build base geodesics from
 the narrow-class machinery, then enumerate every top of bounded modulus
 in their Gamma_0(n) orbits exactly, as the primitive lattice points of
 the Zagier-reduced cones of each base form.
+
+One Zagier walk of a base form f (`forms.zagier_cycle`) gives both its
+symmetry and its cones: the closing automorph E and -1 generate the
+proper automorphs of f, so the Gamma_0(n) stabilizer is E^j for the
+least j in {1, 3} that lands in Gamma_0(n) (`stabilizer_generator`),
+and the walk's bases moved by E^0 .. E^(j-1) tile the positive sector
+of f modulo that stabilizer (`zagier_cones`).
 """
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .arith import xgcd, xgcd_array
-from .forms import (
-    MAT_ID,
-    act,
-    automorph,
-    form_value,
-    mat_det,
-    mat_mul,
-    zagier_reduce,
-    zagier_step,
-)
+from .forms import MAT_ID, act, form_value, mat_mul, zagier_cycle
 from .orders import (
     OrderTag,
     class_shift_representative,
+    filter_reaches_order,
     form_of_root,
-    is_invertible,
     narrow_class_group,
     root_of_form,
-    totally_positive_fundamental_unit,
     unit_relation,
 )
 from .quadnum import QuadNum
 from .roots import RootFilter
 
 
-class IntegralityFailure(RuntimeError):
-    """A stabilizer matrix came out non-integral where theory forbids it."""
-
-
 class BudgetExceeded(RuntimeError):
     """Orbit search grew past its node budget before closing."""
-
-
-@dataclass(frozen=True)
-class TopPoint:
-    """Top of a root geodesic, or for D < 0 the root's point: x = mu/m,
-    imaginary part sqrt(|D|)/m."""
-
-    x: Fraction
-    m: int
-
-    def root(self):
-        mu = self.x * self.m
-        return (self.m, int(mu) % self.m)
 
 
 # ----------------------------------------------------------------------
 # stabilizers
 
-def stabilizer_generator(D: int, m: int, mu: int, n: int = 1,
-                         conj=MAT_ID):
-    """Generator of the Gamma_0(n) stabilizer of conj applied to the root
-    geodesic of (m, mu).
+def stabilizer_generator(f, n: int = 1):
+    """Generator (sigma, j) of the Gamma_0(n) stabilizer of the geodesic
+    of the primitive indefinite form f, up to sign.
 
-    Returns (sigma, j): sigma realizes eps^j for the totally positive
-    fundamental unit eps of the root's order, and j in {1, 3} is minimal
-    with sigma in Gamma_0(n).  The geodesic's length in Gamma_0(n)\\H is
-    2 j log(eps).
-
-    sigma is the automorph A(t, u) (`forms.automorph`) of the geodesic's
-    form f0 = act(conj, form_of_root(D, m, mu, order)), read off
-    eps = (t + u sqrt(disc f0))/2.  The proper automorphs of f0 are the
-    +-A(t', u') over the norm +1 units (t' + u' sqrt(disc f0))/2 of the
-    order (see `orders.totally_positive_fundamental_unit`), and A is
-    multiplicative, so A(eps)^3 realizes eps^3.  The geodesic runs
-    between the roots of f0, so sigma fixes it.
+    sigma = E^j for the automorph E that closes the Zagier cycle of f
+    (`forms.zagier_cycle`), and j in {1, 3} is least with n | sigma_21.
+    E = A(eps)^(+-1) for the totally positive fundamental unit eps of
+    the order of discriminant disc f, and +-E^Z are all the proper
+    automorphs of f (`orders.totally_positive_fundamental_unit`); they
+    fix the geodesic, which runs between the roots of f.  So the
+    stabilizer in Gamma_0(n) is +-E^(jZ) for the least j >= 1 with E^j
+    in Gamma_0(n), and the geodesic's length in Gamma_0(n)\\H is
+    2 j log(eps).  A j of 3 is least: E^2 in Gamma_0(n) would put
+    E = E^3 E^-2 there too.  Any other j raises RuntimeError.
     """
-    order = OrderTag.O1 if is_invertible(D, m, mu) else OrderTag.O2
-    f0 = act(conj, form_of_root(D, m, mu, order))
-    eps = totally_positive_fundamental_unit(D, order)
-    s = 2 if order is OrderTag.O1 else 1     # disc f0 = s^2 D
-    t, t_rem = divmod(2 * eps.a, eps.c)
-    u, u_rem = divmod(2 * eps.b, s * eps.c)
-    if t_rem or u_rem or (t - f0[1] * u) % 2:
-        raise IntegralityFailure(f"unit {eps} gives no automorph of {f0}")
-    sigma = automorph(f0, t, u)
-    if mat_det(sigma) != 1:
-        raise IntegralityFailure("stabilizer determinant is not 1")
-    for j, g in ((1, sigma), (3, mat_mul(sigma, mat_mul(sigma, sigma)))):
+    _, _, E = zagier_cycle(f)
+    for j, g in ((1, E), (3, mat_mul(E, mat_mul(E, E)))):
         if g[2] % n == 0:
             return g, j
     raise RuntimeError(
         f"no stabilizer power j in {{1,3}} lands in Gamma_0({n}) "
-        f"for root ({m},{mu}) of D={D}")
+        f"for the form {f}")
 
 
 # ----------------------------------------------------------------------
@@ -194,7 +160,8 @@ def base_geodesic_set(D: int, n: int = 1, nu: int = 0) -> BaseGeodesicSet:
     copies per class (s = 2 when 4 | n, else 3, except that a cube unit
     relation at n = 2 mod 4 folds the three copies into a single
     geodesic of tripled length), and none at all when (D - nu^2)/n is
-    odd, since no root of the wider order satisfies such a filter.
+    odd, since no root of the wider order satisfies such a filter
+    (`orders.filter_reaches_order`).
     """
     filt = RootFilter(n, nu % n)
     filt.validate_for(D)
@@ -207,14 +174,13 @@ def base_geodesic_set(D: int, n: int = 1, nu: int = 0) -> BaseGeodesicSet:
     for k, rep in enumerate(g1.reps):
         shifted = class_shift_representative(D, OrderTag.O1, rep, n, nu, g1)
         m, mu = shifted.m, shifted.mu
-        stab, j = stabilizer_generator(D, m, mu, n)
-        geos.append(BaseGeodesic(("I", k), m, mu, MAT_ID,
-                                 form_of_root(D, m, mu, OrderTag.O1), stab,
-                                 j, j * (3 if cube else 1)))
+        f = form_of_root(D, m, mu, OrderTag.O1)
+        stab, j = stabilizer_generator(f, n)
+        geos.append(BaseGeodesic(("I", k), m, mu, MAT_ID, f, stab, j,
+                                 j * (3 if cube else 1)))
 
     s = _splitting_number(D, n, rel.relation)
-    j_side_exists = n % 2 == 1 or ((D - nu * nu) // n) % 2 == 0
-    if j_side_exists:
+    if filter_reaches_order(D, OrderTag.O2, n, nu):
         if n % 2 == 1 or s == 1:
             copies = [MAT_ID]
         else:
@@ -226,9 +192,10 @@ def base_geodesic_set(D: int, n: int = 1, nu: int = 0) -> BaseGeodesicSet:
             m, mu = shifted.m, shifted.mu
             f = form_of_root(D, m, mu, OrderTag.O2)
             for conj in copies:
-                stab, j = stabilizer_generator(D, m, mu, n, conj)
-                geos.append(BaseGeodesic(("J", l), m, mu, conj,
-                                         act(conj, f), stab, j, j))
+                fc = act(conj, f)
+                stab, j = stabilizer_generator(fc, n)
+                geos.append(BaseGeodesic(("J", l), m, mu, conj, fc, stab,
+                                         j, j))
 
     out = BaseGeodesicSet(D, n, nu, s, tuple(geos), rel.eps2, rel.relation)
     _check_base_tops(out, filt)
@@ -305,46 +272,32 @@ def enumerate_tops(base: BaseGeodesicSet, M: int,
     cones = []
     for bg in base.geodesics:
         cones += [(bg.form, U, bg.mult)
-                  for U in zagier_cones(bg.form, bg.stabilizer)]
+                  for U in zagier_cones(bg.form, bg.j_stab)]
     ms, mus, visited = cone_roots(cones, M, base.n, budget)
     return EnumerationResult.from_arrays(ms, mus, visited)
 
 
-def zagier_cones(f, sigma):
-    """Bases U_0 .. U_{K-1} of the Zagier cones of f over one period of
-    sigma, as matrices (p, q, r, s) with columns u_i = (p, r) and
+def zagier_cones(f, j):
+    """Bases U_0 .. U_{jK-1} of the Zagier cones of f over j periods of
+    its cycle, as matrices (p, q, r, s) with columns u_i = (p, r) and
     u_{i+1} = (q, s).
 
-    f is indefinite with non-square discriminant and act(sigma, f) = f.
-    The cones are those of the Zagier walk from zagier_reduce(f) (see
-    `forms.zagier_step` and `forms.zagier_cycle`): each g_i = f o U_i is
-    reduced, hence positive on the closed quadrant, and the half-open
-    cones {x u_i + y u_{i+1}: x > 0, y >= 0} of all i tile the sector P
-    where f > 0.  One cycle of reduced forms advances U by the closing
-    automorph E, which generates the automorphs of f that preserve P
-    (`orders.totally_positive_fundamental_unit`).
-
-    Closing.  sigma realizes eps^j for a totally positive unit eps, so
-    its trace eps^j + eps^-j is positive and sigma* = (s', -q', -r', p')
-    maps P to itself: sigma* = E^(+-j), j in {1, 3}.  The walk stops at
-    the first K with U_K = sigma*^(+-1) U_0 (sigma*^-1 is sigma as a
-    matrix), and the cones U_0 .. U_{K-1} tile P modulo sigma* once.
-    The walk returns to g_0 once per cycle, so a third return without
-    closing raises.
+    f is primitive and indefinite with non-square discriminant.  The
+    cones are those of the Zagier walk of `forms.zagier_cycle`: each
+    g_i = f o U_i is reduced, hence positive on the closed quadrant, and
+    the half-open cones {x u_i + y u_{i+1}: x > 0, y >= 0} of all i tile
+    the sector P where f > 0.  One cycle of K reduced forms advances U by
+    the closing automorph E, U_{i+tK} = E^t U_i, so the first j periods
+    are the walk's K bases moved by E^0 .. E^(j-1).  They tile P modulo
+    E^j, the stabilizer sigma of `stabilizer_generator`, and so modulo
+    sigma* = sigma^-1 once.
     """
-    U, g0 = zagier_reduce(f)
-    p, q, r, s = sigma
-    closers = {mat_mul(h, U) for h in ((s, -q, -r, p), sigma)}
-    g, cones, returns = g0, [U], 0
-    while True:
-        U, g = zagier_step(U, g)
-        if U in closers:
-            return cones
-        returns += g == g0
-        if returns == 3:
-            raise RuntimeError(f"cone walk of {f} does not close on sigma "
-                               f"{sigma}")
-        cones.append(U)
+    _, bases, E = zagier_cycle(f)
+    cones = list(bases)
+    for _ in range(j - 1):
+        bases = [mat_mul(E, U) for U in bases]
+        cones += bases
+    return cones
 
 
 def cone_roots(cones, M, n, budget):

@@ -11,19 +11,10 @@ sieve side is unchanged -- the local square-root solvers never look at
 the sign of D.
 """
 
-from fractions import Fraction
-
 from .forms import MAT_ID, MAT_S, reduced_forms_definite
-from .geodesics import EnumerationResult, TopPoint, cone_roots
+from .geodesics import EnumerationResult, cone_roots
 from .orders import OrderTag, validate_negative_discriminant
 from .roots import RootFilter, RootSequence, _sieve, first_n
-
-
-def point_of_root(D: int, m: int, mu: int) -> TopPoint:
-    """The point x + i sqrt(|D|)/m of the root, x = mu/m."""
-    if m < 1 or (mu * mu - D) % m:
-        raise ValueError("mu^2 = D (mod m) violated")
-    return TopPoint(Fraction(mu, m), m)
 
 
 def sieve_roots_neg(D: int, M: int,

@@ -73,6 +73,27 @@ def fits_order(D: int, m: int, mu: int, order: OrderTag) -> bool:
     return inv if order is OrderTag.O1 else not inv
 
 
+def filter_reaches_order(D: int, order: OrderTag, n: int, nu: int) -> bool:
+    """Does some root of the order meet the filter m = 0, mu = nu (mod n)?
+
+    Needs nu^2 = D (mod n).  Always true for O1; for O2 true unless n is
+    even and (D - nu^2)/n is odd.
+
+    Proof.  Let n be even and (D - nu^2)/n odd, and let (m, mu) be a
+    filtered root, mu = nu + k n.  Then (D - mu^2)/n =
+    (D - nu^2)/n - 2 k nu - k^2 n is odd, and it equals
+    (m/n) (D - mu^2)/m, so (D - mu^2)/m is odd and the root is of O1.
+    In every other case the filter holds a root (m, mu) of the order:
+    - O1, n odd: (n, nu), m odd.  O1, n even: (n 2^s, nu), 2^s the
+      power of 2 in (D - nu^2)/n, so (D - nu^2)/(n 2^s) is odd.
+    - O2, n even: (n, nu), with m and (D - nu^2)/n even.  O2, n odd:
+      (2n, nu') for nu' the odd one of nu, nu + n; D = 1 (mod 4) makes
+      D - nu'^2 a multiple of 4, and of n, so (D - nu'^2)/(2n) is even.
+    These are the carriers `class_shift_representative` builds.
+    """
+    return order is OrderTag.O1 or n % 2 == 1 or (D - nu * nu) // n % 2 == 0
+
+
 @dataclass(frozen=True)
 class IdealHNF:
     """scalar times the primitive ideal with root (m, mu) in the order."""
@@ -189,36 +210,41 @@ def root_of_form(f, mult: int):
 def totally_positive_fundamental_unit(D: int, order: OrderTag) -> QuadNum:
     """Smallest totally positive unit > 1 of the order (norm +1).
 
-    Read off the Zagier cycle of the principal form f = (a, b, c) =
-    (1, b, c) of discriminant Delta = 4D (O1) or D (O2): its closing
-    automorph E = U_K U_0^-1 (`forms.zagier_cycle`) gives
-    eps = (t + u sqrt(Delta))/2 with t = tr E and u = |E_21| / a.
+    Read off the Zagier cycle of the principal form (1, b, c) of
+    discriminant Delta = 4D (O1) or D (O2) by the lemma below:
+    eps = (t + u sqrt(Delta))/2 with t = tr E and u = |E_21|.
 
-    Why this is eps.  The proper automorphs of a primitive form of
-    discriminant Delta are the +-A(t', u') = +-((t' - b u')/2, -c u';
-    a u', (t' + b u')/2) over the solutions of t'^2 - Delta u'^2 = 4, and
-    A(t', u') -> (t' + u' sqrt(Delta))/2 is an isomorphism onto the norm
-    +1 units of the order of discriminant Delta.  Those units are
-    +-eps^Z; eps > 0 with norm +1 is totally positive, and every totally
-    positive unit has norm +1, so the positive ones, eps^Z, are the
-    totally positive units.  A(t', u') with t' > 0 has eigenvalues
-    eps^j > 0 and eps^-j > 0 along the two null lines of f, so it maps
-    each of the opposite sectors +-P where f > 0 to itself, while -1
-    swaps them: the automorphs that preserve P are exactly A(eps)^Z.
-    E preserves f and P (`forms.zagier_cycle`), and E != 1 because the
-    cones of one cycle are disjoint, so E = A(eps)^j with j != 0.
-    A(eps)^(+-1), oriented along the walk, maps the walk's bases to
-    bases of reduced forms inside P, hence onto the walk's bases
-    shifted by some i >= 1 (the walk lists the boundary lattice points
-    of the convex hull of P, which any P-preserving automorph keeps
-    in order), and since f o A U_0 = f o U_0 = g_0 the walk is back at
-    g_0 after i steps, so K <= i.  E shifts by K = |j| i steps, so
-    |j| = 1 and eps = (tr E + |u| sqrt(Delta))/2, the root > 1 of
-    x^2 - (tr E) x + 1.  The solution (t, u) of t^2 - Delta u^2 = 4
-    read here is then the least one with t, u > 0.
+    Lemma.  Let f = (a, b, c) be any primitive form of discriminant
+    Delta and E its closing automorph (`forms.zagier_cycle`), P the
+    sector of f > 0 that holds the walk's bases.  Then E generates the
+    automorphs of f that preserve P, E = A(eps)^(+-1), and
+    eps = (tr E + |E_21 / a| sqrt(Delta))/2.
+
+    Proof.  The proper automorphs of f are the +-A(t', u') =
+    +-((t' - b u')/2, -c u'; a u', (t' + b u')/2) over the solutions of
+    t'^2 - Delta u'^2 = 4, and A(t', u') -> (t' + u' sqrt(Delta))/2 is
+    an isomorphism onto the norm +1 units of the order of discriminant
+    Delta.  Those units are +-eps^Z; eps > 0 with norm +1 is totally
+    positive, and every totally positive unit has norm +1, so the
+    positive ones, eps^Z, are the totally positive units.  A(t', u')
+    with t' > 0 has eigenvalues eps^j > 0 and eps^-j > 0 along the two
+    null lines of f, so it maps each of the opposite sectors +-P where
+    f > 0 to itself, while -1 swaps them: the automorphs that preserve P
+    are exactly A(eps)^Z.  E preserves f and P (`forms.zagier_cycle`),
+    and E != 1 because the cones of one cycle are disjoint, so
+    E = A(eps)^j with j != 0.  A(eps)^(+-1), oriented along the walk,
+    maps the walk's bases to bases of reduced forms inside P, hence onto
+    the walk's bases shifted by some i >= 1 (the walk lists the boundary
+    lattice points of the convex hull of P, which any P-preserving
+    automorph keeps in order), and since f o A U_0 = f o U_0 = g_0 the
+    walk is back at g_0 after i steps, so K <= i.  E shifts by K = |j| i
+    steps, so |j| = 1: E = A(eps)^(+-1) = A(t, +-u) with
+    eps = (t + u sqrt(Delta))/2, so t = tr E and a u = |E_21|, and eps
+    is the root > 1 of x^2 - (tr E) x + 1.  The solution (t, u) of
+    t^2 - Delta u^2 = 4 read here is then the least one with t, u > 0.
     """
     delta = 4 * D if order is OrderTag.O1 else D
-    _, E = zagier_cycle(principal_form(delta))
+    _, _, E = zagier_cycle(principal_form(delta))
     t, u = E[0] + E[3], abs(E[2])
     if order is OrderTag.O1:
         return QuadNum(D, t, 2 * u, 2)
@@ -332,9 +358,9 @@ def class_shift_representative(D: int, order: OrderTag, rep: IdealHNF,
     norm from the class rep * (carrier)^-1; coprimality makes the product
     norm multiply and the two congruences combine by CRT.
 
-    Raises OrderMismatch for O2 when n is even but (D - nu^2)/n is odd:
-    no root of the wider order meets that filter at all.  Raises
-    SearchExhausted if no auxiliary ideal of norm below 50*sqrt(D)*n works.
+    Raises OrderMismatch when no root of the order meets the filter
+    (`filter_reaches_order`), and SearchExhausted if no auxiliary ideal
+    of norm below 50*sqrt(D)*n works.
     """
     if group is None:
         group = narrow_class_group(D, order)
@@ -343,6 +369,10 @@ def class_shift_representative(D: int, order: OrderTag, rep: IdealHNF,
     if (nu * nu - D) % n:
         raise ValueError("nu^2 = D (mod n) violated")
     nu %= n
+    if not filter_reaches_order(D, order, n, nu):
+        raise OrderMismatch(
+            f"no {order.value} root has m = 0 (mod n), mu = nu (mod n) "
+            "when (D - nu^2)/n is odd")
 
     if order is OrderTag.O1:
         if n % 2 == 1 or ((D - nu * nu) // n) % 2 == 1:
@@ -363,10 +393,6 @@ def class_shift_representative(D: int, order: OrderTag, rep: IdealHNF,
                 return (m0 % 2 == 0 and gcd(m0 // 2, n) == 1
                         and not is_invertible(D, m0, mu0))
         else:
-            if ((D - nu * nu) // n) % 2 == 1:
-                raise OrderMismatch(
-                    "no O2 root has m = 0 (mod n), mu = nu (mod n) "
-                    "when (D - nu^2)/n is odd")
             carrier = ideal_from_root(D, n, nu, OrderTag.O2)
 
             def admissible(m0, mu0):

@@ -32,14 +32,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arith import SpfTable, sqrt_mod_prime_power
-from .orders import validate_discriminant, validate_negative_discriminant
+from .orders import (
+    OrderTag,
+    filter_reaches_order,
+    validate_discriminant,
+    validate_negative_discriminant,
+)
 
 
 M_LIMIT = 2**31   # every modulus bound M stays below this
 
 
 class SequenceExhausted(RuntimeError):
-    """first_n could not reach N roots (finite or absurdly sparse sequence)."""
+    """first_n could not reach N roots (empty, finite or absurdly sparse
+    sequence)."""
 
 
 @dataclass(frozen=True)
@@ -261,6 +267,8 @@ def first_n(D: int, N: int, filt: RootFilter = None,
     first_sieve_bound and doubles, at most 24 times, until each class has
     N roots.  The roots of m <= M are the prefix m <= M of the sequence,
     so each class's first N roots do not depend on the M that finds them.
+    A class that no filtered root reaches (`orders.filter_reaches_order`)
+    raises SequenceExhausted before any sieve.
     """
     if N < 1:
         raise ValueError("N >= 1 required")
@@ -272,6 +280,10 @@ def first_n(D: int, N: int, filt: RootFilter = None,
         validate_discriminant(D)
     if filt is None:
         filt = RootFilter()
+    filt.validate_for(D)
+    for c in set(classes) - {"total"}:
+        if not filter_reaches_order(D, OrderTag(c), filt.n, filt.nu):
+            raise SequenceExhausted(f"no {c} root of D={D} meets {filt}")
     M = first_sieve_bound(N, filt.n, classes)
     for _ in range(24):
         seq = _sieve(D, M, filt)

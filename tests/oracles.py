@@ -10,6 +10,12 @@ endpoints instead (`Geodesic`), moves it by Mobius maps
 (`apply_gamma`), reads its top off the endpoints (`top_of`) and its
 pair invariants off their cross ratio (`cross_ratio_q`): an independent
 check on every readout the package makes from forms.
+
+The package reads a base geodesic's stabilizer and orbit cones off the
+Zagier walk of its own form.  The unit layer here builds them from the
+order's fundamental unit instead: the automorph A(t, u) of
+eps = (t + u sqrt(Delta))/2 (`stabilizer_by_unit`), and a cone walk that
+stops when it closes on that stabilizer (`cones_closing_on`).
 """
 
 import json
@@ -29,14 +35,19 @@ from georoots.forms import (
     MAT_T,
     disc,
     is_zagier_reduced,
+    mat_det,
     mat_inv,
     mat_mul,
     zagier_cycles,
     zagier_reduce,
     zagier_step,
 )
-from georoots.geodesics import TopPoint
-from georoots.orders import OrderTag, fits_order, form_of_root
+from georoots.orders import (
+    OrderTag,
+    fits_order,
+    form_of_root,
+    totally_positive_fundamental_unit,
+)
 from georoots.quadnum import QuadNum
 from georoots.statistics import (
     _WINDOW_EPS,
@@ -44,6 +55,26 @@ from georoots.statistics import (
     PairCorrResult,
     _point_data,
 )
+
+
+@dataclass(frozen=True)
+class TopPoint:
+    """Top of a root geodesic, or for D < 0 the root's point: x = mu/m,
+    imaginary part sqrt(|D|)/m."""
+
+    x: Fraction
+    m: int
+
+    def root(self):
+        mu = self.x * self.m
+        return (self.m, int(mu) % self.m)
+
+
+def point_of_root(D: int, m: int, mu: int) -> TopPoint:
+    """The point x + i sqrt(|D|)/m of the root, x = mu/m."""
+    if m < 1 or (mu * mu - D) % m:
+        raise ValueError("mu^2 = D (mod m) violated")
+    return TopPoint(Fraction(mu, m), m)
 
 
 class NotRootGeodesic(ValueError):
@@ -189,6 +220,56 @@ def mat_pow(g, k):
         g = mat_mul(g, g)
         k >>= 1
     return out
+
+
+def automorph(f, t: int, u: int):
+    """The proper automorph A(t, u) of f = (a, b, c) for a solution of
+    t^2 - disc(f) u^2 = 4; it has determinant 1 and fixes f under the
+    left action."""
+    a, b, c = f
+    if (t - b * u) % 2 or (t + b * u) % 2:
+        raise ValueError("parity: t and b*u must agree mod 2")
+    return ((t - b * u) // 2, -c * u, a * u, (t + b * u) // 2)
+
+
+def stabilizer_by_unit(D: int, f, n: int = 1):
+    """(sigma, j) of `geodesics.stabilizer_generator` for a form f of
+    disc 4D or D, built from the order's totally positive fundamental
+    unit eps = (t + u sqrt(disc f))/2: sigma = A(t, u) or its cube,
+    whichever first lands in Gamma_0(n)."""
+    order = OrderTag.O1 if disc(f) == 4 * D else OrderTag.O2
+    eps = totally_positive_fundamental_unit(D, order)
+    s = 2 if order is OrderTag.O1 else 1     # disc f = s^2 D
+    t, t_rem = divmod(2 * eps.a, eps.c)
+    u, u_rem = divmod(2 * eps.b, s * eps.c)
+    if t_rem or u_rem:
+        raise RuntimeError(f"unit {eps} gives no automorph of {f}")
+    sigma = automorph(f, t, u)
+    if mat_det(sigma) != 1:
+        raise RuntimeError("stabilizer determinant is not 1")
+    for j, g in ((1, sigma), (3, mat_pow(sigma, 3))):
+        if g[2] % n == 0:
+            return g, j
+    raise RuntimeError(f"no power j in {{1,3}} of {sigma} lands in "
+                       f"Gamma_0({n})")
+
+
+def cones_closing_on(f, sigma):
+    """Bases of the Zagier cones of f, stepping from zagier_reduce(f)
+    until the next basis is sigma^(+-1) U_0; one period of sigma.  The
+    walk returns to its first form once per cycle, so a third return
+    without closing raises."""
+    U, g0 = zagier_reduce(f)
+    closers = {mat_mul(h, U) for h in (mat_inv(sigma), sigma)}
+    g, cones, returns = g0, [U], 0
+    while True:
+        U, g = zagier_step(U, g)
+        if U in closers:
+            return cones
+        returns += g == g0
+        if returns == 3:
+            raise RuntimeError(f"cone walk of {f} does not close on {sigma}")
+        cones.append(U)
 
 
 def tshift(f, j):

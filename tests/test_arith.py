@@ -170,7 +170,7 @@ def minus_period(period):
 
 def cycle_quotients(D):
     """Step quotients k around the cycle: g' = (C, 2Ck - B, ...)."""
-    cycle, _ = zagier_cycle(principal_form(4 * D))
+    cycle, _, _ = zagier_cycle(principal_form(4 * D))
     return [(g[1] + f[1]) // (2 * f[2])
             for f, g in zip(cycle, cycle[1:] + cycle[:1])]
 
@@ -203,7 +203,7 @@ def test_convergent_quality(D):
     in integers; the walk closes on the automorph E of the cycle."""
     f = principal_form(4 * D)
     U0, g = zagier_reduce(f)
-    cycle, E = zagier_cycle(f)
+    cycle, _, E = zagier_cycle(f)
     U = U0
     for _ in cycle:
         p, q = U[0], U[2]

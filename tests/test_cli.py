@@ -202,6 +202,24 @@ def test_paircorr_needs_two_points(monkeypatch, capsys):
     assert bounds == []
 
 
+@pytest.mark.parametrize("D,n,nu", [("5", "4", "1"), ("17", "8", "3"),
+                                    ("-3", "4", "5")])
+def test_paircorr_unreachable_class_is_a_config_error(D, n, nu, monkeypatch,
+                                                      capsys):
+    # no O2 root has n | m and mu = nu (mod n) when n is even and
+    # (D - nu^2)/n is odd; the first-N search would double forever
+    bounds = _spy_sieve(monkeypatch)
+    code, out, err = run_cli(["paircorr", "--D", D, "--N", "10", "--n", n,
+                              "--nu", nu, "--class", "O2"], capsys)
+    assert code == 2
+    assert out == "" and "no O2 root" in err
+    assert bounds == []
+    code, out, _ = run_cli(["paircorr", "--D", D, "--N", "10", "--n", n,
+                            "--nu", nu, "--class", "O1", "--bins", "2"],
+                           capsys)
+    assert code == 0 and bounds
+
+
 def test_paircorr_class_subsequence(capsys):
     code, out, _ = run_cli(
         ["paircorr", "--D", "5", "--N", "64", "--class", "O2",

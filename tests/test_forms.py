@@ -12,7 +12,6 @@ from georoots.forms import (
     MAT_S,
     MAT_T,
     act,
-    automorph,
     disc,
     form_value,
     is_primitive,
@@ -30,6 +29,7 @@ from georoots.forms import (
 )
 from georoots.quadnum import QuadNum
 from oracles import (
+    automorph,
     is_reduced_definite,
     mat_pow,
     mobius_apply,
@@ -183,9 +183,25 @@ def test_reduction_finds_equivalence(g, f):
     h = act(g, f)
     U, r = zagier_reduce(h)
     assert mat_det(U) == 1 and act(mat_inv(U), h) == r
-    cycle, E = zagier_cycle(f)
+    cycle, _, E = zagier_cycle(f)
     assert r in cycle
     assert mat_det(E) == 1 and act(E, f) == f
+
+
+@pytest.mark.parametrize("f", [(1, 4, -1), (2, 5, -5), (1, 1, -1),
+                               (5, 5, -2), (-3, 7, 11), (1, 0, -157)])
+def test_zagier_cycle_bases_carry_its_forms(f):
+    """The walk's bases U_i give its forms, g_i = f o U_i, start at the
+    reducing basis, follow one another by a Zagier step, and the step
+    after the last is E U_0."""
+    cycle, bases, E = zagier_cycle(f)
+    assert len(bases) == len(cycle)
+    assert bases[0] == zagier_reduce(f)[0]
+    for U, g in zip(bases, cycle):
+        assert mat_det(U) == 1 and act(mat_inv(U), f) == g
+    steps = [zagier_step(U, g)[0] for U, g in zip(bases, cycle)]
+    assert steps[:-1] == list(bases[1:])
+    assert steps[-1] == mat_mul(E, bases[0])
 
 
 def _long_run_form(rng, max_run):

@@ -26,18 +26,21 @@ from georoots.geodesics import (
     enumerate_tops,
     extra_coset_copies,
     stabilizer_generator,
+    zagier_cones,
 )
-from georoots.orders import OrderTag, form_of_root
+from georoots.orders import OrderTag, form_of_root, is_invertible
 from georoots.quadnum import QuadNum
 from georoots.roots import RootFilter, sieve_roots
 from oracles import (
     Geodesic,
     NotRootGeodesic,
     apply_gamma,
+    cones_closing_on,
     form_geodesic,
     gamma0_coset_transversal,
     gamma0_generators,
     geodesic_from_root,
+    stabilizer_by_unit,
     top_of,
 )
 
@@ -130,21 +133,28 @@ def test_top_recovers_root(D, m, mu):
 
 # ---------------------------------------------------------------- stabilizers
 
+def root_form(D, m, mu):
+    """The form of the root (m, mu) in the order it belongs to."""
+    order = OrderTag.O1 if is_invertible(D, m, mu) else OrderTag.O2
+    return form_of_root(D, m, mu, order)
+
+
 def test_stabilizer_pinned_matrices():
-    g, j = stabilizer_generator(5, 1, 0)
+    g, j = stabilizer_generator(root_form(5, 1, 0))
     assert g == (9, 20, 4, 9) and j == 1
     assert g[0] + g[3] == 18
 
-    g, j = stabilizer_generator(17, 2, 1)
+    g, j = stabilizer_generator(root_form(17, 2, 1))
     assert g == (41, 64, 16, 25) and j == 1
     assert g[0] + g[3] == 66
 
-    g, j = stabilizer_generator(5, 2, 1)   # narrow-order unit, trace 3
+    # narrow-order unit, trace 3
+    g, j = stabilizer_generator(root_form(5, 2, 1))
     assert g == (2, 1, 1, 1) and j == 1
 
 
 def test_stabilizer_needs_cube_in_gamma0_2():
-    g, j = stabilizer_generator(5, 2, 1, n=2)
+    g, j = stabilizer_generator(root_form(5, 2, 1), n=2)
     assert j == 3
     assert g == (13, 8, 8, 5)
     assert g[2] % 2 == 0
@@ -154,7 +164,7 @@ def test_stabilizer_fixes_endpoints_in_order():
     for D, m, mu, n in [(5, 1, 0, 1), (17, 2, 1, 1), (5, 2, 1, 2),
                         (13, 3, 4, 3), (65, 10, 5, 5)]:
         c = geodesic_from_root(D, m, mu)
-        g, _ = stabilizer_generator(D, m, mu, n)
+        g, _ = stabilizer_generator(root_form(D, m, mu), n)
         assert apply_gamma(g, c) == c
 
 
@@ -290,6 +300,11 @@ def test_base_sets_pinned():
                 count += 1
                 for g in base_geodesic_set(D, n, nu).geodesics:
                     assert act(g.stabilizer, g.form) == g.form
+                    # the unit oracle builds the same stabilizer and cones
+                    assert (g.stabilizer, g.j_stab) == stabilizer_by_unit(
+                        D, g.form, n)
+                    assert zagier_cones(g.form, g.j_stab) == \
+                        cones_closing_on(g.form, g.stabilizer)
                     # the endpoint oracle builds the same geodesic
                     assert form_geodesic(D, g.form, g.mult) == apply_gamma(
                         g.conjugator, geodesic_from_root(D, g.m, g.mu))

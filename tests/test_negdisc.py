@@ -6,16 +6,16 @@ import numpy as np
 import pytest
 
 from georoots.forms import act, is_primitive, reduced_forms_definite
-from georoots.geodesics import BudgetExceeded, TopPoint
+from georoots.geodesics import BudgetExceeded
 from georoots.negdisc import (
     class_forms,
     enumerate_orbit_points,
-    point_of_root,
     sieve_roots_neg,
     validate_negative_discriminant,
 )
 from georoots.orders import OrderTag
 from georoots.roots import RootFilter
+from oracles import TopPoint, point_of_root
 
 
 def as_pairs(seq):

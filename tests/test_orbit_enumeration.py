@@ -217,7 +217,7 @@ def test_budget_counts_exactly_the_candidates():
 def test_zagier_cones_walk_j_periods_of_reduced_forms(D, n, nu):
     for bg in base_geodesic_set(D, n, nu).geodesics:
         f0 = bg.form
-        cones = zagier_cones(f0, bg.stabilizer)
+        cones = zagier_cones(f0, bg.j_stab)
         forms = []
         for U in cones:
             p, q, r, s = U

@@ -16,6 +16,7 @@ from georoots.orders import (
     OrderMismatch,
     OrderTag,
     class_shift_representative,
+    filter_reaches_order,
     fits_order,
     form_of_root,
     ideal_conjugate,
@@ -26,8 +27,10 @@ from georoots.orders import (
     totally_positive_fundamental_unit,
     unit_relation,
     validate_discriminant,
+    validate_negative_discriminant,
 )
 from georoots.quadnum import QuadNum
+from georoots.roots import RootFilter, _sieve
 from oracles import class_reps_by_search, is_totally_positive
 
 O1, O2 = OrderTag.O1, OrderTag.O2
@@ -195,7 +198,7 @@ def test_units_against_diop_dn(order):
         want = QuadNum(D, t, 2 * u if order is O1 else u, 2)
         assert totally_positive_fundamental_unit(D, order) == want, D
         f = principal_form(delta)
-        _, E = zagier_cycle(f)
+        _, _, E = zagier_cycle(f)
         assert mat_det(E) == 1 and act(E, f) == f
         assert E[0] + E[3] == t
         biggest = max(biggest, t)
@@ -325,3 +328,48 @@ def test_class_shift_empty_filter():
     g = narrow_class_group(17, O2)
     with pytest.raises(OrderMismatch):
         class_shift_representative(17, O2, g.reps[0], 8, 3, g)
+
+
+def test_filter_reaches_order_matches_sieve():
+    """Both signs of D with |D| < 120, n <= 24 and every nu: a filtered
+    root of the order lies below 4000 exactly when the predicate says
+    one exists.  Every witness of its proof, n 2^s or 2n, is below 4000,
+    so the sieve tests the construction, and its absence is proved."""
+    cases = 0
+    for D in range(-119, 120):
+        try:
+            (validate_discriminant if D > 0
+             else validate_negative_discriminant)(D)
+        except ValueError:
+            continue
+        seq = _sieve(D, 4000, RootFilter())
+        tags = seq.class_tags()
+        for n in range(1, 25):
+            for nu in range(n):
+                if (nu * nu - D) % n:
+                    continue
+                cases += 1
+                inside = (seq.ms % n == 0) & (seq.mus % n == nu)
+                for order, members in ((O1, tags), (O2, ~tags)):
+                    assert bool((inside & members).any()) == \
+                        filter_reaches_order(D, order, n, nu), \
+                        (D, order, n, nu)
+                assert filter_reaches_order(D, O1, n, nu)
+    assert cases == 1352
+
+
+def test_class_shift_mismatch_is_the_predicate():
+    for D in (5, 17, 65):
+        for order in (O1, O2):
+            g = narrow_class_group(D, order)
+            for n in range(1, 17):
+                for nu in range(n):
+                    if (nu * nu - D) % n:
+                        continue
+                    if filter_reaches_order(D, order, n, nu):
+                        class_shift_representative(D, order, g.reps[0], n,
+                                                   nu, g)
+                    else:
+                        with pytest.raises(OrderMismatch):
+                            class_shift_representative(D, order, g.reps[0],
+                                                       n, nu, g)

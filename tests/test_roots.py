@@ -11,7 +11,15 @@ from georoots.arith import sqrt_mod
 from georoots.cli import _first_n_points
 from georoots.negdisc import sieve_roots_neg
 from georoots.orders import OrderTag, fits_order
-from georoots.roots import RootFilter, _sieve, first_n, sieve_roots, take_n
+import georoots.roots as roots
+from georoots.roots import (
+    RootFilter,
+    SequenceExhausted,
+    _sieve,
+    first_n,
+    sieve_roots,
+    take_n,
+)
 
 
 def brute(D, M, n=1, nu=0):
@@ -244,3 +252,17 @@ def test_first_n_validates_by_sign():
             first_n(D, 10)
     with pytest.raises(ValueError):
         first_n(5, 0)
+
+
+@pytest.mark.parametrize("D,n,nu", [(5, 4, 1), (17, 8, 3), (-3, 4, 1),
+                                    (-11, 4, 3)])
+def test_first_n_unreachable_class_fails_before_sieve(D, n, nu, monkeypatch):
+    # n even and (D - nu^2)/n odd: no O2 root meets the filter, so the
+    # doubling search would never end; it must fail before any sieve
+    def no_sieve(*args):
+        raise AssertionError("_sieve called")
+
+    monkeypatch.setattr(roots, "_sieve", no_sieve)
+    for classes in (("O2",), ("total", "O2"), ("O1", "O2")):
+        with pytest.raises(SequenceExhausted, match="no O2 root"):
+            first_n(D, 10, RootFilter(n, nu), classes)
