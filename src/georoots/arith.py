@@ -61,19 +61,25 @@ def _pollard_rho(n: int) -> int:
 
 
 class SpfTable:
-    """Smallest-prime-factor table for 2..limit, numpy-backed."""
+    """Smallest-prime-factor table for 2..limit < 2^31, as int32.
+
+    spf starts as the identity (0, 1 and the primes are their own
+    entries), and each prime p <= sqrt(limit), taken from the table of
+    sqrt(limit), writes p over its multiples from p^2 on in descending
+    order of p, so the smallest prime factor writes last.  Every
+    composite m has spf(m)^2 <= m, so it is overwritten.
+    """
 
     def __init__(self, limit: int):
-        if limit < 1:
-            limit = 1
-        spf = np.zeros(limit + 1, dtype=np.int64)
-        for i in range(2, math.isqrt(limit) + 1):
-            if spf[i] == 0:
-                seg = spf[i * i :: i]
-                seg[seg == 0] = i
-        unset = np.flatnonzero(spf == 0)   # 0, 1 and the primes
-        spf[unset] = unset
-        spf[:2] = (0, 1)
+        if limit >= 2**31:
+            raise ValueError("SpfTable holds int32: limit must be < 2^31")
+        spf = np.arange(max(limit, 1) + 1, dtype=np.int32)
+        r = math.isqrt(limit) if limit > 0 else 0
+        if r >= 2:
+            small = SpfTable(r).spf
+            primes = np.flatnonzero(small == np.arange(r + 1))[2:]
+            for p in primes[::-1].tolist():
+                spf[p * p::p] = p
         self.spf = spf
 
 

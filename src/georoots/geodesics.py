@@ -17,7 +17,8 @@ symmetry and its cones: the closing automorph E and -1 generate the
 proper automorphs of f, so the Gamma_0(n) stabilizer is E^j for the
 least j in {1, 3} that lands in Gamma_0(n) (`stabilizer_generator`),
 and the walk's bases moved by E^0 .. E^(j-1) tile the positive sector
-of f modulo that stabilizer (`zagier_cones`).
+of f modulo that stabilizer (`zagier_cones`).  `base_geodesic_set` keeps
+both on each `BaseGeodesic`, so each base form is walked once.
 """
 
 import math
@@ -62,10 +63,17 @@ def stabilizer_generator(f, n: int = 1):
     2 j log(eps).  A j of 3 is least: E^2 in Gamma_0(n) would put
     E = E^3 E^-2 there too.  Any other j raises RuntimeError.
     """
-    _, _, E = zagier_cycle(f)
+    sigma, j, _ = _symmetry(f, n)
+    return sigma, j
+
+
+def _symmetry(f, n):
+    """(sigma, j, cones): `stabilizer_generator(f, n)` and
+    `zagier_cones(f, j)`, read off one Zagier walk of f."""
+    _, bases, E = zagier_cycle(f)
     for j, g in ((1, E), (3, mat_mul(E, mat_mul(E, E)))):
         if g[2] % n == 0:
-            return g, j
+            return g, j, tuple(_periods(bases, E, j))
     raise RuntimeError(
         f"no stabilizer power j in {{1,3}} lands in Gamma_0({n}) "
         f"for the form {f}")
@@ -113,6 +121,7 @@ class BaseGeodesic:
     stabilizer: tuple      # generates its Gamma_0(n) stabilizer, up to sign
     j_stab: int            # stabilizer realizes eps_order^j_stab
     length_mult: int       # geodesic length = 2 * length_mult * log(eps2)
+    cones: tuple           # zagier_cones(form, j_stab), off the same walk
 
     @property
     def mult(self):
@@ -175,9 +184,9 @@ def base_geodesic_set(D: int, n: int = 1, nu: int = 0) -> BaseGeodesicSet:
         shifted = class_shift_representative(D, OrderTag.O1, rep, n, nu, g1)
         m, mu = shifted.m, shifted.mu
         f = form_of_root(D, m, mu, OrderTag.O1)
-        stab, j = stabilizer_generator(f, n)
+        stab, j, cones = _symmetry(f, n)
         geos.append(BaseGeodesic(("I", k), m, mu, MAT_ID, f, stab, j,
-                                 j * (3 if cube else 1)))
+                                 j * (3 if cube else 1), cones))
 
     s = _splitting_number(D, n, rel.relation)
     if filter_reaches_order(D, OrderTag.O2, n, nu):
@@ -193,9 +202,9 @@ def base_geodesic_set(D: int, n: int = 1, nu: int = 0) -> BaseGeodesicSet:
             f = form_of_root(D, m, mu, OrderTag.O2)
             for conj in copies:
                 fc = act(conj, f)
-                stab, j = stabilizer_generator(fc, n)
+                stab, j, cones = _symmetry(fc, n)
                 geos.append(BaseGeodesic(("J", l), m, mu, conj, fc, stab,
-                                         j, j))
+                                         j, j, cones))
 
     out = BaseGeodesicSet(D, n, nu, s, tuple(geos), rel.eps2, rel.relation)
     _check_base_tops(out, filt)
@@ -262,17 +271,16 @@ def enumerate_tops(base: BaseGeodesicSet, M: int,
 
     The v with f0(v) > 0 fill two opposite open sectors +-P between the
     irrational null lines of f0, swapped by -1.  `zagier_cones` tiles P
-    modulo sigma* by unimodular cones, and `cone_roots` reads off their
-    primitive points; the proofs sit there.  Work is counted in
+    modulo sigma* by unimodular cones (each base geodesic holds them as
+    `cones`), and `cone_roots` reads off their primitive points; the
+    proofs sit there.  Work is counted in
     candidates (lattice points of the cones); more than `budget` raises
     BudgetExceeded before the candidate arrays are built.
     """
     if M < 1:
         raise ValueError("M >= 1 required")
-    cones = []
-    for bg in base.geodesics:
-        cones += [(bg.form, U, bg.mult)
-                  for U in zagier_cones(bg.form, bg.j_stab)]
+    cones = [(bg.form, U, bg.mult)
+             for bg in base.geodesics for U in bg.cones]
     ms, mus, visited = cone_roots(cones, M, base.n, budget)
     return EnumerationResult.from_arrays(ms, mus, visited)
 
@@ -293,6 +301,11 @@ def zagier_cones(f, j):
     sigma* = sigma^-1 once.
     """
     _, bases, E = zagier_cycle(f)
+    return _periods(bases, E, j)
+
+
+def _periods(bases, E, j):
+    """The bases of one period moved by E^0 .. E^(j-1)."""
     cones = list(bases)
     for _ in range(j - 1):
         bases = [mat_mul(E, U) for U in bases]

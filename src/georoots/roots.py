@@ -13,14 +13,23 @@ m = q * m2, q = p^e the full power of its smallest prime p, every prime
 of m2 above p; so rho(m) = rho(q) rho(m2), and the roots mod m are the
 CRT combinations of the roots mod q and mod m2.  An odd prime p > sqrt(M)
 only occurs as m = p; all of those are solved at once by a vectorised
-Euler test and Tonelli-Shanks.  The primes p <= sqrt(M), and 2, are
-walked in descending order, so the roots mod m2 are always known first:
+Euler test and Tonelli-Shanks, whose non-squares come from quadratic
+reciprocity: (c/p) for a small prime c is a table lookup on p mod 4c
+(`_non_squares`).  The primes p <= sqrt(M), and 2, are walked in
+descending order, so rho(m2) is always known first:
 
-1. pass one fills rho (the groups m = q * m2 come from the
-   smallest-prime-factor table as m2 <= M/q with spf(m2) > p);
-2. pass two takes the cofactors of one group with the same rho(m2)
-   together, gathers their roots, CRT-combines them with the roots mod q,
-   sorts each m's row and scatters the rows into place.
+1. pass one fills rho and omega(m), the number of distinct primes of m.
+   The cofactors m2 of every power of p come from one scan of the
+   smallest-prime-factor table (spf(m2) > p and rho(m2) > 0); the powers
+   take prefixes of it, m2 <= M/q.
+2. pass two writes the roots of the prime powers, then combines every
+   m = q * m2 at once per (omega(m2), rho(q), rho(m2)), in ascending
+   omega(m2), so the roots mod m2 are in place when they are read.  The
+   inverses 1/m2 mod q come from one vectorised Euler power, through a
+   table of all residues mod q where q is no longer than its list of
+   cofactors (`_inverses`).  The roots come in pairs x, m - x, so half of
+   the roots mod q (or mod m2) are combined and the rest mirrored; each
+   m's row is sorted and scattered into place.
 
 Every residue is below M < 2^31, so each product of two residues (the
 CRT step, the modular powers) is below 2^62 and exact in int64.
@@ -126,24 +135,30 @@ def _sieve(D, M, filt):
     rho = np.zeros(M + 1, np.int16)   # at most 4 * 2^8 roots below 2^31
     rho[1] = 1
     rho[big] = np.sign(r) + 1         # r = -1: no root, r = 0: p | D
+    omega = np.zeros(M + 1, np.int8)  # distinct primes of m, where rho > 0
+    omega[big] = 1
     groups = []
     for p in range(min(s, M), 1, -1):
-        if spf[p] != p:
+        if spf[p] != p or not (loc := sqrt_mod_prime_power(D, p, 1)):
             continue
+        # the cofactors of every power of p: m2 > 1 with roots and every
+        # prime above p; rho(m2) stays put, as only multiples of p change
+        m2 = np.flatnonzero(spf[:M // p + 1] > p)
+        m2 = m2[rho[m2] > 0]
         q, e = p, 1
-        while q <= M:
-            loc = sqrt_mod_prime_power(D, p, e)
-            if not loc:
-                break   # no root mod p^e, so none mod any higher power
-            m2 = np.flatnonzero(spf[:M // q + 1] > p).astype(np.int32)
-            m2 = m2[rho[m2] > 0]
-            rho[q] = len(loc)
+        while loc:   # no root mod p^e: none mod any higher power
+            m2 = m2[:np.searchsorted(m2, M // q, "right")]
+            rho[q], omega[q] = len(loc), 1
             rho[q * m2] = len(loc) * rho[m2]
-            groups.append((p, q, np.array(loc, np.int64), m2))
+            omega[q * m2] = omega[m2] + 1
+            groups.append((p, q, loc, m2))
             q, e = q * p, e + 1
+            loc = sqrt_mod_prime_power(D, p, e) if q <= M else []
 
-    # pass 2: roots, in CSR order.  Every group's cofactors m2 have their
-    # prime factors above p, so their roots are in place before use.
+    # pass 2: roots, in CSR order: the prime powers, then every
+    # m = q * m2 at once per (omega(m2), rho(q), rho(m2)) in ascending
+    # omega(m2), so the roots mod m2 are in place before they are read.
+    del spf
     total = int(rho.sum(dtype=np.int64))
     off = np.zeros(M + 2, np.int32 if total < 2**31 else np.int64)
     np.cumsum(rho, dtype=off.dtype, out=off[1:])
@@ -153,20 +168,37 @@ def _sieve(D, M, filt):
     at, big, r = off[big[found]], big[found], r[found]
     mus[at] = np.minimum(r, big - r)
     mus[at[r > 0] + 1] = np.maximum(r, big - r)[r > 0]
-    for p, q, loc, m2 in groups:
+    for _, q, loc, _ in groups:
         mus[off[q]:off[q] + len(loc)] = loc
-        if not len(m2):
-            continue
-        inv = _powmod(m2.astype(np.int64) % q, q // p * (p - 1) - 1, q)
-        k2 = rho[m2]
-        for k in np.flatnonzero(np.bincount(k2)):
-            sel = k2 == k
-            j = m2[sel]
-            r2 = mus[off[j][:, None] + np.arange(k)][:, :, None]
-            t = (loc - r2 % q) % q * inv[sel][:, None, None] % q
-            rows = (r2 + j[:, None, None] * t).reshape(len(j), -1)
-            rows.sort(axis=1)
-            mus[off[q * j][:, None] + np.arange(rows.shape[1])] = rows
+    groups = [g for g in groups if len(g[3])]
+    if groups:
+        j = np.concatenate([m2 for *_, m2 in groups])
+        q = np.repeat([g[1] for g in groups], [len(g[3]) for g in groups])
+        inv = _inverses(groups)
+        key = (rho[j].astype(np.int64) * 16 + omega[j]) * 8 + rho[q]
+        keys = np.flatnonzero(np.bincount(key))
+        for kk in keys[np.argsort(keys // 8 % 16, kind="stable")]:
+            sel = np.flatnonzero(key == kk)
+            js, qs, c = j[sel], q[sel], q[sel][:, None, None]
+            nq, k = kk % 8, kk // 128
+            # the roots pair up as x, m - x, and so do the sorted roots
+            # mod q (or mod m2) when there are evenly many: combine the
+            # lower half of them and mirror
+            hq, hk = (nq // 2, k) if nq % 2 == 0 else (1, k // 2 or 1)
+            r2 = mus[off[js][:, None] + np.arange(hk)][:, :, None]
+            rq = mus[off[qs][:, None] + np.arange(hq)][:, None, :]
+            x = rq - r2                # x = r2 + m2 ((rq - r2)/m2 mod q)
+            x %= c
+            x *= inv[sel][:, None, None]
+            x %= c
+            x *= js[:, None, None]
+            x += r2
+            x = x.reshape(len(js), -1)
+            m = qs * js
+            if hq * hk < nq * k:
+                x = np.concatenate([x, m[:, None] - x], axis=1)
+            x.sort(axis=1)
+            mus[off[m][:, None] + np.arange(nq * k)] = x
     del off, groups                    # freed before ms is built
 
     nz = np.flatnonzero(rho)
@@ -175,6 +207,28 @@ def _sieve(D, M, filt):
         keep = (ms % filt.n == 0) & (mus % filt.n == filt.nu)
         ms, mus = ms[keep], mus[keep]
     return RootSequence(D, ms, mus)
+
+
+def _inverses(groups):
+    """1/m2 mod q for every cofactor m2 of the groups (p, q, loc, m2), in
+    group order.  A group with q <= len(m2) inverts every residue mod q
+    once and reads its m2 off that table; the others invert each m2.
+    Both go through one Euler power u^(phi(q) - 1) mod q over all groups.
+    """
+    u, e, mod, pick = [], [], [], []
+    n = 0
+    for p, q, _, m2 in groups:
+        if q <= len(m2):
+            u.append(np.arange(q))
+            pick.append(n + m2 % q)
+        else:
+            u.append(m2 % q)
+            pick.append(n + np.arange(len(m2)))
+        e.append(np.full(len(u[-1]), q // p * (p - 1) - 1))
+        mod.append(np.full(len(u[-1]), q))
+        n += len(u[-1])
+    inv = _powmod(*(np.concatenate(v) for v in (u, e, mod)))
+    return inv[np.concatenate(pick)]
 
 
 def _mod_each(D, p):
@@ -207,10 +261,9 @@ def _sqrt_mod_primes(a, p):
     exactly when a is no square.  Each round multiplies r by an element b
     of order 2^(k+1), which lowers k, until t = 1.
     """
-    q, s = p - 1, np.zeros_like(p)
-    while (q & 1 == 0).any():
-        even = q & 1 == 0
-        q, s = np.where(even, q >> 1, q), s + even
+    low = (p - 1) & (1 - p)            # 2^s, the lowest set bit of p - 1
+    s = np.frexp(low)[1].astype(p.dtype) - 1
+    q = (p - 1) >> s
     x = _powmod(a, q >> 1, p)
     r = x * a % p
     t = np.where(a == 0, 1, x * r % p)
@@ -245,10 +298,42 @@ def _two_order(t, p):
     return k
 
 
+# the primes c whose character (c/p) _non_squares reads off p mod 4c
+_TABLE_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
+                 53, 59, 61)
+
+
 def _non_squares(p):
-    """The least non-square mod p per odd prime p."""
-    z = np.full_like(p, 2)
+    """The least non-square mod p per odd prime p.
+
+    The least non-square z is prime: were z = u v with 1 < u, v < z, both
+    factors would be squares and so would z.  So the candidates are the
+    primes c in turn.  By quadratic reciprocity (c/p) depends only on
+    p mod 4c: (2/p) = -1 exactly when p = 3, 5 (mod 8), and for odd c,
+    (c/p) = (p/c) (-1)^((c-1)/2 (p-1)/2), where (p/c) = (p mod c)^((c-1)/2)
+    mod c by Euler's criterion and the sign depends on p mod 4.  Each c of
+    _TABLE_PRIMES settles, by one lookup in its table of the 4c residues,
+    every p still open for which it is a non-square; (c/c) = 0 leaves p = c
+    open.  The few p that all of them leave open (48473881, whose least
+    non-square is 67, is one) fall back to the Euler test of z = 62, 63,
+    ..., where the composites are squares and pass.
+    """
+    z = np.zeros_like(p)
     i = np.arange(len(p))
+    for c in _TABLE_PRIMES:
+        if not i.size:
+            return z
+        r = np.arange(4 * c)
+        if c == 2:
+            table = (r == 3) | (r == 5)
+        else:   # (p/c), negated when p = c = 3 (mod 4)
+            leg = _powmod(r % c, c // 2, c)          # 0, 1 or c - 1
+            flip = (c % 4 == 3) & (r % 4 == 3)
+            table = np.where(flip, leg == 1, leg == c - 1)
+        hit = table[p[i] % (4 * c)]
+        z[i[hit]] = c
+        i = i[~hit]
+    z[i] = _TABLE_PRIMES[-1] + 1
     while i.size:
         pi = p[i]
         i = i[_powmod(z[i], pi >> 1, pi) != pi - 1]

@@ -80,11 +80,10 @@ def _point_data(points):
         ms = np.asarray(points.ms, dtype=np.int64)
         mus = np.asarray(points.mus, dtype=np.int64)
         xs = mus / ms
-        order = np.argsort(xs, kind="stable")
+        order = np.argsort(xs)
         return xs[order], (ms[order], mus[order]), len(xs)
     xs = np.asarray(points, dtype=np.float64) % 1.0
-    order = np.argsort(xs, kind="stable")
-    return xs[order], None, len(xs)
+    return np.sort(xs), None, len(xs)
 
 
 def pair_correlation(points, lo: float = 0.0, hi: float = 5.0,
@@ -109,6 +108,23 @@ def pair_correlation(points, lo: float = 0.0, hi: float = 5.0,
     memory is O(n), plus O(_CHUNK) per thread, whatever the number of
     pairs, and the work is O(pairs + n).  Chunk histograms are summed
     as integers, so the counts do not depend on `threads`.
+
+    The walk pairs each source with every point of its run, its own
+    copies x_j + k included.  Those self pairs are taken out afterwards:
+    the copy of source j in the translate by k sits at a known index of
+    the translated array, and it is in j's run exactly when that index
+    lies in [start_j, end_j); each such copy is binned by the same
+    arithmetic as the walk and subtracted from the chunk's histogram.
+
+    The counts do not depend on the order that sorting gives to equal
+    x.  The run of j is the set of indices whose translated x lies in
+    j's window, a condition on values only, and a pair's difference is
+    formed from the two points' own (m, mu) or x.  Swapping two points
+    with equal x permutes the indices of the sorted and the translated
+    arrays, and with them the sources and the members of every run, but
+    not the multiset of (source, neighbour) point pairs that are binned,
+    nor which of them are self pairs.  Each pair is binned once in
+    either order, so the histogram is the same.
     """
     xs, exact, n = _point_data(points)
     if n < 2:
@@ -121,49 +137,82 @@ def pair_correlation(points, lo: float = 0.0, hi: float = 5.0,
 
     width = (hi - lo) / bins
     wlo, whi = lo / N - _WINDOW_EPS, hi / N + _WINDOW_EPS
-    # each translate xs + k, k in shifts, cut to the points in
+    # each translate xs + k, k in shifts, cut to the points xs[a:b] in
     # [xs[0] + wlo, xs[-1] + whi), the union of all windows (float
-    # addition is monotone); `orig` holds their indices into xs
+    # addition is monotone); it starts at index `at` of the translated
+    # array
     reach = (xs[0] + wlo, xs[-1] + whi)
     shifts = range(math.floor(wlo), math.floor(whi) + 2)
     cuts = [(k, *np.searchsorted(xs + k, reach)) for k in shifts]
-    orig = np.concatenate([np.arange(a, b) for _, a, b in cuts])
+    ats = np.cumsum([0] + [b - a for _, a, b in cuts])
     xs_ext = np.concatenate([xs[a:b] + k for k, a, b in cuts])
     if exact is not None:
         ms, mus = exact
-        ms_ext = ms[orig]
+        ms_ext = np.concatenate([ms[a:b] for _, a, b in cuts])
         mus_ext = np.concatenate([mus[a:b] + k * ms[a:b]
                                   for k, a, b in cuts])
+
+    # the columns of the sources that a difference is formed from
+    cols = (ms, mus) if exact is not None else (xs,)
+
+    def binned(tgt, src):
+        """Histogram, with an outer bin on each side, of the pairs of
+        neighbours tgt (indices into the translated arrays) and sources
+        whose `cols` entries are src."""
+        # x_i - x_j with i the neighbour tgt and j the source
+        if exact is not None:
+            m_t, (m_s, mu_s) = ms_ext[tgt], src
+            num = mus_ext[tgt]
+            num *= m_s
+            num -= mu_s * m_t
+            m_t *= m_s
+            delta = num / m_t
+            delta *= N
+        else:
+            delta = xs_ext[tgt] - src[0]
+            delta *= N
+        return histogram(delta)
+
+    def histogram(delta):
+        """bincount of floor((delta - lo) / width) + 1, clipped to
+        [0, bins + 1]; overwrites delta."""
+        delta -= lo
+        delta /= width
+        np.floor(delta, out=delta)
+        np.clip(delta, -1, bins, out=delta)
+        delta += 1
+        return np.bincount(delta.astype(np.intp), minlength=bins + 2)
+
+    # the source itself, its copy by 0: num = 0 and delta = 0.0 exactly
+    zero = histogram(np.zeros(1))
 
     def do_chunk(c0):
         c1 = min(c0 + _CHUNK, n)
         starts = np.searchsorted(xs_ext, xs[c0:c1] + wlo, side="left")
-        counts = np.searchsorted(xs_ext, xs[c0:c1] + whi,
-                                 side="left") - starts
+        ends = np.searchsorted(xs_ext, xs[c0:c1] + whi, side="left")
+        # self pairs: source j's copy in the cut (k, a, b) is at
+        # at + j - a, if a <= j < b, and the walk pairs it with j when
+        # it lies in j's run
+        src = np.arange(c0, c1)
+        out = np.zeros(bins + 2, dtype=np.int64)
+        for (k, a, b), at in zip(cuts, ats):
+            own = at + src - a
+            hit = (a <= src) & (src < b) & (starts <= own) & (own < ends)
+            if k == 0:
+                out -= np.count_nonzero(hit) * zero
+            else:
+                hit = np.flatnonzero(hit)
+                out -= binned(own[hit], [c[src[hit]] for c in cols])
         # longest runs first: the sources still walking at offset t
         # are the first live[t]
+        counts = ends - starts
         order = np.argsort(counts)[::-1]
         src, starts = order + c0, starts[order]
         live = len(order) - np.cumsum(np.bincount(counts))[:-1]
-        if exact is not None:
-            ms_src, mus_src = ms[src], mus[src]
-        else:
-            xs_src = xs[src]
-        out = np.zeros(bins, dtype=np.int64)
+        src = [c[src] for c in cols]
         for t, walking in enumerate(live):
-            j = slice(walking)
-            tgt = starts[j] + t
-            # x_i - x_j with i the found neighbor and j the source
-            if exact is not None:
-                num = mus_ext[tgt] * ms_src[j] - mus_src[j] * ms_ext[tgt]
-                den = ms_ext[tgt] * ms_src[j]
-                delta = N * (num / den)
-            else:
-                delta = N * (xs_ext[tgt] - xs_src[j])
-            idx = np.floor((delta - lo) / width)
-            keep = (idx >= 0) & (idx < bins) & (orig[tgt] != src[j])
-            out += np.bincount(idx[keep].astype(np.int64), minlength=bins)
-        return out
+            out += binned(starts[:walking] + t, [c[:walking] for c in src])
+        return out[1:-1]
 
     chunks = range(0, n, _CHUNK)
     if threads and threads > 1:

@@ -51,6 +51,11 @@ def test_spf_table_matches_factorize():
         assert spf[n] == factorize(n)[0][0]
 
 
+def test_spf_table_rejects_limits_past_int32():
+    with pytest.raises(ValueError):
+        SpfTable(2**31)
+
+
 def _spf_by_arange(limit):
     """The table as built before: primes filled from a full arange."""
     spf = np.zeros(limit + 1, dtype=np.int64)
@@ -67,7 +72,7 @@ def _spf_by_arange(limit):
 @pytest.mark.parametrize("limit", [1, 2, 3, 4, 97, 1000, 65_536, 123_457])
 def test_spf_table_equals_arange_construction(limit):
     spf = SpfTable(limit).spf
-    assert spf.dtype == np.int64
+    assert spf.dtype == np.int32    # every sieve bound is below 2^31
     assert np.array_equal(spf, _spf_by_arange(limit))
 
 

@@ -304,7 +304,8 @@ def test_base_sets_pinned():
                     assert (g.stabilizer, g.j_stab) == stabilizer_by_unit(
                         D, g.form, n)
                     assert zagier_cones(g.form, g.j_stab) == \
-                        cones_closing_on(g.form, g.stabilizer)
+                        cones_closing_on(g.form, g.stabilizer) == \
+                        list(g.cones)
                     # the endpoint oracle builds the same geodesic
                     assert form_geodesic(D, g.form, g.mult) == apply_gamma(
                         g.conjugator, geodesic_from_root(D, g.m, g.mu))

@@ -1,5 +1,6 @@
 import argparse
 import hashlib
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from georoots.arith import sqrt_mod
+from georoots.arith import SpfTable, sqrt_mod
 from georoots.cli import _first_n_points
 from georoots.negdisc import sieve_roots_neg
 from georoots.orders import OrderTag, fits_order
@@ -266,3 +267,68 @@ def test_first_n_unreachable_class_fails_before_sieve(D, n, nu, monkeypatch):
     for classes in (("O2",), ("total", "O2"), ("O1", "O2")):
         with pytest.raises(SequenceExhausted, match="no O2 root"):
             first_n(D, 10, RootFilter(n, nu), classes)
+
+
+# ------------------------------------------- vectorised number theory
+
+def _primes_above_root(M):
+    """The primes p with sqrt(M) < p <= M, as the sieve solves them."""
+    spf = SpfTable(M).spf
+    s = math.isqrt(M)
+    return np.flatnonzero(spf[s + 1:] > s) + (s + 1)
+
+
+# primes with a large 2-adic valuation of p - 1 (2^16, 2^18, 2^27, 2^25)
+# and the largest below 2^31, whose products come closest to 2^62; the
+# least non-squares of the last three need more than the table primes
+SPECIAL_PRIMES = [65537, 786433, 2013265921, 2113929217, 2147483647,
+                  48473881, 120293879, 175244281]
+
+
+def _least_non_square(p):
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    return z
+
+
+def _check_sqrt_mod_primes(D, p):
+    a = roots._mod_each(D, p)
+    assert a.tolist() == [D % int(q) for q in p]
+    r = roots._sqrt_mod_primes(a, p)
+    for ai, ri, pi in zip(a.tolist(), r.tolist(), p.tolist()):
+        if ri == -1:
+            assert pow(ai, (pi - 1) // 2, pi) == pi - 1
+        else:
+            assert 0 <= ri < pi and ri * ri % pi == ai
+
+
+@pytest.mark.parametrize("D", [5, 17, -15, -3, 2**64 + 13, -(2**63 + 7)])
+def test_sqrt_mod_primes_against_euler(D):
+    _check_sqrt_mod_primes(D, _primes_above_root(200_000))
+    _check_sqrt_mod_primes(D, np.array(SPECIAL_PRIMES, dtype=np.int64))
+
+
+def test_sqrt_mod_primes_on_large_primes_and_residues():
+    p = np.repeat(np.array(SPECIAL_PRIMES, dtype=np.int64), 64)
+    rng = np.random.default_rng(5)
+    a = rng.integers(0, 2**62, len(p)) % p
+    a[::64] = 0
+    r = roots._sqrt_mod_primes(a, p)
+    for ai, ri, pi in zip(a.tolist(), r.tolist(), p.tolist()):
+        if ri == -1:
+            assert pow(ai, (pi - 1) // 2, pi) == pi - 1
+        else:
+            assert ri * ri % pi == ai
+
+
+def test_non_squares_are_least(monkeypatch):
+    p = np.concatenate([_primes_above_root(200_000)[:4000],
+                        np.array(SPECIAL_PRIMES, dtype=np.int64),
+                        np.array([3, 5, 7, 11, 61, 67], dtype=np.int64)])
+    want = [_least_non_square(q) for q in p.tolist()]
+    assert roots._non_squares(p).tolist() == want
+    assert max(want) > roots._TABLE_PRIMES[-1]     # the Euler fallback ran
+    # with a short table most primes go through the Euler fallback
+    monkeypatch.setattr(roots, "_TABLE_PRIMES", (2, 3))
+    assert roots._non_squares(p).tolist() == want

@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 from georoots import statistics
-from georoots.roots import RootFilter, first_n, sieve_roots, take_n
+from georoots.roots import (
+    RootFilter,
+    RootSequence,
+    first_n,
+    sieve_roots,
+    take_n,
+)
 from georoots.statistics import (
     Histogram,
     PairCorrResult,
@@ -113,7 +119,15 @@ BLOCK_ORACLE_CASES = [
     (3 * CHUNK + 5, None, -50.0, 3 * (3 * CHUNK + 5), 61),
     (3 * CHUNK, None, -2.0, 3.0, 1),
     (CHUNK + 1, None, 2.0, 2.0, 5),
+    # tiny N: windows reach a point's own translates
+    (2, None, -5.0, 5.0, 10),
+    (3, None, 0.0, 7.0, 14),
+    (3, 1, -3.0, 3.0, 12),
 ]
+
+# distinct roots of D = 5 with equal x, each next to its twin
+TIED_ROOTS = [(1, 0), (5, 0), (4, 1), (20, 5), (2, 1), (10, 5), (4, 3),
+              (20, 15)]
 
 
 def _points(kind, n):
@@ -121,11 +135,21 @@ def _points(kind, n):
         return take_n(5, n)
     if kind == "O2":
         return first_n(5, n, classes=("O2",))[0]
-    return np.random.default_rng(n).random(n)
+    if kind == "tied_roots":
+        seq = take_n(5, n + len(TIED_ROOTS))
+        rest = [r for r in zip(seq.ms.tolist(), seq.mus.tolist())
+                if r not in TIED_ROOTS]
+        ms, mus = np.array((TIED_ROOTS + rest)[:n], dtype=np.int64).T
+        return RootSequence(5, ms, mus)
+    rng = np.random.default_rng(n)
+    if kind == "tied_floats":   # on a grid of 1/8: duplicates, exact edges
+        return np.round(rng.random(n) * 8) / 8 % 1.0
+    return rng.random(n)
 
 
 @pytest.mark.parametrize("threads", [1, 2, 4])
-@pytest.mark.parametrize("kind", ["roots", "O2", "floats"])
+@pytest.mark.parametrize("kind", ["roots", "O2", "floats", "tied_roots",
+                                  "tied_floats"])
 @pytest.mark.parametrize("n,N,lo,hi,bins", BLOCK_ORACLE_CASES)
 def test_matches_block_oracle(monkeypatch, n, N, lo, hi, bins, kind,
                               threads):
