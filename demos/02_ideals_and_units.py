@@ -13,6 +13,7 @@ from georoots.orders import (
     is_invertible,
     narrow_class_group,
     unit_relation,
+    unit_str,
 )
 from georoots.roots import sieve_roots
 
@@ -39,13 +40,11 @@ def show_units(discs):
     print("=" * 70)
     for D in discs:
         u = unit_relation(D)
-        print(f"  D={D:3}  eps1 = {str(u.eps1):22}  eps2 = {str(u.eps2):18}"
-              f"  {u.relation}")
+        print(f"  D={D:3}  eps1 = {unit_str(D, u.eps1):22}  "
+              f"eps2 = {unit_str(D, u.eps2):18}  {u.relation}")
         if u.relation == "Cube":
-            e2 = u.eps2
-            got = cube(e2.a, e2.b, e2.c, D)
-            ok_line(got == (Fraction(u.eps1.a, u.eps1.c),
-                            Fraction(u.eps1.b, u.eps1.c)),
+            a1, b1, c1 = u.eps1
+            ok_line(cube(*u.eps2, D) == (Fraction(a1, c1), Fraction(b1, c1)),
                     f"eps1 = eps2^3 for D={D} (exact)")
         else:
             ok_line(u.eps1 == u.eps2, f"eps1 = eps2 for D={D}")

@@ -22,8 +22,7 @@ import numpy as np
 
 from georoots.cli import main as cli_main
 from georoots.density import (
-    H_minus,
-    H_plus,
+    H,
     _pairing,
     enumerate_coset_terms,
     kappa_and_vol,
@@ -50,13 +49,16 @@ def h_samples() -> None:
     print(LINE)
     print("The H building block: two signed flavours, piecewise in q")
     print(LINE)
-    print(f"  H+(0, 2)    = {H_plus(0.0, 2.0):.12f}   (log 3 = "
+    # H(sign, q, v) takes a whole array of v, as omega's grid sum does
+    at_q0 = H(+1, 0.0, np.array([2.0, 1.0]))    # H+(0, 2) and H+(0, 1)
+    print(f"  H+(0, 2)    = {at_q0[0]:.12f}   (log 3 = "
           f"{math.log(3.0):.12f})")
-    print(f"  H+(2, 1)    = {H_plus(2.0, 1.0):.12f}")
-    print(f"  H-(0, -2)   = {H_minus(0.0, -2.0):.12f}")
-    ok_line(abs(H_plus(0.0, 2.0) - math.log(3.0)) < 1e-15, "H+(0,2) = log 3")
-    ok_line(H_plus(0.0, 1.0) == 0.0, "H+ vanishes below the threshold")
-    ok_line(H_plus(3.0, 0.5) == H_minus(3.0, 0.5),
+    print(f"  H+(2, 1)    = {H(+1, 2.0, np.array([1.0]))[0]:.12f}")
+    print(f"  H-(0, -2)   = {H(-1, 0.0, np.array([-2.0]))[0]:.12f}")
+    ok_line(abs(at_q0[0] - math.log(3.0)) < 1e-15, "H+(0,2) = log 3")
+    ok_line(at_q0[1] == 0.0, "H+ vanishes below the threshold")
+    v = np.linspace(-4.0, 4.0, 81)
+    ok_line(np.array_equal(H(+1, 3.0, v), H(-1, 3.0, v)),
             "the two flavours coincide for q > 1")
 
 

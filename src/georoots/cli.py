@@ -289,6 +289,7 @@ def _verify_positive(args, checks):
         is_invertible,
         narrow_class_group,
         unit_relation,
+        unit_str,
     )
     from .roots import sieve_roots
 
@@ -320,7 +321,8 @@ def _verify_positive(args, checks):
     ok = u.relation in ("Equal", "Cube") and \
         (u.relation == "Equal" or D % 8 == 5)
     _check(checks, "unit_relation", ok,
-           {"eps1": str(u.eps1), "eps2": str(u.eps2), "relation": u.relation})
+           {"eps1": unit_str(D, u.eps1), "eps2": unit_str(D, u.eps2),
+            "relation": u.relation})
 
     if args.n == 1:
         h1 = narrow_class_group(D, OrderTag.O1).h_plus
@@ -365,14 +367,15 @@ def cmd_verify(args) -> int:
 
 def cmd_units(args) -> int:
     from .csvio import write_table
-    from .orders import unit_relation
+    from .orders import unit_relation, unit_str
 
     if args.D < 0:
         raise ConfigError("unit relation diagnostics need D > 0")
     u = unit_relation(args.D)
     meta = {"command": "units", "D": args.D}
     write_table(args.out, args.format, meta, ("eps1", "eps2", "relation"),
-                ([str(u.eps1)], [str(u.eps2)], [u.relation]))
+                ([unit_str(args.D, u.eps1)], [unit_str(args.D, u.eps2)],
+                 [u.relation]))
     return 0
 
 

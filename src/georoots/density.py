@@ -16,8 +16,14 @@ plus_1): |q| < 1 when the geodesics cross, |q| > 1 when they are
 disjoint, and q = +-1 when they share an endpoint.  The sign picks the
 H flavour: +1 when the backward endpoint of the second geodesic lies on
 the positive side of the first, once the first is moved to the
-vertical geodesic from 0 to infinity.  Floats appear only in the final
-division of q and the H evaluations.
+vertical geodesic from 0 to infinity; it is the sign of an integer
+combination x + y sqrt(D), decided by `_surd_sign`.  Floats appear only
+in the final division of q and the H evaluations.
+
+`H` is the one evaluator of both flavours: it takes a term's (sign, q)
+and an array of v, and `omega` calls it once per term on the whole
+grid.  It raises DomainError only at |q| = 1 (shared endpoints), which
+the walk counts as skipped instead of keeping.
 
 The double cosets are those of the full modular group SL_2(Z); for
 proper congruence levels the status of the sum is unsettled (see
@@ -38,54 +44,33 @@ import numpy as np
 from .arith import factorize
 from .forms import MAT_ID, act, mat_inv, mat_mul
 from .geodesics import BaseGeodesicSet, BudgetExceeded
-from .quadnum import QuadNum
 
 
 class DomainError(ValueError):
-    """H evaluated on a boundary locus where the piecewise form is silent."""
+    """H evaluated at |q| = 1, where neither closed form applies."""
 
 
 # ----------------------------------------------------------------------
 # the H functions: simplified closed forms
 
-def _y(q, v):
-    return math.sqrt(v * v + q * q - 1.0)
+def H(sign: int, q: float, v: np.ndarray) -> np.ndarray:
+    """H_+ (sign > 0) or H_- (sign < 0) at q on an array of v.
 
+    With y = sqrt(v^2 + q^2 - 1):
+    - q > 1: both flavours are log((q + y)(q - sqrt(q^2 - 1)));
+    - |q| < 1: H_+ is 2 log(q + y) for v > sqrt(2 - 2q), H_- is the
+      same for v < -sqrt(2 - 2q), and both are 0 elsewhere;
+    - q < -1: H_+ is 0, and H_- is 2 log(q + y) for |v| > sqrt(2 - 2q)
+      and 0 elsewhere.
+    The unsimplified original is a test oracle.
 
-def _check_off_boundary(q, v):
+    |q| = 1 raises DomainError.  The threshold needs no error: at
+    v^2 = 2 - 2q (q < 1), v^2 + q^2 - 1 = (1 - q)^2, so q + y = 1 and the
+    log branch is log 1 = 0, the value of the zero branch; the strict
+    masks give exactly 0.0 there.
+    """
     if abs(q) == 1.0:
         raise DomainError("|q| = 1")
-    if q < 1.0 and v * v == 2.0 - 2.0 * q:
-        raise DomainError("v = +-sqrt(2-2q)")
-
-
-def H_plus(q: float, v: float) -> float:
-    """Simplified H_+; the unsimplified original is a test oracle."""
-    _check_off_boundary(q, v)
-    if q < -1.0:
-        return 0.0
-    if abs(q) < 1.0:
-        if v < math.sqrt(2.0 - 2.0 * q):
-            return 0.0
-        return 2.0 * math.log(q + _y(q, v))
-    return math.log((q + _y(q, v)) * (q - math.sqrt(q * q - 1.0)))
-
-
-def H_minus(q: float, v: float) -> float:
-    _check_off_boundary(q, v)
-    if q < -1.0:
-        if abs(v) < math.sqrt(2.0 - 2.0 * q):
-            return 0.0
-        return 2.0 * math.log(q + _y(q, v))
-    if abs(q) < 1.0:
-        if v > -math.sqrt(2.0 - 2.0 * q):
-            return 0.0
-        return 2.0 * math.log(q + _y(q, v))
-    return math.log((q + _y(q, v)) * (q - math.sqrt(q * q - 1.0)))
-
-
-def _H_on_grid(sign: int, q: float, v: np.ndarray) -> np.ndarray:
-    """Vectorized simplified H for a fixed coset term (grid off-boundary)."""
     out = np.zeros_like(v)
     if q > 1.0:
         y = np.sqrt(v * v + q * q - 1.0)
@@ -243,6 +228,19 @@ def _pq(G, A, B, disc):
             2 * (A * b - a * B))
 
 
+def _surd_sign(x, y, D):
+    """The sign of x + y sqrt(D) for integers x, y and D > 0, exactly.
+
+    When x and y do not have opposite signs, the nonzero one of them (if
+    any) decides.  Otherwise x + y sqrt(D) has the sign of x exactly
+    when |x| > |y| sqrt(D), that is when x^2 > D y^2."""
+    sx, sy = (x > 0) - (x < 0), (y > 0) - (y < 0)
+    if sx * sy >= 0:
+        return sx or sy
+    d = x * x - D * y * y
+    return sx * ((d > 0) - (d < 0))
+
+
 def _geodesic_data(base):
     """Per base geodesic: (form, sqrt scale s, stabilizer pair), where
     disc(form) = s^2 D."""
@@ -397,7 +395,7 @@ def enumerate_coset_terms(base: BaseGeodesicSet, q_max: float,
                         skipped += 1
                     else:
                         P, Q = _pq(fk, G[0], G[1], sl * sl * base.D)
-                        sgn = -QuadNum(base.D, P, -sl * Q).sign()
+                        sgn = -_surd_sign(P, -sl * Q, base.D)
                         if sgn == 0:
                             skipped += 1
                         else:
@@ -478,7 +476,7 @@ def omega(base: BaseGeodesicSet, grid: np.ndarray = None,
     vk = grid / kappa
     # a fixed summation order, so the floats depend only on the multiset
     for t in sorted(terms, key=lambda t: (t.q, t.sign, t.k, t.l)):
-        total += _H_on_grid(t.sign, t.q, vk)
+        total += H(t.sign, t.q, vk)
     # the sum normalizes by the volume of the unit tangent bundle,
     # 2 pi times the surface area
     total /= 2.0 * math.pi * vol * grid * grid

@@ -37,7 +37,6 @@ from .orders import (
     root_of_form,
     unit_relation,
 )
-from .quadnum import QuadNum
 from .roots import RootFilter
 
 
@@ -138,7 +137,7 @@ class BaseGeodesicSet:
     nu: int
     s: int                  # splitting number of the wider-order classes
     geodesics: tuple        # BaseGeodesic entries, I side first
-    eps2: QuadNum
+    eps2: tuple             # (a, b, c): eps2 = (a + b sqrt(D))/c
     unit_relation: str      # "Equal" or "Cube"
 
     @property
@@ -146,7 +145,8 @@ class BaseGeodesicSet:
         return len(self.geodesics)
 
     def lengths(self):
-        le = 2.0 * math.log(float(self.eps2))
+        a, b, c = self.eps2
+        le = 2.0 * math.log((a + b * self.D ** 0.5) / c)
         return [le * g.length_mult for g in self.geodesics]
 
 

@@ -20,7 +20,6 @@ from math import gcd, isqrt
 
 from .arith import factorize, sqrt_mod, xgcd
 from .forms import principal_form, zagier_cycle, zagier_cycles, zagier_reduce
-from .quadnum import QuadNum
 
 
 class OrderTag(Enum):
@@ -207,8 +206,10 @@ def root_of_form(f, mult: int):
 # ----------------------------------------------------------------------
 # units
 
-def totally_positive_fundamental_unit(D: int, order: OrderTag) -> QuadNum:
-    """Smallest totally positive unit > 1 of the order (norm +1).
+def totally_positive_fundamental_unit(D: int, order: OrderTag) -> tuple:
+    """Smallest totally positive unit > 1 of the order (norm +1), as the
+    reduced triple (a, b, c) with eps = (a + b sqrt(D))/c, c > 0 and
+    gcd(a, b, c) = 1: (t, 2u, 2) (O1) or (t, u, 2) (O2) in lowest terms.
 
     Read off the Zagier cycle of the principal form (1, b, c) of
     discriminant Delta = 4D (O1) or D (O2) by the lemma below:
@@ -246,26 +247,40 @@ def totally_positive_fundamental_unit(D: int, order: OrderTag) -> QuadNum:
     delta = 4 * D if order is OrderTag.O1 else D
     _, _, E = zagier_cycle(principal_form(delta))
     t, u = E[0] + E[3], abs(E[2])
-    if order is OrderTag.O1:
-        return QuadNum(D, t, 2 * u, 2)
-    return QuadNum(D, t, u, 2)
+    b = 2 * u if order is OrderTag.O1 else u
+    g = gcd(gcd(t, b), 2)
+    return t // g, b // g, 2 // g
+
+
+def unit_str(D: int, eps: tuple) -> str:
+    """A unit eps = (a, b, c) > 1 (so a, b > 0) as 'a + b*sqrt(D)', or
+    '(a + b*sqrt(D))/c' when c > 1."""
+    a, b, c = eps
+    core = f"{a} + {b}*sqrt({D})"
+    return core if c == 1 else f"({core})/{c}"
 
 
 @dataclass(frozen=True)
 class UnitData:
-    eps1: QuadNum
-    eps2: QuadNum
+    eps1: tuple  # (a, b, c) of `totally_positive_fundamental_unit`
+    eps2: tuple
     relation: str  # "Equal" or "Cube"
 
 
 def unit_relation(D: int) -> UnitData:
-    """Compare the totally positive fundamental units of the two orders."""
+    """Compare the totally positive fundamental units of the two orders.
+
+    Both are reduced triples, so eps1 = eps2 is tuple equality, and
+    eps2^3 = ((a^3 + 3 a b^2 D) + (3 a^2 b + b^3 D) sqrt(D))/c^3 equals
+    eps1 exactly when both parts agree after clearing denominators."""
     validate_discriminant(D)
     e1 = totally_positive_fundamental_unit(D, OrderTag.O1)
     e2 = totally_positive_fundamental_unit(D, OrderTag.O2)
     if e1 == e2:
         return UnitData(e1, e2, "Equal")
-    if e2**3 == e1:
+    (a1, b1, c1), (a, b, c) = e1, e2
+    if (c1 * (a**3 + 3 * a * b * b * D) == a1 * c**3
+            and c1 * (3 * a * a * b + b**3 * D) == b1 * c**3):
         if D % 8 != 5:
             raise RuntimeError("cube relation outside D = 5 mod 8 (unit bug)")
         return UnitData(e1, e2, "Cube")

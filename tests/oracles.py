@@ -48,13 +48,13 @@ from georoots.orders import (
     form_of_root,
     totally_positive_fundamental_unit,
 )
-from georoots.quadnum import QuadNum
 from georoots.statistics import (
     _WINDOW_EPS,
     Histogram,
     PairCorrResult,
     _point_data,
 )
+from quadnum import QuadNum
 
 
 @dataclass(frozen=True)
@@ -238,12 +238,12 @@ def stabilizer_by_unit(D: int, f, n: int = 1):
     unit eps = (t + u sqrt(disc f))/2: sigma = A(t, u) or its cube,
     whichever first lands in Gamma_0(n)."""
     order = OrderTag.O1 if disc(f) == 4 * D else OrderTag.O2
-    eps = totally_positive_fundamental_unit(D, order)
+    a, b, c = totally_positive_fundamental_unit(D, order)
     s = 2 if order is OrderTag.O1 else 1     # disc f = s^2 D
-    t, t_rem = divmod(2 * eps.a, eps.c)
-    u, u_rem = divmod(2 * eps.b, s * eps.c)
+    t, t_rem = divmod(2 * a, c)
+    u, u_rem = divmod(2 * b, s * c)
     if t_rem or u_rem:
-        raise RuntimeError(f"unit {eps} gives no automorph of {f}")
+        raise RuntimeError(f"unit {(a, b, c)} gives no automorph of {f}")
     sigma = automorph(f, t, u)
     if mat_det(sigma) != 1:
         raise RuntimeError("stabilizer determinant is not 1")

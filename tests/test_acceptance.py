@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 from georoots.cli import main
-from georoots.density import H_minus, H_plus, _H_on_grid, omega
+from georoots.density import H, omega
 from georoots.geodesics import base_geodesic_set, enumerate_tops
 from georoots.negdisc import enumerate_orbit_points, sieve_roots_neg
 from georoots.orders import (
@@ -25,7 +25,6 @@ from georoots.orders import (
     is_invertible,
     unit_relation,
 )
-from georoots.quadnum import QuadNum
 from georoots.roots import RootFilter, sieve_roots
 from georoots.statistics import ks_uniform, pair_correlation
 
@@ -95,8 +94,8 @@ def test_fundamental_unit_relations():
         assert unit_relation(D).relation in ("Equal", "Cube")
     u = unit_relation(5)
     assert u.relation == "Cube"
-    assert u.eps2 == QuadNum(5, 3, 1, 2)     # (3 + sqrt 5)/2
-    assert u.eps1 == QuadNum(5, 9, 4, 1)     # 9 + 4 sqrt 5
+    assert u.eps2 == (3, 1, 2)     # (3 + sqrt 5)/2
+    assert u.eps1 == (9, 4, 1)     # 9 + 4 sqrt 5
     # the cube relation in exact integer arithmetic:
     # ((3 + sqrt5)/2)^3 = (27 + 3*9*sqrt5 + 3*3*5 + 5*sqrt5)/8
     num_rat = 3 ** 3 + 3 * 3 * 1 * 1 * 5
@@ -166,27 +165,11 @@ def test_h_closed_forms_match_raw_formulas():
             keep &= np.abs(vs + thr) >= 1e-6
         v64 = vs[keep]
         vld = vs_ld[keep]
-        dp = _raw_plus_row(LD(q), vld).astype(np.float64) \
-            - _H_on_grid(+1, q, v64)
-        dm = _raw_minus_row(LD(q), vld).astype(np.float64) \
-            - _H_on_grid(-1, q, v64)
+        dp = _raw_plus_row(LD(q), vld).astype(np.float64) - H(+1, q, v64)
+        dm = _raw_minus_row(LD(q), vld).astype(np.float64) - H(-1, q, v64)
         worst = max(worst, np.abs(dp).max(), np.abs(dm).max())
     assert worst < 1e-12
     assert time.perf_counter() - t0 < 10.0
-
-    # and the grid evaluator agrees with the scalar closed forms
-    rng = np.random.default_rng(7)
-    for _ in range(200):
-        q = float(rng.uniform(-5, 5))
-        v = float(rng.uniform(-10, 10))
-        if abs(abs(q) - 1) < 1e-3 or abs(v + 1) < 1e-3:
-            continue
-        if q < 1 and abs(v * v - (2 - 2 * q)) < 1e-3:
-            continue
-        arr = np.array([v])
-        # np.log and math.log may differ in the last ulp
-        assert abs(_H_on_grid(+1, q, arr)[0] - H_plus(q, v)) <= 1e-14
-        assert abs(_H_on_grid(-1, q, arr)[0] - H_minus(q, v)) <= 1e-14
 
 
 def test_density_evenness_and_truncation_stability():

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import georoots.density as density
@@ -19,14 +19,14 @@ from georoots.cli import _class_mask
 from georoots.density import (
     CosetTerm,
     DomainError,
-    H_minus,
-    H_plus,
+    H,
     _SigmaFrame,
     _canon,
     _geodesic_data,
     _linear_form,
     _normalizes,
     _pq,
+    _surd_sign,
     default_grid,
     enumerate_coset_terms,
     gamma0_index,
@@ -36,7 +36,6 @@ from georoots.density import (
 from georoots.forms import act, mat_mul
 from georoots.geodesics import BudgetExceeded, base_geodesic_set
 from georoots.orders import OrderTag, form_of_root
-from georoots.quadnum import QuadNum
 from oracles import (
     Geodesic,
     SharedEndpoint,
@@ -48,6 +47,7 @@ from oracles import (
     mat_pow,
     sigma_canonical,
 )
+from quadnum import QuadNum
 
 
 def qn(x, D=5):
@@ -57,7 +57,27 @@ def qn(x, D=5):
 # ----------------------------------------------------------------------
 # H functions
 
+def H_plus(q, v):
+    """The kernel's H_+ at one v, through a one-element array."""
+    return H(+1, q, np.array([v]))[0]
+
+
+def H_minus(q, v):
+    return H(-1, q, np.array([v]))[0]
+
+
 # Oracle: the raw transcription of the H formulas, before simplification.
+
+def _y(q, v):
+    return math.sqrt(v * v + q * q - 1.0)
+
+
+def _check_off_boundary(q, v):
+    if abs(q) == 1.0:
+        raise DomainError("|q| = 1")
+    if q < 1.0 and v * v == 2.0 - 2.0 * q:
+        raise DomainError("v = +-sqrt(2-2q)")
+
 
 def h_raw(q, s):
     """log((s+q)/(1-s^2)), the building block of the raw H formulas."""
@@ -73,15 +93,15 @@ def h_raw(q, s):
 def _s1(q, v):
     if v == -1.0:
         raise DomainError("s1 undefined at v = -1")
-    return (-q + density._y(q, v)) / (v + 1.0)
+    return (-q + _y(q, v)) / (v + 1.0)
 
 
 def _s2(q, v):
-    return v - q - density._y(q, v)
+    return v - q - _y(q, v)
 
 
 def H_raw_plus(q, v):
-    density._check_off_boundary(q, v)
+    _check_off_boundary(q, v)
     if q < -1.0:
         return 0.0
     if abs(q) < 1.0:
@@ -92,7 +112,7 @@ def H_raw_plus(q, v):
 
 
 def H_raw_minus(q, v):
-    density._check_off_boundary(q, v)
+    _check_off_boundary(q, v)
     if q < -1.0:
         if abs(v) < math.sqrt(2.0 - 2.0 * q):
             return 0.0
@@ -145,15 +165,31 @@ def test_H_continuous_at_threshold():
         assert abs(H_minus(q, -thr - 1e-9)) < 1e-6
 
 
+def test_H_zero_at_threshold():
+    """At v = +-sqrt(2 - 2q) both flavours are exactly 0.0, and the log
+    branch one float beyond is 0 up to rounding (q + y = 1 there)."""
+    for q in (-3.0, -1.5, -0.7, 0.0, 0.5, 0.6, 0.9):
+        thr = math.sqrt(2.0 - 2.0 * q)
+        for sign in (+1, -1):
+            assert H(sign, q, np.array([thr, -thr])).tolist() == [0.0, 0.0]
+        out = np.nextafter(thr, math.inf)
+        assert abs(H_plus(q, out)) < 1e-12
+        assert abs(H_minus(q, -out)) < 1e-12
+
+
 def test_H_domain_errors():
     for f in (H_plus, H_minus, H_raw_plus, H_raw_minus):
         with pytest.raises(DomainError):
             f(1.0, 2.0)
         with pytest.raises(DomainError):
             f(-1.0, 2.0)
+    for q in (1.0, -1.0):
+        for sign in (+1, -1):
+            with pytest.raises(DomainError):
+                H(sign, q, np.linspace(-5.0, 5.0, 11))
     q = 0.5
     with pytest.raises(DomainError):
-        H_plus(q, math.sqrt(2.0 - 2.0 * q))
+        H_raw_plus(q, math.sqrt(2.0 - 2.0 * q))
     with pytest.raises(DomainError):
         H_raw_minus(0.9, -1.0)       # s1 blows up at v = -1
     with pytest.raises(DomainError):
@@ -672,6 +708,53 @@ def test_coset_term_q_is_exact_pair_invariant():
         assert q_cr.as_fraction() == q_exact
         assert t.q == float(q_exact)
         assert s_cr == t.sign
+
+
+def _sign_by_isqrt(x, y, D):
+    """Sign of x + y sqrt(D), D > 0 not a square, by the bound
+    s < |y| sqrt(D) < s + 1 with s = isqrt(D y^2) (strict for y != 0)."""
+    if y == 0:
+        return (x > 0) - (x < 0)
+    s = math.isqrt(D * y * y)
+    if y > 0:
+        return 1 if -x <= s else -1
+    return 1 if x > s else -1
+
+
+@st.composite
+def _surds(draw):
+    """(x, y, D): D not a square, up to past 2^63; |x|, |y| up to 2^200,
+    with zeros, both sign mixes, and x within 2 of -y sqrt(D), where
+    x^2 - D y^2 is smallest."""
+    D = draw(st.one_of(st.integers(2, 10**4), st.integers(2**63, 2**66))
+             .filter(lambda d: math.isqrt(d) ** 2 != d))
+    y = draw(st.one_of(st.just(0), st.integers(-60, 60),
+                       st.integers(-2**200, 2**200)))
+    near = math.isqrt(D * y * y) * (-1 if y > 0 else 1)
+    x = draw(st.one_of(st.just(0), st.integers(-60, 60),
+                       st.integers(-2**200, 2**200),
+                       st.integers(near - 2, near + 2)))
+    return x, y, D
+
+
+@settings(max_examples=500)
+@given(_surds())
+def test_surd_sign_matches_oracles(xyD):
+    x, y, D = xyD
+    want = _sign_by_isqrt(x, y, D)
+    assert _surd_sign(x, y, D) == want == QuadNum(D, x, y).sign()
+
+
+def test_surd_sign_near_units():
+    """x^2 - D y^2 = +-1 or +-4 at the units of Z[sqrt 5] and Z[sqrt 17],
+    with both sign mixes: the hardest inputs for the comparison."""
+    for D, x, y in ((5, 9, 4), (5, 161, 72), (5, 2, 1), (5, 3, 1),
+                    (17, 33, 8), (17, 4, 1), (5, 1, 0), (5, 0, 1)):
+        for sx, sy in itertools.product((1, -1), repeat=2):
+            a, b = sx * x, sy * y
+            assert _surd_sign(a, b, D) == QuadNum(D, a, b).sign() \
+                == _sign_by_isqrt(a, b, D)
+    assert _surd_sign(0, 0, 5) == 0
 
 
 # ----------------------------------------------------------------------

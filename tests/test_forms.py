@@ -27,7 +27,6 @@ from georoots.forms import (
     zagier_reduced_forms,
     zagier_step,
 )
-from georoots.quadnum import QuadNum
 from oracles import (
     automorph,
     is_reduced_definite,
@@ -38,6 +37,7 @@ from oracles import (
     tshift_canonical,
     zagier_reduce_stepwise,
 )
+from quadnum import QuadNum
 
 
 def word(bits):

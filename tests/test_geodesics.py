@@ -29,7 +29,6 @@ from georoots.geodesics import (
     zagier_cones,
 )
 from georoots.orders import OrderTag, form_of_root, is_invertible
-from georoots.quadnum import QuadNum
 from georoots.roots import RootFilter, sieve_roots
 from oracles import (
     Geodesic,
@@ -43,6 +42,7 @@ from oracles import (
     stabilizer_by_unit,
     top_of,
 )
+from quadnum import QuadNum
 
 
 def sieve_pairs(D, M, n=1, nu=0):
@@ -248,9 +248,11 @@ def test_base_set_counts_and_lengths():
     assert [g.length_mult for g in b17.geodesics] == [1, 1]
 
     # total length vs unit: 2 log eps1 + 2 log eps2
-    eps2 = float(b.eps2)
+    assert b.eps2 == (3, 1, 2) and b17.eps2 == (33, 8, 1)
+    eps2 = float(QuadNum(5, *b.eps2))
     assert sum(b.lengths()) == pytest.approx(8 * math.log(eps2))
-    assert sum(b17.lengths()) == pytest.approx(4 * math.log(float(b17.eps2)))
+    assert sum(b17.lengths()) == pytest.approx(
+        4 * math.log(float(QuadNum(17, *b17.eps2))))
 
 
 def test_base_set_splitting_cases():

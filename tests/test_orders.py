@@ -1,4 +1,6 @@
+import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -11,6 +13,7 @@ from georoots.forms import (
     principal_form,
     zagier_cycle,
 )
+from georoots.geodesics import BaseGeodesicSet
 from georoots.orders import (
     IdealHNF,
     OrderMismatch,
@@ -26,12 +29,13 @@ from georoots.orders import (
     narrow_class_group,
     totally_positive_fundamental_unit,
     unit_relation,
+    unit_str,
     validate_discriminant,
     validate_negative_discriminant,
 )
-from georoots.quadnum import QuadNum
 from georoots.roots import RootFilter, _sieve
 from oracles import class_reps_by_search, is_totally_positive
+from quadnum import QuadNum
 
 O1, O2 = OrderTag.O1, OrderTag.O2
 
@@ -163,22 +167,24 @@ def test_norm_multiplicative_with_invertible_factor():
 
 
 def test_units_pinned():
-    assert totally_positive_fundamental_unit(5, O1) == QuadNum(5, 9, 4)
-    assert totally_positive_fundamental_unit(5, O2) == QuadNum(5, 3, 1, 2)
-    assert totally_positive_fundamental_unit(17, O2) == QuadNum(17, 33, 8)
-    assert totally_positive_fundamental_unit(13, O2) == QuadNum(13, 11, 3, 2)
-    assert totally_positive_fundamental_unit(21, O2) == QuadNum(21, 5, 1, 2)
+    assert totally_positive_fundamental_unit(5, O1) == (9, 4, 1)
+    assert totally_positive_fundamental_unit(5, O2) == (3, 1, 2)
+    assert totally_positive_fundamental_unit(17, O2) == (33, 8, 1)
+    assert totally_positive_fundamental_unit(13, O2) == (11, 3, 2)
+    assert totally_positive_fundamental_unit(21, O2) == (5, 1, 2)
 
 
 def test_unit_properties():
     for D in (5, 13, 17, 21, 29, 33, 37, 41, 65, 73, 89, 101):
         for order in (O1, O2):
-            e = totally_positive_fundamental_unit(D, order)
+            eps = totally_positive_fundamental_unit(D, order)
+            e = QuadNum(D, *eps)
+            assert (e.a, e.b, e.c) == eps    # already in lowest terms
             assert e.norm() == 1
             assert e > 1
             assert is_totally_positive(e)
             if order is O1:
-                assert e.c == 1  # lies in Z[sqrt(D)]
+                assert eps[2] == 1  # lies in Z[sqrt(D)]
 
 
 @pytest.mark.parametrize("order", [O1, O2])
@@ -196,7 +202,8 @@ def test_units_against_diop_dn(order):
         t, u = min((t, u) for t, u in diop_DN(delta, 4) if t > 0 and u > 0)
         assert t * t - delta * u * u == 4
         want = QuadNum(D, t, 2 * u if order is O1 else u, 2)
-        assert totally_positive_fundamental_unit(D, order) == want, D
+        got = totally_positive_fundamental_unit(D, order)
+        assert got == (want.a, want.b, want.c), D
         f = principal_form(delta)
         _, _, E = zagier_cycle(f)
         assert mat_det(E) == 1 and act(E, f) == f
@@ -212,11 +219,45 @@ def test_unit_relation():
         u = unit_relation(D)
         assert u.relation == rel, D
         if rel == "Cube":
-            assert u.eps2**3 == u.eps1 and D % 8 == 5
+            assert QuadNum(D, *u.eps2)**3 == QuadNum(D, *u.eps1)
+            assert D % 8 == 5
         else:
             assert u.eps1 == u.eps2
-    assert unit_relation(5).eps2 == QuadNum(5, 3, 1, 2)
-    assert unit_relation(5).eps1 == QuadNum(5, 9, 4)
+    assert unit_relation(5).eps2 == (3, 1, 2)
+    assert unit_relation(5).eps1 == (9, 4, 1)
+
+
+# every squarefree D = 1 (mod 4) in [5, 2000], and the larger D of
+# tests/test_cli.py's units byte pins
+PARITY_DS = [D for D in range(5, 2001, 4)
+             if all(e == 1 for _, e in factorize(D))] + [10001]
+
+
+def test_unit_triples_match_quadnum():
+    """The integer triples, their strings, their floats (bitwise, through
+    `BaseGeodesicSet.lengths`) and the relation equal what the QuadNum
+    oracle gives for the unit (t + u sqrt(Delta))/2 of the Zagier cycle."""
+    for D in PARITY_DS:
+        units = {}
+        for order in (O1, O2):
+            delta = 4 * D if order is O1 else D
+            _, _, E = zagier_cycle(principal_form(delta))
+            t, u = E[0] + E[3], abs(E[2])
+            want = QuadNum(D, t, 2 * u if order is O1 else u, 2)
+            got = totally_positive_fundamental_unit(D, order)
+            assert got == (want.a, want.b, want.c), (D, order)
+            assert unit_str(D, got) == repr(want), (D, order)
+            one = BaseGeodesicSet(D, 1, 0, 1,
+                                  (SimpleNamespace(length_mult=1),), got,
+                                  "Equal")
+            assert one.lengths() == [2.0 * math.log(float(want))], (D, order)
+            units[order] = want
+        if units[O1] == units[O2]:
+            want_rel = "Equal"
+        else:
+            assert units[O2]**3 == units[O1], D
+            want_rel = "Cube"
+        assert unit_relation(D).relation == want_rel, D
 
 
 def test_narrow_class_numbers():

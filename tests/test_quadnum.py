@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from georoots.quadnum import QuadNum
 from oracles import is_totally_positive, mobius_apply
+from quadnum import QuadNum
 
 
 def test_normalization():
