@@ -29,8 +29,8 @@ import numpy as np
 from .arith import xgcd, xgcd_array
 from .forms import MAT_ID, act, form_value, mat_mul, zagier_cycle
 from .orders import (
+    OrderMismatch,
     OrderTag,
-    class_shift_representative,
     filter_reaches_order,
     form_of_root,
     narrow_class_group,
@@ -107,13 +107,68 @@ def extra_coset_copies(n: int):
     return copies
 
 
+def _splitting_number(n, relation):
+    """The number s of Gamma_0(n)-orbits that the Gamma_0(n/2)-orbit of an
+    O2 base form splits into: 1 for odd n, 2 when 4 | n, and for
+    n = 2 (mod 4) 3, or 1 under the cube unit relation, in which case
+    that orbit's stabilizer is E^3 and its geodesic is three times as
+    long.  relation is `orders.unit_relation`'s.
+
+    Proof.  Let n be even, h = n/2, and f = (a, b, c) an O2 base form
+    (disc D) whose root (2a, -b mod 2a) meets the filter, so h | a.
+    Gamma_0(h) keeps the filter: act(gamma, f) is f o U with U =
+    gamma^-1 = (p, q, r, s), h | r, whose first coefficient
+    a p^2 + b p r + c r^2 is a multiple of h, and whose middle one
+    b + 2a p q + 2b q r + 2c r s is b (mod n), as n | 2a and n | 2r.  So
+    the copies act(g, f), one g per right coset of Gamma_0(n) in
+    Gamma_0(h) (the identity and `extra_coset_copies`), all meet the
+    filter.  The proper automorphs of f are +-E^Z (`stabilizer_generator`),
+    so act(g', f) lies in the Gamma_0(n)-orbit of act(g, f) exactly when
+    Gamma_0(n) g' = Gamma_0(n) g E^i for some i: the copies fall into the
+    orbits of E acting on the cosets by right multiplication, and the
+    copy of a coset whose orbit has size k has the Gamma_0(n)-stabilizer
+    +-(g E^k g^-1)^Z, so j = k and its length is k times that of f.
+    E = +-((t - b u)/2, -c u; a u, (t + b u)/2) up to inverse, for
+    eps2 = (t + u sqrt(D))/2 (`orders.totally_positive_fundamental_unit`),
+    so h | E_21 and E lies in Gamma_0(h).
+    - Parity.  If t is even, t^2 - D u^2 = 4 makes u even, so eps2 lies
+      in Z[sqrt(D)] (the relation is Equal), E_12 and E_21 are even,
+      and det E = 1 makes E = 1 (mod 2).  If t is odd, so is u, eps2 is
+      not in Z[sqrt(D)], and the relation is Cube (`orders.unit_relation`).
+    - 4 | n.  For D = 5 (mod 8) an O2 root (m, mu) has mu odd, so
+      D - mu^2 = 4 (mod 8), and (D - mu^2)/m even leaves m = 2 (mod 4):
+      no O2 root meets the filter.  So D = 1 (mod 8), and there
+      t^2 - D u^2 = 4 has t and u even, so n = 2h | a u and E lies in
+      Gamma_0(n).  That subgroup has index 2 in Gamma_0(h), hence is
+      normal, so E fixes both cosets: s = 2.
+    - n = 2 (mod 4).  h is odd, so Gamma_0(n) is Gamma_0(h) intersected
+      with Gamma_0(2), and reduction mod 2 maps Gamma_0(h) onto
+      SL(2, Z/2) (SL(2, Z) maps onto SL(2, Z/h) x SL(2, Z/2)).  The three
+      cosets are those of the upper triangular subgroup B of order 2,
+      and E acts through E mod 2.  Under Equal, E = 1 (mod 2) fixes all
+      three: s = 3, each with j = 1.  Under Cube, E mod 2 has trace 1,
+      so it has order 3 (x^2 + x + 1 divides x^3 - 1 over Z/2), and it
+      fixes no coset, since B g E = B g would put g E g^-1 in B, of
+      order 2: it permutes the three cyclically, s = 1, and j = 3.
+
+    That the filtered roots of one class are the tops of a single
+    Gamma_0(h)-orbit (of a single Gamma_0(n)-orbit on the O1 side) is
+    not proved here; tier-1 checks it as orbit = sieve.
+    """
+    if n % 2 == 1:
+        return 1
+    if n % 4 == 0:
+        return 2
+    return 1 if relation == "Cube" else 3
+
+
 # ----------------------------------------------------------------------
 # the base set of geodesics for a congruence filter
 
 @dataclass(frozen=True)
 class BaseGeodesic:
     source: tuple          # ("I", k) or ("J", l): order side and class index
-    m: int                 # root of the shifted class representative
+    m: int                 # least root of its class that meets the filter
     mu: int
     conjugator: tuple      # matrix (p, q, r, s)
     form: tuple            # conjugator applied to the form of (m, mu)
@@ -150,14 +205,61 @@ class BaseGeodesicSet:
         return [le * g.length_mult for g in self.geodesics]
 
 
-def _splitting_number(D, n, relation):
-    if n % 2 == 1:
-        return 1
-    if D % 8 == 5 and relation == "Cube" and n % 4 == 2:
-        return 1
-    if n % 4 == 0:
-        return 2
-    return 3
+def least_filtered_root(D: int, order: OrderTag, rep,
+                        filt: RootFilter) -> tuple:
+    """The least root (m, mu) of rep's narrow class of the order that
+    meets the filter m = 0, mu = nu (mod n), lexicographically.
+
+    rep is the class's least root (m0, mu0) (`orders.narrow_class_group`)
+    and f its form.  The roots of the class are those of the
+    primitive points u of the sector P of f > 0, with m = f(u) (O1) or
+    2 f(u) (O2), and two points give the same root exactly when an
+    automorph of f that preserves P, a power of the closing automorph E,
+    moves one to the other (`narrow_class_group`, `enumerate_tops` at
+    level 1).  The cones of one period tile P modulo E (`zagier_cones`),
+    so `cone_roots` over them lists each root of the class with m <= M
+    exactly once, and the least filtered one among them, when there is
+    one, is the least in the class.  M starts at n m0 and doubles until
+    there is one.
+
+    Termination: the class K holds a filtered root.  Let C be the ideal
+    of the filtered root (m_C, mu_C) that `orders.filter_reaches_order`'s
+    proof builds.  It is invertible (in O1, m_C or (D - mu_C^2)/m_C is
+    odd; O2 is the maximal order), and every prime of its norm N(C)
+    divides n.  Let g be a primitive form of the class K [C]^-1; each
+    primitive point u with g(u) > 0 gives an ideal A of that class with
+    norm g(u).  g properly represents an integer prime to n (Cox, *Primes
+    of the form x^2 + ny^2*, Lemma 2.25), and the proof picks the point
+    u modulo n, so every point of u + n Z^2 has a value prime to n.
+    That coset has primitive points in every open sector: for a basis
+    (u, w) and integers r, c and d != 0, the point u + r d n (c u + d w)
+    = (1 + r d n c) u + r d^2 n w is primitive, since each prime of
+    r d n leaves 1 + r d n c = 1 modulo it, and its direction tends to
+    c u + d w as r grows.  So some A has norm g(u) > 0 prime to n, hence
+    to N(C).  Coprime norms give A + C = O, so A C is the intersection
+    of A and C, and O/(A C) = Z/N(A) x Z/N(C) is cyclic: A C is
+    primitive, of norm N(A) N(C), in the class K, and its root (m, mu)
+    has m = N(A) m_C.  A C lies in C, and so does mu_C + sqrt(D) (O1),
+    resp. (mu_C + sqrt(D))/2 (O2); the difference of that and mu + sqrt(D),
+    resp. (mu + sqrt(D))/2, lies in C and in Z, which meet in N(C) Z, so
+    mu = mu_C (mod m_C).  As n | m_C and mu_C = nu (mod n), A C meets
+    the filter.
+
+    Raises OrderMismatch when no root of the order meets the filter.
+    """
+    filt.validate_for(D)
+    if not filter_reaches_order(D, order, filt.n, filt.nu):
+        raise OrderMismatch(f"no {order.value} root of D={D} meets {filt}")
+    mult = 1 if order is OrderTag.O1 else 2
+    f = form_of_root(D, rep.m, rep.mu, order)
+    cones = [(f, U, mult) for U in zagier_cones(f, 1)]
+    M = filt.n * rep.m
+    while True:
+        ms, mus, _ = cone_roots(cones, M, 1, math.inf)
+        keep = (ms % filt.n == 0) & (mus % filt.n == filt.nu)
+        if keep.any():
+            return min(zip(ms[keep].tolist(), mus[keep].tolist()))
+        M *= 2
 
 
 def base_geodesic_set(D: int, n: int = 1, nu: int = 0) -> BaseGeodesicSet:
@@ -168,9 +270,10 @@ def base_geodesic_set(D: int, n: int = 1, nu: int = 0) -> BaseGeodesicSet:
     contributes one geodesic per class; for even n it contributes s
     copies per class (s = 2 when 4 | n, else 3, except that a cube unit
     relation at n = 2 mod 4 folds the three copies into a single
-    geodesic of tripled length), and none at all when (D - nu^2)/n is
-    odd, since no root of the wider order satisfies such a filter
-    (`orders.filter_reaches_order`).
+    geodesic of tripled length; proof in `_splitting_number`), and none
+    at all when (D - nu^2)/n is odd, since no root of the wider order
+    satisfies such a filter (`orders.filter_reaches_order`).  Each class
+    starts at its least filtered root (`least_filtered_root`).
     """
     filt = RootFilter(n, nu % n)
     filt.validate_for(D)
@@ -181,14 +284,13 @@ def base_geodesic_set(D: int, n: int = 1, nu: int = 0) -> BaseGeodesicSet:
 
     g1 = narrow_class_group(D, OrderTag.O1)
     for k, rep in enumerate(g1.reps):
-        shifted = class_shift_representative(D, OrderTag.O1, rep, n, nu, g1)
-        m, mu = shifted.m, shifted.mu
+        m, mu = least_filtered_root(D, OrderTag.O1, rep, filt)
         f = form_of_root(D, m, mu, OrderTag.O1)
         stab, j, cones = _symmetry(f, n)
         geos.append(BaseGeodesic(("I", k), m, mu, MAT_ID, f, stab, j,
                                  j * (3 if cube else 1), cones))
 
-    s = _splitting_number(D, n, rel.relation)
+    s = _splitting_number(n, rel.relation)
     if filter_reaches_order(D, OrderTag.O2, n, nu):
         if n % 2 == 1 or s == 1:
             copies = [MAT_ID]
@@ -196,9 +298,7 @@ def base_geodesic_set(D: int, n: int = 1, nu: int = 0) -> BaseGeodesicSet:
             copies = [MAT_ID] + extra_coset_copies(n)
         g2 = narrow_class_group(D, OrderTag.O2)
         for l, rep in enumerate(g2.reps):
-            shifted = class_shift_representative(D, OrderTag.O2, rep, n, nu,
-                                                 g2)
-            m, mu = shifted.m, shifted.mu
+            m, mu = least_filtered_root(D, OrderTag.O2, rep, filt)
             f = form_of_root(D, m, mu, OrderTag.O2)
             for conj in copies:
                 fc = act(conj, f)

@@ -16,9 +16,9 @@ exact.
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd
 
-from .arith import factorize, sqrt_mod, xgcd
+from .arith import factorize, xgcd
 from .forms import principal_form, zagier_cycle, zagier_cycles, zagier_reduce
 
 
@@ -29,10 +29,6 @@ class OrderTag(Enum):
 
 class OrderMismatch(ValueError):
     """An (m, mu) pair or ideal does not fit the requested order."""
-
-
-class SearchExhausted(RuntimeError):
-    """An auxiliary-ideal search ran past its bound without a hit."""
 
 
 def validate_discriminant(D: int):
@@ -88,7 +84,8 @@ def filter_reaches_order(D: int, order: OrderTag, n: int, nu: int) -> bool:
     - O2, n even: (n, nu), with m and (D - nu^2)/n even.  O2, n odd:
       (2n, nu') for nu' the odd one of nu, nu + n; D = 1 (mod 4) makes
       D - nu'^2 a multiple of 4, and of n, so (D - nu'^2)/(2n) is even.
-    These are the carriers `class_shift_representative` builds.
+    These carriers are the witnesses of the termination proof in
+    `geodesics.least_filtered_root`.
     """
     return order is OrderTag.O1 or n % 2 == 1 or (D - nu * nu) // n % 2 == 0
 
@@ -307,11 +304,6 @@ class NarrowClassGroup:
     def class_of_root(self, m: int, mu: int) -> int:
         return self.class_of_form(form_of_root(self.D, m, mu, self.order))
 
-    def class_of_ideal(self, ideal: IdealHNF) -> int:
-        if ideal.order is not self.order or ideal.D != self.D:
-            raise OrderMismatch("ideal belongs to a different group")
-        return self.class_of_root(ideal.m, ideal.mu)
-
 
 def narrow_class_group(D: int, order: OrderTag) -> NarrowClassGroup:
     """Representatives and membership test for the narrow class group.
@@ -350,84 +342,3 @@ def narrow_class_group(D: int, order: OrderTag) -> NarrowClassGroup:
     reps = tuple(ideal_from_root(D, *least_root(c), order) for c in cycles)
     form_class = {f: i for i, cyc in enumerate(cycles) for f in cyc}
     return NarrowClassGroup(D, order, reps, len(cycles), form_class)
-
-
-# ----------------------------------------------------------------------
-# shifting a class representative into a congruence filter
-
-_SEARCH_FACTOR = 50
-
-
-def _v2(n: int) -> int:
-    return (n & -n).bit_length() - 1
-
-
-def class_shift_representative(D: int, order: OrderTag, rep: IdealHNF,
-                               n: int, nu: int,
-                               group: NarrowClassGroup = None) -> IdealHNF:
-    """An ideal narrowly equivalent to rep whose root obeys the filter.
-
-    Returns a primitive ideal of the order with root (m, mu) satisfying
-    m = 0 (mod n) and mu = nu (mod n).  The construction multiplies a
-    fixed ideal carrying the congruence by an auxiliary ideal of coprime
-    norm from the class rep * (carrier)^-1; coprimality makes the product
-    norm multiply and the two congruences combine by CRT.
-
-    Raises OrderMismatch when no root of the order meets the filter
-    (`filter_reaches_order`), and SearchExhausted if no auxiliary ideal
-    of norm below 50*sqrt(D)*n works.
-    """
-    if group is None:
-        group = narrow_class_group(D, order)
-    if rep.order is not order or rep.scalar != 1:
-        raise ValueError("rep must be a primitive ideal of the given order")
-    if (nu * nu - D) % n:
-        raise ValueError("nu^2 = D (mod n) violated")
-    nu %= n
-    if not filter_reaches_order(D, order, n, nu):
-        raise OrderMismatch(
-            f"no {order.value} root has m = 0 (mod n), mu = nu (mod n) "
-            "when (D - nu^2)/n is odd")
-
-    if order is OrderTag.O1:
-        if n % 2 == 1 or ((D - nu * nu) // n) % 2 == 1:
-            carrier = ideal_from_root(D, n, nu, OrderTag.O1)
-        else:
-            s = _v2((D - nu * nu) // n)
-            nprime = n << s
-            carrier = ideal_from_root(D, nprime, nu, OrderTag.O1)
-
-        def admissible(m0, mu0):
-            return gcd(m0, carrier.m) == 1 and is_invertible(D, m0, mu0)
-    else:
-        if n % 2 == 1:
-            nu_odd = nu if nu % 2 else nu + n
-            carrier = ideal_from_root(D, 2 * n, nu_odd, OrderTag.O2)
-
-            def admissible(m0, mu0):
-                return (m0 % 2 == 0 and gcd(m0 // 2, n) == 1
-                        and not is_invertible(D, m0, mu0))
-        else:
-            carrier = ideal_from_root(D, n, nu, OrderTag.O2)
-
-            def admissible(m0, mu0):
-                return (m0 % 4 == 2 and gcd(m0 // 2, n // 2) == 1
-                        and not is_invertible(D, m0, mu0))
-
-    target = group.class_of_ideal(ideal_mul(rep, ideal_conjugate(carrier)))
-    bound = _SEARCH_FACTOR * isqrt(D) * max(1, n) + _SEARCH_FACTOR
-    for m0 in range(1, bound + 1):
-        for mu0 in sqrt_mod(D, m0):
-            if not admissible(m0, mu0):
-                continue
-            if group.class_of_root(m0, mu0) != target:
-                continue
-            aux = ideal_from_root(D, m0, mu0, order)
-            out = ideal_mul(aux, carrier)
-            if (out.scalar != 1 or out.m % n
-                    or (out.mu - nu) % n
-                    or group.class_of_ideal(out) != group.class_of_ideal(rep)):
-                raise RuntimeError("class shift postcondition failed (bug)")
-            return out
-    raise SearchExhausted(
-        f"no auxiliary ideal below {bound} for D={D}, n={n}, nu={nu}")

@@ -16,6 +16,12 @@ Zagier walk of its own form.  The unit layer here builds them from the
 order's fundamental unit instead: the automorph A(t, u) of
 eps = (t + u sqrt(Delta))/2 (`stabilizer_by_unit`), and a cone walk that
 stops when it closes on that stabilizer (`cones_closing_on`).
+
+The package starts each base geodesic at the least filtered root of its
+class, read off the class's Zagier cones.  The ideal layer here builds a
+filtered root of the class instead, as a carrier ideal of the filter
+times an auxiliary ideal of coprime norm found by a bounded search
+(`class_shift_representative`).
 """
 
 import json
@@ -23,6 +29,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, isqrt
 
 import numpy as np
 
@@ -43,9 +50,18 @@ from georoots.forms import (
     zagier_step,
 )
 from georoots.orders import (
+    IdealHNF,
+    NarrowClassGroup,
+    OrderMismatch,
     OrderTag,
+    filter_reaches_order,
     fits_order,
     form_of_root,
+    ideal_conjugate,
+    ideal_from_root,
+    ideal_mul,
+    is_invertible,
+    narrow_class_group,
     totally_positive_fundamental_unit,
 )
 from georoots.statistics import (
@@ -346,6 +362,96 @@ def class_reps_by_search(D: int, order: OrderTag):
                 f = zagier_reduce(form_of_root(D, m, mu, order))[1]
                 found.setdefault(cycle_of[f], (m, mu))
     return list(found.values())
+
+
+# ----------------------------------------------------------------------
+# shifting a class representative into a congruence filter
+
+_SEARCH_FACTOR = 50
+
+
+class SearchExhausted(RuntimeError):
+    """An auxiliary-ideal search ran past its bound without a hit."""
+
+
+def _class_of_ideal(group: NarrowClassGroup, ideal: IdealHNF) -> int:
+    return group.class_of_root(ideal.m, ideal.mu)
+
+
+def _v2(n: int) -> int:
+    return (n & -n).bit_length() - 1
+
+
+def class_shift_representative(D: int, order: OrderTag, rep: IdealHNF,
+                               n: int, nu: int,
+                               group: NarrowClassGroup = None) -> IdealHNF:
+    """An ideal narrowly equivalent to rep whose root obeys the filter.
+
+    Returns a primitive ideal of the order with root (m, mu) satisfying
+    m = 0 (mod n) and mu = nu (mod n).  The construction multiplies a
+    fixed ideal carrying the congruence by an auxiliary ideal of coprime
+    norm from the class rep * (carrier)^-1; coprimality makes the product
+    norm multiply and the two congruences combine by CRT.
+
+    Raises OrderMismatch when no root of the order meets the filter
+    (`filter_reaches_order`), and SearchExhausted if no auxiliary ideal
+    of norm below 50*sqrt(D)*n works.
+    """
+    if group is None:
+        group = narrow_class_group(D, order)
+    if rep.order is not order or rep.scalar != 1:
+        raise ValueError("rep must be a primitive ideal of the given order")
+    if (nu * nu - D) % n:
+        raise ValueError("nu^2 = D (mod n) violated")
+    nu %= n
+    if not filter_reaches_order(D, order, n, nu):
+        raise OrderMismatch(
+            f"no {order.value} root has m = 0 (mod n), mu = nu (mod n) "
+            "when (D - nu^2)/n is odd")
+
+    if order is OrderTag.O1:
+        if n % 2 == 1 or ((D - nu * nu) // n) % 2 == 1:
+            carrier = ideal_from_root(D, n, nu, OrderTag.O1)
+        else:
+            s = _v2((D - nu * nu) // n)
+            nprime = n << s
+            carrier = ideal_from_root(D, nprime, nu, OrderTag.O1)
+
+        def admissible(m0, mu0):
+            return gcd(m0, carrier.m) == 1 and is_invertible(D, m0, mu0)
+    else:
+        if n % 2 == 1:
+            nu_odd = nu if nu % 2 else nu + n
+            carrier = ideal_from_root(D, 2 * n, nu_odd, OrderTag.O2)
+
+            def admissible(m0, mu0):
+                return (m0 % 2 == 0 and gcd(m0 // 2, n) == 1
+                        and not is_invertible(D, m0, mu0))
+        else:
+            carrier = ideal_from_root(D, n, nu, OrderTag.O2)
+
+            def admissible(m0, mu0):
+                return (m0 % 4 == 2 and gcd(m0 // 2, n // 2) == 1
+                        and not is_invertible(D, m0, mu0))
+
+    target = _class_of_ideal(group, ideal_mul(rep, ideal_conjugate(carrier)))
+    bound = _SEARCH_FACTOR * isqrt(D) * max(1, n) + _SEARCH_FACTOR
+    for m0 in range(1, bound + 1):
+        for mu0 in sqrt_mod(D, m0):
+            if not admissible(m0, mu0):
+                continue
+            if group.class_of_root(m0, mu0) != target:
+                continue
+            aux = ideal_from_root(D, m0, mu0, order)
+            out = ideal_mul(aux, carrier)
+            if (out.scalar != 1 or out.m % n
+                    or (out.mu - nu) % n
+                    or _class_of_ideal(group, out)
+                    != _class_of_ideal(group, rep)):
+                raise RuntimeError("class shift postcondition failed (bug)")
+            return out
+    raise SearchExhausted(
+        f"no auxiliary ideal below {bound} for D={D}, n={n}, nu={nu}")
 
 
 def sigma_canonical(G, sig, sig_inv):

@@ -28,7 +28,12 @@ from georoots.geodesics import (
     stabilizer_generator,
     zagier_cones,
 )
-from georoots.orders import OrderTag, form_of_root, is_invertible
+from georoots.orders import (
+    OrderTag,
+    form_of_root,
+    is_invertible,
+    narrow_class_group,
+)
 from georoots.roots import RootFilter, sieve_roots
 from oracles import (
     Geodesic,
@@ -282,15 +287,22 @@ def test_base_set_tripled_length_case():
 # SHA-256 of (D, n, nu, source, m, mu, conjugator, stabilizer, j_stab,
 # length_mult) over every base geodesic of the 1,879 base sets with
 # squarefree 5 <= D <= 200, D = 1 (mod 4), n <= 48 and every nu with
-# nu^2 = D (mod n).  Recorded from the earlier construction, which
-# conjugated diag(eps, 1/eps) by hand, before stabilizers became the
-# automorphs of the base forms.
+# nu^2 = D (mod n), and over the 38 of those sets with n = 1.
+# BASE_SETS_SHA256 was recorded when each base geodesic started at its
+# class's least filtered root, read off the class's Zagier cones.  The
+# n = 1 digest was recorded from the construction before it, which
+# multiplied a carrier ideal of the filter by an auxiliary ideal found by
+# a bounded search; at n = 1 both start at the class's least root.  The
+# stabilizers and cones were first pinned from a construction that
+# conjugated diag(eps, 1/eps) by hand.
 BASE_SETS_SHA256 = \
-    "0ca43def8eea8bba745a9e65d2750b9e45d5a8b31bc11bfe6929cf94c7b031b9"
+    "3be68606aa176f34f489ee47ee6a7be5c2fe4f2c10888b8b37a1b8173c5d3143"
+BASE_SETS_N1_SHA256 = \
+    "3c967574e70e2c4a209ab09d6f94e03c87d9150cbbb074c2cb98e2d7ce9cb8a9"
 
 
 def test_base_sets_pinned():
-    h = hashlib.sha256()
+    h, h1 = hashlib.sha256(), hashlib.sha256()
     count = 0
     for D in range(5, 201, 4):
         if any(e > 1 for _, e in factorize(D)):
@@ -311,11 +323,47 @@ def test_base_sets_pinned():
                     # the endpoint oracle builds the same geodesic
                     assert form_geodesic(D, g.form, g.mult) == apply_gamma(
                         g.conjugator, geodesic_from_root(D, g.m, g.mu))
-                    h.update(repr((D, n, nu, g.source, g.m, g.mu,
-                                   g.conjugator, g.stabilizer, g.j_stab,
-                                   g.length_mult)).encode() + b"\n")
+                    line = repr((D, n, nu, g.source, g.m, g.mu,
+                                 g.conjugator, g.stabilizer, g.j_stab,
+                                 g.length_mult)).encode() + b"\n"
+                    h.update(line)
+                    if n == 1:
+                        h1.update(line)
     assert count == 1879
     assert h.hexdigest() == BASE_SETS_SHA256
+    assert h1.hexdigest() == BASE_SETS_N1_SHA256
+
+
+def test_base_roots_are_least_filtered_roots():
+    """Each base geodesic starts at the first root of its order and
+    class that the filtered sieve meets, over the 575 base sets with
+    squarefree D <= 120, n <= 24 and every nu."""
+    sets = 0
+    for D in range(5, 121, 4):
+        if any(e > 1 for _, e in factorize(D)):
+            continue
+        groups = {"I": narrow_class_group(D, OrderTag.O1),
+                  "J": narrow_class_group(D, OrderTag.O2)}
+        for n in range(1, 25):
+            for nu in range(n):
+                if (nu * nu - D) % n:
+                    continue
+                sets += 1
+                base = base_geodesic_set(D, n, nu)
+                wanted = {g.source for g in base.geodesics}
+                seq = sieve_roots(D, max(g.m for g in base.geodesics),
+                                  RootFilter(n, nu))
+                first = {}
+                for m, mu, o1 in zip(seq.ms.tolist(), seq.mus.tolist(),
+                                     seq.class_tags().tolist()):
+                    side = "I" if o1 else "J"
+                    first.setdefault((side, groups[side].class_of_root(m, mu)),
+                                     (m, mu))
+                    if wanted <= first.keys():
+                        break
+                for g in base.geodesics:
+                    assert (g.m, g.mu) == first[g.source], (D, n, nu, g.source)
+    assert sets == 575
 
 
 def test_base_set_rejects_bad_filter():

@@ -13,12 +13,11 @@ from georoots.forms import (
     principal_form,
     zagier_cycle,
 )
-from georoots.geodesics import BaseGeodesicSet
+from georoots.geodesics import BaseGeodesicSet, least_filtered_root
 from georoots.orders import (
     IdealHNF,
     OrderMismatch,
     OrderTag,
-    class_shift_representative,
     filter_reaches_order,
     fits_order,
     form_of_root,
@@ -34,7 +33,11 @@ from georoots.orders import (
     validate_negative_discriminant,
 )
 from georoots.roots import RootFilter, _sieve
-from oracles import class_reps_by_search, is_totally_positive
+from oracles import (
+    class_reps_by_search,
+    class_shift_representative,
+    is_totally_positive,
+)
 from quadnum import QuadNum
 
 O1, O2 = OrderTag.O1, OrderTag.O2
@@ -268,7 +271,7 @@ def test_narrow_class_numbers():
         assert g.h_plus == h == len(g.reps)
         assert g.reps[0] == unit_ideal(D, order)
         for i, rep in enumerate(g.reps):
-            assert g.class_of_ideal(rep) == i
+            assert g.class_of_root(rep.m, rep.mu) == i
             assert rep.scalar == 1
 
 
@@ -285,7 +288,8 @@ def test_class_reps_read_off_cycles_match_root_search(order):
         g = narrow_class_group(D, order)
         assert [(r.m, r.mu) for r in g.reps] == \
             class_reps_by_search(D, order), D
-        assert [g.class_of_ideal(r) for r in g.reps] == list(range(g.h_plus))
+        assert [g.class_of_root(r.m, r.mu) for r in g.reps] == \
+            list(range(g.h_plus))
 
 
 def test_class_count_relation_between_orders():
@@ -305,8 +309,9 @@ def test_cayley_totality():
     for D, order in [(65, O1), (65, O2), (37, O1), (21, O1)]:
         g = narrow_class_group(D, order)
         h = g.h_plus
-        table = [[g.class_of_ideal(ideal_mul(a, b)) for b in g.reps]
-                 for a in g.reps]
+        products = [[ideal_mul(a, b) for b in g.reps] for a in g.reps]
+        table = [[g.class_of_root(ab.m, ab.mu) for ab in row]
+                 for row in products]
         assert table[0] == list(range(h))
         for row in table:
             assert sorted(row) == list(range(h))
@@ -326,19 +331,34 @@ def test_form_dictionary_round_trip():
             assert (mult * f[0], -mult * f[1] // 2) == (m, mu)
 
 
+def least_and_oracle(D, order, g, k, n, nu):
+    """The least filtered root of class k and the search oracle's root,
+    each checked to lie in class k, meet the filter and fit the order."""
+    new = least_filtered_root(D, order, g.reps[k], RootFilter(n, nu))
+    out = class_shift_representative(D, order, g.reps[k], n, nu, g)
+    old = (out.m, out.mu)
+    assert out.scalar == 1
+    for m, mu in (new, old):
+        assert g.class_of_root(m, mu) == k
+        assert m % n == 0 and (mu - nu) % n == 0
+        assert fits_order(D, m, mu, order)
+    assert new <= old
+    return new, old
+
+
 def test_class_shift_spec_examples():
     g1 = narrow_class_group(5, O1)
-    out = class_shift_representative(5, O1, g1.reps[0], 1, 0, g1)
-    assert (out.m, out.mu) == (1, 0)
-
-    out = class_shift_representative(5, O1, g1.reps[0], 4, 1, g1)
-    assert out.m % 4 == 0 and out.mu % 4 == 1
-    assert is_invertible(5, out.m, out.mu) and out.scalar == 1
+    assert least_and_oracle(5, O1, g1, 0, 1, 0) == ((1, 0), (1, 0))
+    assert least_and_oracle(5, O1, g1, 0, 4, 1) == ((4, 1), (4, 1))
 
     g2 = narrow_class_group(5, O2)
-    out = class_shift_representative(5, O2, g2.reps[0], 2, 1, g2)
-    assert out.m % 2 == 0 and out.mu % 2 == 1
-    assert not is_invertible(5, out.m, out.mu)
+    assert least_and_oracle(5, O2, g2, 0, 2, 1) == ((2, 1), (2, 1))
+
+    # the search's product of ideals need not be the least filtered root
+    g = narrow_class_group(37, O1)
+    assert least_and_oracle(37, O1, g, 2, 3, 1) == ((9, 1), (12, 1))
+    g = narrow_class_group(65, O2)
+    assert least_and_oracle(65, O2, g, 0, 7, 3) == ((28, 3), (28, 17))
 
 
 @pytest.mark.parametrize("D,order,n,nu", [
@@ -355,18 +375,17 @@ def test_class_shift_spec_examples():
 def test_class_shift_all_classes(D, order, n, nu):
     g = narrow_class_group(D, order)
     seen = set()
-    for k, rep in enumerate(g.reps):
-        out = class_shift_representative(D, order, rep, n, nu, g)
-        assert out.scalar == 1
-        assert out.m % n == 0 and (out.mu - nu) % n == 0
-        assert g.class_of_ideal(out) == k
-        assert fits_order(D, out.m, out.mu, order)
-        seen.add((out.m, out.mu))
+    for k in range(g.h_plus):
+        new, _ = least_and_oracle(D, order, g, k, n, nu)
+        seen.add(new)
     assert len(seen) == g.h_plus  # distinct classes give distinct roots
 
 
 def test_class_shift_empty_filter():
     g = narrow_class_group(17, O2)
+    assert not filter_reaches_order(17, O2, 8, 3)
+    with pytest.raises(OrderMismatch):
+        least_filtered_root(17, O2, g.reps[0], RootFilter(8, 3))
     with pytest.raises(OrderMismatch):
         class_shift_representative(17, O2, g.reps[0], 8, 3, g)
 
@@ -408,9 +427,11 @@ def test_class_shift_mismatch_is_the_predicate():
                     if (nu * nu - D) % n:
                         continue
                     if filter_reaches_order(D, order, n, nu):
-                        class_shift_representative(D, order, g.reps[0], n,
-                                                   nu, g)
+                        least_and_oracle(D, order, g, 0, n, nu)
                     else:
+                        with pytest.raises(OrderMismatch):
+                            least_filtered_root(D, order, g.reps[0],
+                                                RootFilter(n, nu))
                         with pytest.raises(OrderMismatch):
                             class_shift_representative(D, order, g.reps[0],
                                                        n, nu, g)
