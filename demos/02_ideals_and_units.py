@@ -5,11 +5,10 @@ import argparse
 import sys
 from fractions import Fraction
 
+from georoots.forms import content
 from georoots.orders import (
     OrderTag,
-    ideal_conjugate,
-    ideal_from_root,
-    ideal_mul,
+    form_of_root,
     is_invertible,
     narrow_class_group,
     unit_relation,
@@ -60,9 +59,10 @@ def show_invertibility(D, M):
     good = bad = 0
     witness = None
     for m, mu in zip(seq.ms.tolist(), seq.mus.tolist()):
-        ideal = ideal_from_root(D, m, mu, OrderTag.O1)
-        prod = ideal_mul(ideal, ideal_conjugate(ideal))
-        is_m_o1 = prod == ideal_from_root(D, 1, 0, OrderTag.O1, m)
+        # I * conj(I) = m (Z g + Z (mu + sqrt D)), g the content of the
+        # form (m, -2 mu, c) of I (proof in `orders.is_invertible`)
+        g = content(form_of_root(D, m, mu, OrderTag.O1))
+        is_m_o1 = g == 1
         if is_m_o1 != is_invertible(D, m, mu):
             ok_line(False, f"norm test disagrees at ({m}, {mu})")
             return
@@ -71,13 +71,13 @@ def show_invertibility(D, M):
         else:
             bad += 1
             if witness is None:
-                witness = (m, mu, prod)
+                witness = (m, mu, g)
     ok_line(True, "I * conj(I) = m O1 exactly when the parity rule says",
             f"{good} invertible, {bad} not")
     if witness:
-        m, mu, prod = witness
-        print(f"  e.g. ({m}, {mu}): the product has HNF scalar {prod.scalar},"
-              f" basis point ({prod.m}, {prod.mu}) - not the full m O1")
+        m, mu, g = witness
+        print(f"  e.g. ({m}, {mu}): the product has HNF scalar {m},"
+              f" basis point ({g}, {mu % g}) - not the full m O1")
 
 
 def show_classes(discs):
@@ -87,11 +87,11 @@ def show_classes(discs):
     for D in discs:
         g1 = narrow_class_group(D, OrderTag.O1)
         g2 = narrow_class_group(D, OrderTag.O2)
-        r1 = " ".join(f"({r.m},{r.mu})" for r in g1.reps)
-        r2 = " ".join(f"({r.m},{r.mu})" for r in g2.reps)
-        print(f"  D={D:3}  h1+ = {g1.h_plus} [{r1}]   h2+ = {g2.h_plus} [{r2}]")
-    ok_line(narrow_class_group(65, OrderTag.O1).h_plus == 2, "h1+(65) = 2")
-    ok_line(narrow_class_group(5, OrderTag.O2).h_plus == 1, "h2+(5) = 1")
+        r1 = " ".join(f"({m},{mu})" for m, mu in g1)
+        r2 = " ".join(f"({m},{mu})" for m, mu in g2)
+        print(f"  D={D:3}  h1+ = {len(g1)} [{r1}]   h2+ = {len(g2)} [{r2}]")
+    ok_line(len(narrow_class_group(65, OrderTag.O1)) == 2, "h1+(65) = 2")
+    ok_line(len(narrow_class_group(5, OrderTag.O2)) == 1, "h2+(5) = 1")
 
 
 def main():

@@ -280,12 +280,11 @@ def _check_orbit_equals_sieve(checks, got, seq):
 
 
 def _verify_positive(args, checks):
+    from .forms import content
     from .geodesics import base_geodesic_set, enumerate_tops
     from .orders import (
         OrderTag,
-        ideal_conjugate,
-        ideal_from_root,
-        ideal_mul,
+        form_of_root,
         is_invertible,
         narrow_class_group,
         unit_relation,
@@ -307,10 +306,9 @@ def _verify_positive(args, checks):
         if m > bound:
             continue
         total += 1
-        ideal = ideal_from_root(D, m, mu, OrderTag.O1)
-        prod = ideal_mul(ideal, ideal_conjugate(ideal))
         inv = is_invertible(D, m, mu)
-        if (prod == ideal_from_root(D, 1, 0, OrderTag.O1, m)) != inv:
+        # I conj(I) = m O1 iff the form's content is 1 (`is_invertible`)
+        if (content(form_of_root(D, m, mu, OrderTag.O1)) == 1) != inv:
             bad += 1
         if D % 8 == 5 and inv != (m % 4 != 2):
             bad += 1
@@ -325,8 +323,8 @@ def _verify_positive(args, checks):
             "relation": u.relation})
 
     if args.n == 1:
-        h1 = narrow_class_group(D, OrderTag.O1).h_plus
-        h2 = narrow_class_group(D, OrderTag.O2).h_plus
+        h1 = len(narrow_class_group(D, OrderTag.O1))
+        h2 = len(narrow_class_group(D, OrderTag.O2))
         _check(checks, "base_count_is_class_number",
                len(base.geodesics) == h1 + h2,
                {"geodesics": len(base.geodesics), "h1_plus": h1,
@@ -385,21 +383,15 @@ def cmd_classgroup(args) -> int:
 
     meta = {"command": "classgroup", "D": args.D}
     if args.D > 0:
-        from .orders import narrow_class_group
+        from .orders import narrow_class_group as classes
 
-        g1 = narrow_class_group(args.D, OrderTag.O1)
-        g2 = narrow_class_group(args.D, OrderTag.O2)
-        meta["h1_plus"] = g1.h_plus
-        meta["h2_plus"] = g2.h_plus
-        header = ("side", "index", "m", "mu")
-        sides = [[(r.m, r.mu) for r in g.reps] for g in (g1, g2)]
+        keys, header = ("h1_plus", "h2_plus"), ("side", "index", "m", "mu")
     else:
-        from .negdisc import class_forms
+        from .negdisc import class_forms as classes
 
-        sides = [class_forms(args.D, tag)
-                 for tag in (OrderTag.O1, OrderTag.O2)]
-        meta["h1"], meta["h2"] = map(len, sides)
-        header = ("side", "index", "a", "b", "c")
+        keys, header = ("h1", "h2"), ("side", "index", "a", "b", "c")
+    sides = [classes(args.D, tag) for tag in (OrderTag.O1, OrderTag.O2)]
+    meta.update(zip(keys, map(len, sides)))
     side = [name for name, reps in zip(("O1", "O2"), sides) for _ in reps]
     index = [i for reps in sides for i in range(len(reps))]
     values = zip(*(rep for reps in sides for rep in reps))

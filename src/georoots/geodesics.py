@@ -251,9 +251,10 @@ def least_filtered_root(D: int, order: OrderTag, rep,
     if not filter_reaches_order(D, order, filt.n, filt.nu):
         raise OrderMismatch(f"no {order.value} root of D={D} meets {filt}")
     mult = 1 if order is OrderTag.O1 else 2
-    f = form_of_root(D, rep.m, rep.mu, order)
+    m0, mu0 = rep
+    f = form_of_root(D, m0, mu0, order)
     cones = [(f, U, mult) for U in zagier_cones(f, 1)]
-    M = filt.n * rep.m
+    M = filt.n * m0
     while True:
         ms, mus, _ = cone_roots(cones, M, 1, math.inf)
         keep = (ms % filt.n == 0) & (mus % filt.n == filt.nu)
@@ -282,8 +283,7 @@ def base_geodesic_set(D: int, n: int = 1, nu: int = 0) -> BaseGeodesicSet:
     cube = rel.relation == "Cube"
     geos = []
 
-    g1 = narrow_class_group(D, OrderTag.O1)
-    for k, rep in enumerate(g1.reps):
+    for k, rep in enumerate(narrow_class_group(D, OrderTag.O1)):
         m, mu = least_filtered_root(D, OrderTag.O1, rep, filt)
         f = form_of_root(D, m, mu, OrderTag.O1)
         stab, j, cones = _symmetry(f, n)
@@ -296,8 +296,7 @@ def base_geodesic_set(D: int, n: int = 1, nu: int = 0) -> BaseGeodesicSet:
             copies = [MAT_ID]
         else:
             copies = [MAT_ID] + extra_coset_copies(n)
-        g2 = narrow_class_group(D, OrderTag.O2)
-        for l, rep in enumerate(g2.reps):
+        for l, rep in enumerate(narrow_class_group(D, OrderTag.O2)):
             m, mu = least_filtered_root(D, OrderTag.O2, rep, filt)
             f = form_of_root(D, m, mu, OrderTag.O2)
             for conj in copies:

@@ -1,25 +1,24 @@
-"""Ideals, units, and narrow class groups of the two orders in Q(sqrt(D)).
+"""Roots, units, and narrow class groups of the two orders in Q(sqrt(D)).
 
 For squarefree D = 1 (mod 4) the relevant orders are O1 = Z[sqrt(D)]
 (discriminant 4D) and the maximal order O2 = Z[(1+sqrt(D))/2]
-(discriminant D).  Primitive ideals are stored in Hermite normal form as a
-pair (m, mu): the O1 ideal with Z-basis {m, mu + sqrt(D)}, or the O2 ideal
-with Z-basis {m/2, (mu + sqrt(D))/2}.  Both require mu^2 = D (mod m); the
-O2 shape additionally needs m and (D - mu^2)/m even.
+(discriminant D).  A root (m, mu) of mu^2 = D (mod m) stands for the
+primitive O1 ideal with Z-basis {m, mu + sqrt(D)} or, when m and
+(D - mu^2)/m are both even, the O2 ideal with Z-basis
+{m/2, (mu + sqrt(D))/2}; `form_of_root` gives the binary quadratic form
+of that ideal, and everything here works with roots and forms.
 
 Narrow (totally positive) equivalence is decided through the Zagier
-cycles of the associated indefinite binary quadratic forms, whose closing
-automorphs also give the units, so everything here terminates and is
-exact.
+cycles of those forms, whose closing automorphs also give the units, so
+everything here terminates and is exact.
 """
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from math import gcd
 
-from .arith import factorize, xgcd
-from .forms import principal_form, zagier_cycle, zagier_cycles, zagier_reduce
+from .arith import factorize
+from .forms import principal_form, zagier_cycle, zagier_cycles
 
 
 class OrderTag(Enum):
@@ -48,24 +47,27 @@ def validate_negative_discriminant(D: int):
 
 
 def is_invertible(D: int, m: int, mu: int) -> bool:
-    """Invertibility of the O1 ideal (m, mu + sqrt(D)).
+    """Invertibility of the O1 ideal I = (m, mu + sqrt(D)).
 
-    True iff m is odd or (D - mu^2)/m is odd.  The complementary roots
-    (both quotient and m even) are exactly the ones belonging to O2.
+    True iff m is odd or c = (mu^2 - D)/m is odd.  The complementary
+    roots (both c and m even) are exactly the ones belonging to O2.
+
+    Proof.  I is invertible iff I conj(I) = N(I) O1 = m O1.  conj(I) has
+    Z-basis {m, mu - sqrt(D)}, so I conj(I) is spanned by the four
+    products m^2, m (mu + sqrt(D)), m (mu - sqrt(D)) and mu^2 - D = m c,
+    that is by m times {m, c, mu + sqrt(D), mu - sqrt(D)}.  The rational
+    integers in the span of those four are g Z with g = gcd(m, 2 mu, c)
+    (a combination of the two irrational ones is rational only as a
+    multiple of their sum 2 mu), and mu + sqrt(D) is in it, so
+    I conj(I) = m (Z g + Z (mu + sqrt(D))).  This is m O1 exactly when
+    g = 1, and g is the content of the form (m, -2 mu, c) of I
+    (`form_of_root`).  An odd prime p dividing g divides m, c and mu, so
+    p^2 divides mu^2 - m c = D, which is squarefree; so g = 1 iff g is
+    odd, that is iff m or c is odd.
     """
     if (mu * mu - D) % m:
         raise ValueError("mu^2 = D (mod m) violated")
     return m % 2 == 1 or ((D - mu * mu) // m) % 2 == 1
-
-
-def fits_order(D: int, m: int, mu: int, order: OrderTag) -> bool:
-    """Does the root (m, mu) present an ideal of the given order?
-
-    O1 takes the invertible roots, O2 the rest; every root matches
-    exactly one of the two.
-    """
-    inv = is_invertible(D, m, mu)
-    return inv if order is OrderTag.O1 else not inv
 
 
 def filter_reaches_order(D: int, order: OrderTag, n: int, nu: int) -> bool:
@@ -88,94 +90,6 @@ def filter_reaches_order(D: int, order: OrderTag, n: int, nu: int) -> bool:
     `geodesics.least_filtered_root`.
     """
     return order is OrderTag.O1 or n % 2 == 1 or (D - nu * nu) // n % 2 == 0
-
-
-@dataclass(frozen=True)
-class IdealHNF:
-    """scalar times the primitive ideal with root (m, mu) in the order."""
-
-    D: int
-    order: OrderTag
-    m: int
-    mu: int
-    scalar: Fraction = Fraction(1)
-
-    def __post_init__(self):
-        if self.m <= 0 or not 0 <= self.mu < self.m:
-            raise ValueError("need m > 0 and 0 <= mu < m")
-        if (self.mu * self.mu - self.D) % self.m:
-            raise ValueError("mu^2 = D (mod m) violated")
-        if self.scalar <= 0:
-            raise ValueError("scalar must be positive")
-        if self.order is OrderTag.O2:
-            if self.m % 2 or ((self.D - self.mu * self.mu) // self.m) % 2:
-                raise OrderMismatch(
-                    "O2 ideals need m and (D - mu^2)/m both even")
-        if not isinstance(self.scalar, Fraction):
-            object.__setattr__(self, "scalar", Fraction(self.scalar))
-
-    def norm(self) -> Fraction:
-        base = self.m if self.order is OrderTag.O1 else Fraction(self.m, 2)
-        return self.scalar**2 * base
-
-
-def ideal_from_root(D: int, m: int, mu: int, order: OrderTag,
-                    scalar=Fraction(1)) -> IdealHNF:
-    return IdealHNF(D, order, m, mu % m, Fraction(scalar))
-
-
-def ideal_conjugate(ideal: IdealHNF) -> IdealHNF:
-    return IdealHNF(ideal.D, ideal.order, ideal.m, (-ideal.mu) % ideal.m,
-                    ideal.scalar)
-
-
-def _lattice_hnf(vecs):
-    """HNF (a, 0), (x0, c) of the rank-2 sublattice of Z^2 spanned by vecs."""
-    x0, c = 0, 0
-    for x, y in vecs:
-        if y == 0:
-            continue
-        if c == 0:
-            x0, c = x, y
-        else:
-            g, s, t = xgcd(c, y)
-            x0, c = s * x0 + t * x, g
-    if c < 0:
-        x0, c = -x0, -c
-    a = 0
-    for x, y in vecs:
-        a = gcd(a, x - (y // c) * x0)
-    a = abs(a)
-    if a == 0 or c == 0:
-        raise ValueError("vectors do not span a rank-2 lattice")
-    return a, x0 % a, c
-
-
-def ideal_mul(A: IdealHNF, B: IdealHNF) -> IdealHNF:
-    """Product ideal, as scalar times a primitive HNF ideal.
-
-    The product lattice is spanned by the four pairwise generator
-    products; its HNF is read back into (scalar, m, mu) form.
-    """
-    if A.D != B.D:
-        raise ValueError("mixed D")
-    if A.order is not B.order:
-        raise OrderMismatch("cannot multiply ideals of different orders")
-    D = A.D
-    mA, muA, mB, muB = A.m, A.mu, B.m, B.mu
-    vecs = [
-        (mA * mB, 0),
-        (mA * muB, mA),
-        (mB * muA, mB),
-        (muA * muB + D, muA + muB),
-    ]
-    a, x0, c = _lattice_hnf(vecs)
-    if a % c or x0 % c:
-        raise RuntimeError("product lattice is not an ideal (bug)")
-    m = a // c
-    mu = (x0 // c) % m
-    content = Fraction(c) if A.order is OrderTag.O1 else Fraction(c, 2)
-    return IdealHNF(D, A.order, m, mu, A.scalar * B.scalar * content)
 
 
 # ----------------------------------------------------------------------
@@ -287,35 +201,18 @@ def unit_relation(D: int) -> UnitData:
 # ----------------------------------------------------------------------
 # narrow class groups
 
-@dataclass(frozen=True, eq=False)
-class NarrowClassGroup:
-    D: int
-    order: OrderTag
-    reps: tuple  # IdealHNF per class; reps[0] is the unit ideal
-    h_plus: int
-    _form_class: dict  # reduced form -> class index
-
-    def class_of_form(self, f) -> int:
-        try:
-            return self._form_class[zagier_reduce(f)[1]]
-        except KeyError:
-            raise ValueError(f"form {f} is not primitive of the right disc")
-
-    def class_of_root(self, m: int, mu: int) -> int:
-        return self.class_of_form(form_of_root(self.D, m, mu, self.order))
-
-
-def narrow_class_group(D: int, order: OrderTag) -> NarrowClassGroup:
-    """Representatives and membership test for the narrow class group.
+def narrow_class_group(D: int, order: OrderTag) -> tuple:
+    """The narrow classes of the order, as the sorted tuple of their least
+    roots (m, mu), so the unit class's (1, 0) (O1) or (2, 1) (O2) comes
+    first.
 
     Classes are the Zagier cycles of primitive indefinite forms of
-    discriminant 4D (O1) or D (O2) (`forms.zagier_cycle`).  Each rep is
-    the lexicographically smallest root (m, mu) of the order in its
-    class, and the classes are numbered in the order of their reps, so
-    reps[0] is always the unit ideal.
+    discriminant 4D (O1) or D (O2) (`forms.zagier_cycle`).
 
-    The rep is read off the cycle: it is the least (m, mu) = (a, -b/2
-    mod a) (O1) or (2a, -b mod 2a) (O2) over the cycle's forms (a, b, c).
+    The least root of a class, lexicographically, is read off its cycle:
+    it is the least (m, mu) = (a, -b/2 mod a) (O1) or (2a, -b mod 2a)
+    (O2) over the cycle's forms (a, b, c).  Distinct classes have
+    distinct least roots, since a root gives one form, in one cycle.
     The roots of a class are those of the forms f o U, U in SL(2, Z),
     whose first coefficient f(u) is positive, u the first column of U;
     up to the sign of U, u is a primitive lattice point of the sector P
@@ -334,11 +231,5 @@ def narrow_class_group(D: int, order: OrderTag) -> NarrowClassGroup:
     """
     validate_discriminant(D)
     delta, mult = (4 * D, 1) if order is OrderTag.O1 else (D, 2)
-
-    def least_root(cycle):
-        return min(root_of_form(f, mult) for f in cycle)
-
-    cycles = sorted(zagier_cycles(delta), key=least_root)
-    reps = tuple(ideal_from_root(D, *least_root(c), order) for c in cycles)
-    form_class = {f: i for i, cyc in enumerate(cycles) for f in cyc}
-    return NarrowClassGroup(D, order, reps, len(cycles), form_class)
+    return tuple(sorted(min(root_of_form(f, mult) for f in cycle)
+                        for cycle in zagier_cycles(delta)))

@@ -17,13 +17,18 @@ order's fundamental unit instead: the automorph A(t, u) of
 eps = (t + u sqrt(Delta))/2 (`stabilizer_by_unit`), and a cone walk that
 stops when it closes on that stabilizer (`cones_closing_on`).
 
-The package starts each base geodesic at the least filtered root of its
-class, read off the class's Zagier cones.  The ideal layer here builds a
-filtered root of the class instead, as a carrier ideal of the filter
-times an auxiliary ideal of coprime norm found by a bounded search
-(`class_shift_representative`).
+The package holds an ideal as its root (m, mu) and its form, and decides
+invertibility by the closed form of I conj(I) (`orders.is_invertible`).
+The ideal layer here keeps ideals in Hermite normal form and multiplies
+them (`IdealHNF`, `ideal_mul`), names the class of a root by reducing its
+form into a cycle (`class_of_root`), and starts a base geodesic at a
+filtered root of its class built as a carrier ideal of the filter times
+an auxiliary ideal of coprime norm found by a bounded search
+(`class_shift_representative`), where the package reads the least such
+root off the class's Zagier cones.
 """
 
+import functools
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -33,7 +38,7 @@ from math import gcd, isqrt
 
 import numpy as np
 
-from georoots.arith import sqrt_mod
+from georoots.arith import sqrt_mod, xgcd
 from georoots.csvio import fmt_cell, fmt_float
 from georoots.density import _canon, _SigmaFrame
 from georoots.forms import (
@@ -50,16 +55,10 @@ from georoots.forms import (
     zagier_step,
 )
 from georoots.orders import (
-    IdealHNF,
-    NarrowClassGroup,
     OrderMismatch,
     OrderTag,
     filter_reaches_order,
-    fits_order,
     form_of_root,
-    ideal_conjugate,
-    ideal_from_root,
-    ideal_mul,
     is_invertible,
     narrow_class_group,
     totally_positive_fundamental_unit,
@@ -365,6 +364,131 @@ def class_reps_by_search(D: int, order: OrderTag):
 
 
 # ----------------------------------------------------------------------
+# the ideal layer: primitive ideals in Hermite normal form
+#
+# Primitive ideals are stored in Hermite normal form as a pair (m, mu):
+# the O1 ideal with Z-basis {m, mu + sqrt(D)}, or the O2 ideal with
+# Z-basis {m/2, (mu + sqrt(D))/2}.  Both require mu^2 = D (mod m); the O2
+# shape additionally needs m and (D - mu^2)/m even.
+
+def fits_order(D: int, m: int, mu: int, order: OrderTag) -> bool:
+    """Does the root (m, mu) present an ideal of the given order?
+
+    O1 takes the invertible roots, O2 the rest; every root matches
+    exactly one of the two.
+    """
+    inv = is_invertible(D, m, mu)
+    return inv if order is OrderTag.O1 else not inv
+
+
+@dataclass(frozen=True)
+class IdealHNF:
+    """scalar times the primitive ideal with root (m, mu) in the order."""
+
+    D: int
+    order: OrderTag
+    m: int
+    mu: int
+    scalar: Fraction = Fraction(1)
+
+    def __post_init__(self):
+        if self.m <= 0 or not 0 <= self.mu < self.m:
+            raise ValueError("need m > 0 and 0 <= mu < m")
+        if (self.mu * self.mu - self.D) % self.m:
+            raise ValueError("mu^2 = D (mod m) violated")
+        if self.scalar <= 0:
+            raise ValueError("scalar must be positive")
+        if self.order is OrderTag.O2:
+            if self.m % 2 or ((self.D - self.mu * self.mu) // self.m) % 2:
+                raise OrderMismatch(
+                    "O2 ideals need m and (D - mu^2)/m both even")
+        if not isinstance(self.scalar, Fraction):
+            object.__setattr__(self, "scalar", Fraction(self.scalar))
+
+    def norm(self) -> Fraction:
+        base = self.m if self.order is OrderTag.O1 else Fraction(self.m, 2)
+        return self.scalar**2 * base
+
+
+def ideal_from_root(D: int, m: int, mu: int, order: OrderTag,
+                    scalar=Fraction(1)) -> IdealHNF:
+    return IdealHNF(D, order, m, mu % m, Fraction(scalar))
+
+
+def ideal_conjugate(ideal: IdealHNF) -> IdealHNF:
+    return IdealHNF(ideal.D, ideal.order, ideal.m, (-ideal.mu) % ideal.m,
+                    ideal.scalar)
+
+
+def _lattice_hnf(vecs):
+    """HNF (a, 0), (x0, c) of the rank-2 sublattice of Z^2 spanned by vecs."""
+    x0, c = 0, 0
+    for x, y in vecs:
+        if y == 0:
+            continue
+        if c == 0:
+            x0, c = x, y
+        else:
+            g, s, t = xgcd(c, y)
+            x0, c = s * x0 + t * x, g
+    if c < 0:
+        x0, c = -x0, -c
+    a = 0
+    for x, y in vecs:
+        a = gcd(a, x - (y // c) * x0)
+    a = abs(a)
+    if a == 0 or c == 0:
+        raise ValueError("vectors do not span a rank-2 lattice")
+    return a, x0 % a, c
+
+
+def ideal_mul(A: IdealHNF, B: IdealHNF) -> IdealHNF:
+    """Product ideal, as scalar times a primitive HNF ideal.
+
+    The product lattice is spanned by the four pairwise generator
+    products; its HNF is read back into (scalar, m, mu) form.
+    """
+    if A.D != B.D:
+        raise ValueError("mixed D")
+    if A.order is not B.order:
+        raise OrderMismatch("cannot multiply ideals of different orders")
+    D = A.D
+    mA, muA, mB, muB = A.m, A.mu, B.m, B.mu
+    vecs = [
+        (mA * mB, 0),
+        (mA * muB, mA),
+        (mB * muA, mB),
+        (muA * muB + D, muA + muB),
+    ]
+    a, x0, c = _lattice_hnf(vecs)
+    if a % c or x0 % c:
+        raise RuntimeError("product lattice is not an ideal (bug)")
+    m = a // c
+    mu = (x0 // c) % m
+    content = Fraction(c) if A.order is OrderTag.O1 else Fraction(c, 2)
+    return IdealHNF(D, A.order, m, mu, A.scalar * B.scalar * content)
+
+
+@functools.cache
+def _class_index(D: int, order: OrderTag) -> dict:
+    """Reduced form -> index of its class in `narrow_class_group`."""
+    delta = 4 * D if order is OrderTag.O1 else D
+    cycle_of = {f: cyc for cyc in zagier_cycles(delta) for f in cyc}
+    index = {}
+    for i, rep in enumerate(narrow_class_group(D, order)):
+        f = zagier_reduce(form_of_root(D, *rep, order))[1]
+        index.update(dict.fromkeys(cycle_of[f], i))
+    return index
+
+
+def class_of_root(D: int, order: OrderTag, m: int, mu: int) -> int:
+    """Index in `narrow_class_group` of the narrow class of the root: the
+    class whose least root's form reduces into the same Zagier cycle."""
+    f = zagier_reduce(form_of_root(D, m, mu, order))[1]
+    return _class_index(D, order)[f]
+
+
+# ----------------------------------------------------------------------
 # shifting a class representative into a congruence filter
 
 _SEARCH_FACTOR = 50
@@ -374,18 +498,14 @@ class SearchExhausted(RuntimeError):
     """An auxiliary-ideal search ran past its bound without a hit."""
 
 
-def _class_of_ideal(group: NarrowClassGroup, ideal: IdealHNF) -> int:
-    return group.class_of_root(ideal.m, ideal.mu)
-
-
 def _v2(n: int) -> int:
     return (n & -n).bit_length() - 1
 
 
-def class_shift_representative(D: int, order: OrderTag, rep: IdealHNF,
-                               n: int, nu: int,
-                               group: NarrowClassGroup = None) -> IdealHNF:
-    """An ideal narrowly equivalent to rep whose root obeys the filter.
+def class_shift_representative(D: int, order: OrderTag, rep: tuple,
+                               n: int, nu: int) -> IdealHNF:
+    """An ideal narrowly equivalent to the root rep = (m, mu) whose root
+    obeys the filter.
 
     Returns a primitive ideal of the order with root (m, mu) satisfying
     m = 0 (mod n) and mu = nu (mod n).  The construction multiplies a
@@ -397,10 +517,7 @@ def class_shift_representative(D: int, order: OrderTag, rep: IdealHNF,
     (`filter_reaches_order`), and SearchExhausted if no auxiliary ideal
     of norm below 50*sqrt(D)*n works.
     """
-    if group is None:
-        group = narrow_class_group(D, order)
-    if rep.order is not order or rep.scalar != 1:
-        raise ValueError("rep must be a primitive ideal of the given order")
+    rep = ideal_from_root(D, *rep, order)
     if (nu * nu - D) % n:
         raise ValueError("nu^2 = D (mod n) violated")
     nu %= n
@@ -434,20 +551,22 @@ def class_shift_representative(D: int, order: OrderTag, rep: IdealHNF,
                 return (m0 % 4 == 2 and gcd(m0 // 2, n // 2) == 1
                         and not is_invertible(D, m0, mu0))
 
-    target = _class_of_ideal(group, ideal_mul(rep, ideal_conjugate(carrier)))
+    def class_of_ideal(ideal):
+        return class_of_root(D, order, ideal.m, ideal.mu)
+
+    target = class_of_ideal(ideal_mul(rep, ideal_conjugate(carrier)))
     bound = _SEARCH_FACTOR * isqrt(D) * max(1, n) + _SEARCH_FACTOR
     for m0 in range(1, bound + 1):
         for mu0 in sqrt_mod(D, m0):
             if not admissible(m0, mu0):
                 continue
-            if group.class_of_root(m0, mu0) != target:
+            if class_of_root(D, order, m0, mu0) != target:
                 continue
             aux = ideal_from_root(D, m0, mu0, order)
             out = ideal_mul(aux, carrier)
             if (out.scalar != 1 or out.m % n
                     or (out.mu - nu) % n
-                    or _class_of_ideal(group, out)
-                    != _class_of_ideal(group, rep)):
+                    or class_of_ideal(out) != class_of_ideal(rep)):
                 raise RuntimeError("class shift postcondition failed (bug)")
             return out
     raise SearchExhausted(

@@ -163,6 +163,21 @@ def test_commands_load_only_their_layers(argv):
                          "georoots.negdisc"}
 
 
+def test_layers_import_no_fractions_or_decimal():
+    """Exact arithmetic is on integers: the CLI and its layers load
+    neither `fractions` nor the `decimal` module it imports, so a fresh
+    process does not compile them."""
+    script = ("import sys\n"
+              "import georoots.cli, georoots.roots, georoots.geodesics, "
+              "georoots.density\n"
+              "print(sorted({'fractions', 'decimal'} & set(sys.modules)))")
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, env=env,
+                          check=True)
+    assert proc.stdout == "[]\n"
+
+
 # ------------------------------------------------------------- paircorr
 
 def test_paircorr_single_bin_value(capsys):

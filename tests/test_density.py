@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import georoots.density as density
 
-from georoots.cli import _class_mask
+from georoots.cli import _class_mask, main
 from georoots.density import (
     CosetTerm,
     DomainError,
@@ -475,6 +475,17 @@ def test_coset_terms_complete_at_q_max_10():
     for D, complete in ((17, 1728), (21, 3856)):
         terms, _ = enumerate_coset_terms(base_geodesic_set(D), 10.0)
         assert len(terms) == complete
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "FOUND line in CHANGES.md: a totally positive unit above 1e308 "
+    "overflows float conversions in BaseGeodesicSet.lengths, "
+    "_SigmaFrame.log_lam and the cross-ratio q = B/den"))
+def test_density_with_a_324_digit_unit(capsys):
+    """D = 100057 has eps1 = eps2 with 324 digits."""
+    assert main(["density", "--D", "100057", "--qmax", "2",
+                 "--range", "1", "--step", "0.5"]) == 0
+
 
 def _full_scan(base, calls):
     """A stand-in for density._translates: every neighbor act(g, sigma^t G)

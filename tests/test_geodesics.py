@@ -28,17 +28,13 @@ from georoots.geodesics import (
     stabilizer_generator,
     zagier_cones,
 )
-from georoots.orders import (
-    OrderTag,
-    form_of_root,
-    is_invertible,
-    narrow_class_group,
-)
+from georoots.orders import OrderTag, form_of_root, is_invertible
 from georoots.roots import RootFilter, sieve_roots
 from oracles import (
     Geodesic,
     NotRootGeodesic,
     apply_gamma,
+    class_of_root,
     cones_closing_on,
     form_geodesic,
     gamma0_coset_transversal,
@@ -342,8 +338,7 @@ def test_base_roots_are_least_filtered_roots():
     for D in range(5, 121, 4):
         if any(e > 1 for _, e in factorize(D)):
             continue
-        groups = {"I": narrow_class_group(D, OrderTag.O1),
-                  "J": narrow_class_group(D, OrderTag.O2)}
+        orders = {"I": OrderTag.O1, "J": OrderTag.O2}
         for n in range(1, 25):
             for nu in range(n):
                 if (nu * nu - D) % n:
@@ -357,8 +352,8 @@ def test_base_roots_are_least_filtered_roots():
                 for m, mu, o1 in zip(seq.ms.tolist(), seq.mus.tolist(),
                                      seq.class_tags().tolist()):
                     side = "I" if o1 else "J"
-                    first.setdefault((side, groups[side].class_of_root(m, mu)),
-                                     (m, mu))
+                    k = class_of_root(D, orders[side], m, mu)
+                    first.setdefault((side, k), (m, mu))
                     if wanted <= first.keys():
                         break
                 for g in base.geodesics:

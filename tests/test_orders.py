@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 from types import SimpleNamespace
@@ -5,8 +6,10 @@ from types import SimpleNamespace
 import pytest
 
 from georoots.arith import factorize, sqrt_mod
+from georoots.cli import main
 from georoots.forms import (
     act,
+    content,
     disc,
     is_primitive,
     mat_det,
@@ -15,15 +18,10 @@ from georoots.forms import (
 )
 from georoots.geodesics import BaseGeodesicSet, least_filtered_root
 from georoots.orders import (
-    IdealHNF,
     OrderMismatch,
     OrderTag,
     filter_reaches_order,
-    fits_order,
     form_of_root,
-    ideal_conjugate,
-    ideal_from_root,
-    ideal_mul,
     is_invertible,
     narrow_class_group,
     totally_positive_fundamental_unit,
@@ -34,8 +32,14 @@ from georoots.orders import (
 )
 from georoots.roots import RootFilter, _sieve
 from oracles import (
+    IdealHNF,
+    class_of_root,
     class_reps_by_search,
     class_shift_representative,
+    fits_order,
+    ideal_conjugate,
+    ideal_from_root,
+    ideal_mul,
     is_totally_positive,
 )
 from quadnum import QuadNum
@@ -43,9 +47,12 @@ from quadnum import QuadNum
 O1, O2 = OrderTag.O1, OrderTag.O2
 
 
+def unit_root(order):
+    return (1, 0) if order is O1 else (2, 1)
+
+
 def unit_ideal(D, order):
-    return ideal_from_root(D, 1, 0, O1) if order is O1 else \
-        ideal_from_root(D, 2, 1, O2)
+    return ideal_from_root(D, *unit_root(order), order)
 
 
 def all_roots(D, mmax):
@@ -126,6 +133,37 @@ def test_invertibility_against_mul_oracle():
             is_norm_ideal = (P.m, P.mu, P.scalar) == (1, 0, m)
             assert is_norm_ideal == is_invertible(D, m, mu), (D, m, mu)
             assert ideal_mul(I, unit) == I
+
+
+# the 16 squarefree D = 1 (mod 4) below 89
+CLOSED_FORM_DS = [D for D in range(5, 89, 4)
+                  if all(e == 1 for _, e in factorize(D))]
+
+
+def test_norm_ideal_closed_form_matches_oracle(capsys):
+    """I conj(I) = m (Z g + Z (mu + sqrt(D))), g the content of the form
+    (m, -2 mu, c) of I (proof in `orders.is_invertible`), is the product
+    the HNF oracle computes, and g = 1 exactly for the invertible roots.
+    `verify`'s ideal_norm_parity check reads the same content."""
+    assert len(CLOSED_FORM_DS) == 16
+    total = invertible = 0
+    for D in CLOSED_FORM_DS:
+        for m, mu in all_roots(D, 600):
+            I = ideal_from_root(D, m, mu, O1)
+            g = content(form_of_root(D, m, mu, O1))
+            assert ideal_mul(I, ideal_conjugate(I)) == \
+                IdealHNF(D, O1, g, mu % g, m), (D, m, mu)
+            assert (g == 1) == is_invertible(D, m, mu), (D, m, mu)
+            total += 1
+            invertible += g == 1
+        assert main(["verify", "--D", str(D), "--M", "500"]) == 0
+        check = {c["name"]: c for c in
+                 json.loads(capsys.readouterr().out)["checks"]}
+        assert check["ideal_norm_parity"]["pass"], D
+        assert check["ideal_norm_parity"]["detail"] == {
+            "roots_checked": sum(1 for _ in all_roots(D, 500)),
+            "exceptions": 0}, D
+    assert (total, invertible) == (8116, 5328)
 
 
 def test_invertibility_shortcut_5_mod_8():
@@ -267,12 +305,12 @@ def test_narrow_class_numbers():
     for D, order, h in [(5, O1, 1), (5, O2, 1), (17, O1, 1), (17, O2, 1),
                         (13, O1, 1), (13, O2, 1), (65, O1, 2), (65, O2, 2),
                         (21, O1, 2), (21, O2, 2), (37, O1, 3), (37, O2, 1)]:
-        g = narrow_class_group(D, order)
-        assert g.h_plus == h == len(g.reps)
-        assert g.reps[0] == unit_ideal(D, order)
-        for i, rep in enumerate(g.reps):
-            assert g.class_of_root(rep.m, rep.mu) == i
-            assert rep.scalar == 1
+        reps = narrow_class_group(D, order)
+        assert len(reps) == h
+        assert reps[0] == unit_root(order)
+        for i, rep in enumerate(reps):
+            assert class_of_root(D, order, *rep) == i
+            assert fits_order(D, *rep, order)
 
 
 @pytest.mark.parametrize("order", [O1, O2])
@@ -285,19 +323,18 @@ def test_class_reps_read_off_cycles_match_root_search(order):
             validate_discriminant(D)
         except ValueError:
             continue
-        g = narrow_class_group(D, order)
-        assert [(r.m, r.mu) for r in g.reps] == \
-            class_reps_by_search(D, order), D
-        assert [g.class_of_root(r.m, r.mu) for r in g.reps] == \
-            list(range(g.h_plus))
+        reps = narrow_class_group(D, order)
+        assert list(reps) == class_reps_by_search(D, order), D
+        assert [class_of_root(D, order, *r) for r in reps] == \
+            list(range(len(reps)))
 
 
 def test_class_count_relation_between_orders():
     # counts tie to the unit relation: equal when D=1 mod 8 or relation
     # is Cube; ratio 3 when D=5 mod 8 with equal units
     for D in (5, 13, 17, 21, 29, 33, 37, 41, 65):
-        h1 = narrow_class_group(D, O1).h_plus
-        h2 = narrow_class_group(D, O2).h_plus
+        h1 = len(narrow_class_group(D, O1))
+        h2 = len(narrow_class_group(D, O2))
         rel = unit_relation(D).relation
         if D % 8 == 1 or rel == "Cube":
             assert h1 == h2, D
@@ -307,10 +344,11 @@ def test_class_count_relation_between_orders():
 
 def test_cayley_totality():
     for D, order in [(65, O1), (65, O2), (37, O1), (21, O1)]:
-        g = narrow_class_group(D, order)
-        h = g.h_plus
-        products = [[ideal_mul(a, b) for b in g.reps] for a in g.reps]
-        table = [[g.class_of_root(ab.m, ab.mu) for ab in row]
+        reps = [ideal_from_root(D, *r, order)
+                for r in narrow_class_group(D, order)]
+        h = len(reps)
+        products = [[ideal_mul(a, b) for b in reps] for a in reps]
+        table = [[class_of_root(D, order, ab.m, ab.mu) for ab in row]
                  for row in products]
         assert table[0] == list(range(h))
         for row in table:
@@ -331,15 +369,15 @@ def test_form_dictionary_round_trip():
             assert (mult * f[0], -mult * f[1] // 2) == (m, mu)
 
 
-def least_and_oracle(D, order, g, k, n, nu):
+def least_and_oracle(D, order, reps, k, n, nu):
     """The least filtered root of class k and the search oracle's root,
     each checked to lie in class k, meet the filter and fit the order."""
-    new = least_filtered_root(D, order, g.reps[k], RootFilter(n, nu))
-    out = class_shift_representative(D, order, g.reps[k], n, nu, g)
+    new = least_filtered_root(D, order, reps[k], RootFilter(n, nu))
+    out = class_shift_representative(D, order, reps[k], n, nu)
     old = (out.m, out.mu)
     assert out.scalar == 1
     for m, mu in (new, old):
-        assert g.class_of_root(m, mu) == k
+        assert class_of_root(D, order, m, mu) == k
         assert m % n == 0 and (mu - nu) % n == 0
         assert fits_order(D, m, mu, order)
     assert new <= old
@@ -347,18 +385,18 @@ def least_and_oracle(D, order, g, k, n, nu):
 
 
 def test_class_shift_spec_examples():
-    g1 = narrow_class_group(5, O1)
-    assert least_and_oracle(5, O1, g1, 0, 1, 0) == ((1, 0), (1, 0))
-    assert least_and_oracle(5, O1, g1, 0, 4, 1) == ((4, 1), (4, 1))
+    reps1 = narrow_class_group(5, O1)
+    assert least_and_oracle(5, O1, reps1, 0, 1, 0) == ((1, 0), (1, 0))
+    assert least_and_oracle(5, O1, reps1, 0, 4, 1) == ((4, 1), (4, 1))
 
-    g2 = narrow_class_group(5, O2)
-    assert least_and_oracle(5, O2, g2, 0, 2, 1) == ((2, 1), (2, 1))
+    reps2 = narrow_class_group(5, O2)
+    assert least_and_oracle(5, O2, reps2, 0, 2, 1) == ((2, 1), (2, 1))
 
     # the search's product of ideals need not be the least filtered root
-    g = narrow_class_group(37, O1)
-    assert least_and_oracle(37, O1, g, 2, 3, 1) == ((9, 1), (12, 1))
-    g = narrow_class_group(65, O2)
-    assert least_and_oracle(65, O2, g, 0, 7, 3) == ((28, 3), (28, 17))
+    reps = narrow_class_group(37, O1)
+    assert least_and_oracle(37, O1, reps, 2, 3, 1) == ((9, 1), (12, 1))
+    reps = narrow_class_group(65, O2)
+    assert least_and_oracle(65, O2, reps, 0, 7, 3) == ((28, 3), (28, 17))
 
 
 @pytest.mark.parametrize("D,order,n,nu", [
@@ -373,21 +411,21 @@ def test_class_shift_spec_examples():
     (21, O2, 3, 0),
 ])
 def test_class_shift_all_classes(D, order, n, nu):
-    g = narrow_class_group(D, order)
+    reps = narrow_class_group(D, order)
     seen = set()
-    for k in range(g.h_plus):
-        new, _ = least_and_oracle(D, order, g, k, n, nu)
+    for k in range(len(reps)):
+        new, _ = least_and_oracle(D, order, reps, k, n, nu)
         seen.add(new)
-    assert len(seen) == g.h_plus  # distinct classes give distinct roots
+    assert len(seen) == len(reps)  # distinct classes give distinct roots
 
 
 def test_class_shift_empty_filter():
-    g = narrow_class_group(17, O2)
+    rep = narrow_class_group(17, O2)[0]
     assert not filter_reaches_order(17, O2, 8, 3)
     with pytest.raises(OrderMismatch):
-        least_filtered_root(17, O2, g.reps[0], RootFilter(8, 3))
+        least_filtered_root(17, O2, rep, RootFilter(8, 3))
     with pytest.raises(OrderMismatch):
-        class_shift_representative(17, O2, g.reps[0], 8, 3, g)
+        class_shift_representative(17, O2, rep, 8, 3)
 
 
 def test_filter_reaches_order_matches_sieve():
@@ -421,17 +459,17 @@ def test_filter_reaches_order_matches_sieve():
 def test_class_shift_mismatch_is_the_predicate():
     for D in (5, 17, 65):
         for order in (O1, O2):
-            g = narrow_class_group(D, order)
+            reps = narrow_class_group(D, order)
             for n in range(1, 17):
                 for nu in range(n):
                     if (nu * nu - D) % n:
                         continue
                     if filter_reaches_order(D, order, n, nu):
-                        least_and_oracle(D, order, g, 0, n, nu)
+                        least_and_oracle(D, order, reps, 0, n, nu)
                     else:
                         with pytest.raises(OrderMismatch):
-                            least_filtered_root(D, order, g.reps[0],
+                            least_filtered_root(D, order, reps[0],
                                                 RootFilter(n, nu))
                         with pytest.raises(OrderMismatch):
-                            class_shift_representative(D, order, g.reps[0],
-                                                       n, nu, g)
+                            class_shift_representative(D, order, reps[0],
+                                                       n, nu)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from georoots.arith import SpfTable, sqrt_mod
 from georoots.cli import _first_n_points
 from georoots.negdisc import sieve_roots_neg
-from georoots.orders import OrderTag, fits_order
+from georoots.orders import OrderTag
 import georoots.roots as roots
 from georoots.roots import (
     RootFilter,
@@ -21,6 +21,7 @@ from georoots.roots import (
     sieve_roots,
     take_n,
 )
+from oracles import fits_order
 
 
 def brute(D, M, n=1, nu=0):
