@@ -7,14 +7,12 @@ from fractions import Fraction
 
 from georoots.forms import content
 from georoots.orders import (
-    OrderTag,
     form_of_root,
-    is_invertible,
     narrow_class_group,
     unit_relation,
     unit_str,
 )
-from georoots.roots import sieve_roots
+from georoots.roots import OrderTag, is_invertible, sieve_roots
 
 FAILS = 0
 
@@ -60,7 +58,7 @@ def show_invertibility(D, M):
     witness = None
     for m, mu in zip(seq.ms.tolist(), seq.mus.tolist()):
         # I * conj(I) = m (Z g + Z (mu + sqrt D)), g the content of the
-        # form (m, -2 mu, c) of I (proof in `orders.is_invertible`)
+        # form (m, -2 mu, c) of I (proof in `roots.is_invertible`)
         g = content(form_of_root(D, m, mu, OrderTag.O1))
         is_m_o1 = g == 1
         if is_m_o1 != is_invertible(D, m, mu):

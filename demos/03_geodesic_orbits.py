@@ -18,8 +18,8 @@ from fractions import Fraction
 from georoots.forms import MAT_S, MAT_T, act, disc
 from georoots.geodesics import base_geodesic_set, enumerate_tops
 from georoots.negdisc import enumerate_orbit_points, sieve_roots_neg
-from georoots.orders import OrderTag, form_of_root, is_invertible, root_of_form
-from georoots.roots import RootFilter, sieve_roots
+from georoots.orders import form_of_root, root_of_form
+from georoots.roots import OrderTag, RootFilter, is_invertible, sieve_roots
 
 LINE = "-" * 74
 FAILS = 0

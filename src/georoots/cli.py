@@ -11,9 +11,6 @@ units       totally positive fundamental units of the two orders
 classgroup  narrow class representatives (definite classes for D < 0)
 
 Exit codes: 0 success, 1 runtime failure, 2 invalid configuration.
-paircorr and figure take --threads (or the GEOROOTS_THREADS variable) to
-cap the pair correlation's worker threads; output bytes never depend on
-the thread count.  No other command takes or reads either.
 
 The parsed argparse namespace is the run configuration: each command
 receives it after config_from_args has checked its options.
@@ -45,7 +42,7 @@ def _root_filter(args):
 
 
 def _check_discriminant(D: int):
-    from .orders import validate_discriminant, validate_negative_discriminant
+    from .roots import validate_discriminant, validate_negative_discriminant
 
     try:
         if D < 0:
@@ -54,19 +51,6 @@ def _check_discriminant(D: int):
             validate_discriminant(D)
     except ValueError as e:
         raise ConfigError(str(e))
-
-
-def _resolve_threads(threads):
-    if threads is None:
-        env = os.environ.get("GEOROOTS_THREADS")
-        if env:
-            try:
-                threads = int(env)
-            except ValueError:
-                raise ConfigError(f"GEOROOTS_THREADS={env!r} is not a number")
-    if threads is not None and threads < 1:
-        raise ConfigError("threads must be >= 1")
-    return threads
 
 
 def config_from_args(args):
@@ -78,8 +62,6 @@ def config_from_args(args):
     if "n" in opts:
         _root_filter(args)
         _check_class_reachable(args)
-    if "threads" in opts:
-        args.threads = _resolve_threads(args.threads)
     for name in ("bins", "M", "N"):
         if name in opts and opts[name] < 1:
             raise ConfigError(f"{name} must be >= 1")
@@ -101,7 +83,7 @@ def config_from_args(args):
 def _check_class_reachable(args):
     """A filtered order class holds roots at all; checked before any sieve
     since the first-N search would otherwise double its bound forever."""
-    from .orders import OrderTag, filter_reaches_order
+    from .roots import OrderTag, filter_reaches_order
 
     cls = vars(args).get("class_filter", "total")
     if cls != "total" and not filter_reaches_order(args.D, OrderTag(cls),
@@ -178,7 +160,7 @@ def cmd_paircorr(args) -> int:
 
     points = _first_n_points(args)
     result = pair_correlation(points, lo=-args.range, hi=args.range,
-                              bins=args.bins, threads=args.threads)
+                              bins=args.bins)
     meta = {"command": "paircorr", "D": args.D, "n": args.n, "nu": args.nu,
             "N": args.N, "class": args.class_filter,
             "lo": -args.range, "hi": args.range, "bins": args.bins}
@@ -234,8 +216,7 @@ def cmd_figure(args) -> int:
     emp_cols = ["center"] + [f"density_{cls}" for cls in classes]
     emp_data = []
     for points in first_n(D, args.N, classes=classes):
-        res = pair_correlation(points, lo=0.0, hi=_FIG_HI, bins=_FIG_BINS,
-                               threads=args.threads)
+        res = pair_correlation(points, lo=0.0, hi=_FIG_HI, bins=_FIG_BINS)
         emp_data.append(res.values())
     centers = res.histogram.centers()
 
@@ -283,14 +264,12 @@ def _verify_positive(args, checks):
     from .forms import content
     from .geodesics import base_geodesic_set, enumerate_tops
     from .orders import (
-        OrderTag,
         form_of_root,
-        is_invertible,
         narrow_class_group,
         unit_relation,
         unit_str,
     )
-    from .roots import sieve_roots
+    from .roots import OrderTag, is_invertible, sieve_roots
 
     D, M = args.D, args.M
     filt = _root_filter(args)
@@ -379,7 +358,7 @@ def cmd_units(args) -> int:
 
 def cmd_classgroup(args) -> int:
     from .csvio import write_table
-    from .orders import OrderTag
+    from .roots import OrderTag
 
     meta = {"command": "classgroup", "D": args.D}
     if args.D > 0:
@@ -435,7 +414,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="histogram covers [-range, range]")
     sp.add_argument("--class", dest="class_filter", default="total",
                     choices=("total", "O1", "O2"))
-    sp.add_argument("--threads", type=int, default=None)
     sp.set_defaults(func=cmd_paircorr)
 
     sp = sub.add_parser("density", help="theoretical density on a v grid")
@@ -453,7 +431,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("figure", type=int, choices=(1, 2, 3))
     sp.add_argument("--N", type=int, default=1_000_000)
     sp.add_argument("--outdir", default=".")
-    sp.add_argument("--threads", type=int, default=None)
     sp.set_defaults(func=cmd_figure)
 
     sp = sub.add_parser("verify", help="correspondence test battery")

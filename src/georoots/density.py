@@ -17,8 +17,20 @@ disjoint, and q = +-1 when they share an endpoint.  The sign picks the
 H flavour: +1 when the backward endpoint of the second geodesic lies on
 the positive side of the first, once the first is moved to the
 vertical geodesic from 0 to infinity; it is the sign of an integer
-combination x + y sqrt(D), decided by `_surd_sign`.  Floats appear only
-in the final division of q and the H evaluations.
+combination x + y sqrt(D), decided by `_surd_sign`.
+
+Floats enter at these places only:
+- q = B/den, each term's invariant, which the walk compares with q_max
+  (keep) and with the prune bound (expand, here and in `_translates`'
+  probes); so the prune test, a float test, decides which states are
+  walked;
+- the H evaluations on the grid;
+- kappa, from log eps2 (`BaseGeodesicSet.lengths`, `kappa_and_vol`);
+- `_SigmaFrame.log_lam`, read only by `_canon`'s step guess, which
+  exact integer sign tests then correct, so it decides nothing.
+A totally positive unit above 10^308 overflows the float conversions of
+eps2, log_lam and q (the overflow FOUND lines in CHANGES.md, pinned by
+the strict xfail `test_density_with_a_324_digit_unit`).
 
 `H` is the one evaluator of both flavours: it takes a term's (sign, q)
 and an array of v, and `omega` calls it once per term on the whole

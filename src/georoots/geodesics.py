@@ -30,14 +30,12 @@ from .arith import xgcd, xgcd_array
 from .forms import MAT_ID, act, form_value, mat_mul, zagier_cycle
 from .orders import (
     OrderMismatch,
-    OrderTag,
-    filter_reaches_order,
     form_of_root,
     narrow_class_group,
     root_of_form,
     unit_relation,
 )
-from .roots import RootFilter
+from .roots import OrderTag, RootFilter, filter_reaches_order
 
 
 class BudgetExceeded(RuntimeError):
@@ -223,7 +221,7 @@ def least_filtered_root(D: int, order: OrderTag, rep,
     there is one.
 
     Termination: the class K holds a filtered root.  Let C be the ideal
-    of the filtered root (m_C, mu_C) that `orders.filter_reaches_order`'s
+    of the filtered root (m_C, mu_C) that `roots.filter_reaches_order`'s
     proof builds.  It is invertible (in O1, m_C or (D - mu_C^2)/m_C is
     odd; O2 is the maximal order), and every prime of its norm N(C)
     divides n.  Let g be a primitive form of the class K [C]^-1; each
@@ -257,7 +255,7 @@ def least_filtered_root(D: int, order: OrderTag, rep,
     M = filt.n * m0
     while True:
         ms, mus, _ = cone_roots(cones, M, 1, math.inf)
-        keep = (ms % filt.n == 0) & (mus % filt.n == filt.nu)
+        keep = filt.accepts(ms, mus)
         if keep.any():
             return min(zip(ms[keep].tolist(), mus[keep].tolist()))
         M *= 2
@@ -273,7 +271,7 @@ def base_geodesic_set(D: int, n: int = 1, nu: int = 0) -> BaseGeodesicSet:
     relation at n = 2 mod 4 folds the three copies into a single
     geodesic of tripled length; proof in `_splitting_number`), and none
     at all when (D - nu^2)/n is odd, since no root of the wider order
-    satisfies such a filter (`orders.filter_reaches_order`).  Each class
+    satisfies such a filter (`roots.filter_reaches_order`).  Each class
     starts at its least filtered root (`least_filtered_root`).
     """
     filt = RootFilter(n, nu % n)

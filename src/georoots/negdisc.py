@@ -13,8 +13,14 @@ the sign of D.
 
 from .forms import MAT_ID, MAT_S, reduced_forms_definite
 from .geodesics import EnumerationResult, cone_roots
-from .orders import OrderTag, validate_negative_discriminant
-from .roots import RootFilter, RootSequence, _sieve, first_n
+from .roots import (
+    OrderTag,
+    RootFilter,
+    RootSequence,
+    _sieve,
+    first_n,
+    validate_negative_discriminant,
+)
 
 
 def sieve_roots_neg(D: int, M: int,
@@ -76,6 +82,6 @@ def enumerate_orbit_points(D: int, M: int, filt: RootFilter = RootFilter(),
             if f != (1, 1, 1):
                 cones.append((f, MAT_S, mult))
     ms, mus, visited = cone_roots(cones, M, 1, budget)
-    keep = (ms % filt.n == 0) & (mus % filt.n == filt.nu)
+    keep = filt.accepts(ms, mus)
     return EnumerationResult.from_arrays(ms[keep], mus[keep], visited)
 

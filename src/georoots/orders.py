@@ -6,7 +6,10 @@ For squarefree D = 1 (mod 4) the relevant orders are O1 = Z[sqrt(D)]
 primitive O1 ideal with Z-basis {m, mu + sqrt(D)} or, when m and
 (D - mu^2)/m are both even, the O2 ideal with Z-basis
 {m/2, (mu + sqrt(D))/2}; `form_of_root` gives the binary quadratic form
-of that ideal, and everything here works with roots and forms.
+of that ideal, and everything here works with roots and forms.  Which
+order a root belongs to is decided beside the root sequence, in `roots`
+(`OrderTag`, `is_invertible`, `filter_reaches_order` and the
+discriminant checks), and imported from there.
 
 Narrow (totally positive) equivalence is decided through the Zagier
 cycles of those forms, whose closing automorphs also give the units, so
@@ -14,82 +17,14 @@ everything here terminates and is exact.
 """
 
 from dataclasses import dataclass
-from enum import Enum
 from math import gcd
 
-from .arith import factorize
 from .forms import principal_form, zagier_cycle, zagier_cycles
-
-
-class OrderTag(Enum):
-    O1 = "O1"  # Z[sqrt(D)]
-    O2 = "O2"  # Z[(1+sqrt(D))/2]
+from .roots import OrderTag, validate_discriminant
 
 
 class OrderMismatch(ValueError):
     """An (m, mu) pair or ideal does not fit the requested order."""
-
-
-def validate_discriminant(D: int):
-    """Require squarefree D > 1 with D = 1 (mod 4)."""
-    if D <= 1 or D % 4 != 1:
-        raise ValueError("D must be a squarefree integer > 1 with D = 1 mod 4")
-    if any(e > 1 for _, e in factorize(D)):
-        raise ValueError("D must be squarefree")
-
-
-def validate_negative_discriminant(D: int):
-    """Require squarefree D < 0 with D = 1 (mod 4)."""
-    if D >= 0 or D % 4 != 1:
-        raise ValueError("D must be a squarefree integer < 0 with D = 1 mod 4")
-    if any(e > 1 for _, e in factorize(-D)):
-        raise ValueError("D must be squarefree")
-
-
-def is_invertible(D: int, m: int, mu: int) -> bool:
-    """Invertibility of the O1 ideal I = (m, mu + sqrt(D)).
-
-    True iff m is odd or c = (mu^2 - D)/m is odd.  The complementary
-    roots (both c and m even) are exactly the ones belonging to O2.
-
-    Proof.  I is invertible iff I conj(I) = N(I) O1 = m O1.  conj(I) has
-    Z-basis {m, mu - sqrt(D)}, so I conj(I) is spanned by the four
-    products m^2, m (mu + sqrt(D)), m (mu - sqrt(D)) and mu^2 - D = m c,
-    that is by m times {m, c, mu + sqrt(D), mu - sqrt(D)}.  The rational
-    integers in the span of those four are g Z with g = gcd(m, 2 mu, c)
-    (a combination of the two irrational ones is rational only as a
-    multiple of their sum 2 mu), and mu + sqrt(D) is in it, so
-    I conj(I) = m (Z g + Z (mu + sqrt(D))).  This is m O1 exactly when
-    g = 1, and g is the content of the form (m, -2 mu, c) of I
-    (`form_of_root`).  An odd prime p dividing g divides m, c and mu, so
-    p^2 divides mu^2 - m c = D, which is squarefree; so g = 1 iff g is
-    odd, that is iff m or c is odd.
-    """
-    if (mu * mu - D) % m:
-        raise ValueError("mu^2 = D (mod m) violated")
-    return m % 2 == 1 or ((D - mu * mu) // m) % 2 == 1
-
-
-def filter_reaches_order(D: int, order: OrderTag, n: int, nu: int) -> bool:
-    """Does some root of the order meet the filter m = 0, mu = nu (mod n)?
-
-    Needs nu^2 = D (mod n).  Always true for O1; for O2 true unless n is
-    even and (D - nu^2)/n is odd.
-
-    Proof.  Let n be even and (D - nu^2)/n odd, and let (m, mu) be a
-    filtered root, mu = nu + k n.  Then (D - mu^2)/n =
-    (D - nu^2)/n - 2 k nu - k^2 n is odd, and it equals
-    (m/n) (D - mu^2)/m, so (D - mu^2)/m is odd and the root is of O1.
-    In every other case the filter holds a root (m, mu) of the order:
-    - O1, n odd: (n, nu), m odd.  O1, n even: (n 2^s, nu), 2^s the
-      power of 2 in (D - nu^2)/n, so (D - nu^2)/(n 2^s) is odd.
-    - O2, n even: (n, nu), with m and (D - nu^2)/n even.  O2, n odd:
-      (2n, nu') for nu' the odd one of nu, nu + n; D = 1 (mod 4) makes
-      D - nu'^2 a multiple of 4, and of n, so (D - nu'^2)/(2n) is even.
-    These carriers are the witnesses of the termination proof in
-    `geodesics.least_filtered_root`.
-    """
-    return order is OrderTag.O1 or n % 2 == 1 or (D - nu * nu) // n % 2 == 0
 
 
 # ----------------------------------------------------------------------

@@ -4,7 +4,13 @@ The sequence is ordered by modulus m ascending (mu ascending within a
 modulus), optionally filtered by congruences m = 0 (mod n) and
 mu = nu (mod n), and every root is tagged with the order it belongs to:
 O1 when the ideal (m, mu + sqrt(D)) is invertible in Z[sqrt(D)], O2 when
-both m and (D - mu^2)/m are even.
+both m and (D - mu^2)/m are even.  That parity rule is decided here
+alone, with its proof (`is_invertible`, whose array form is
+`RootSequence.class_tags`), beside the discriminant checks and
+`filter_reaches_order`, which tells whether a filter holds any root of
+an order.  The module imports no other georoots layer than `arith`, so
+the empirical path (`roots`, `statistics`, `csvio`) loads neither forms
+nor class groups.
 
 The sieve is vectorised with numpy and keeps the roots of all m <= M in
 one CSR layout: mus[off[m]:off[m + 1]] are the sorted roots mod m, with
@@ -37,16 +43,78 @@ CRT step, the modular powers) is below 2^62 and exact in int64.
 
 import math
 from dataclasses import dataclass
+from enum import Enum
 
 import numpy as np
 
-from .arith import SpfTable, sqrt_mod_prime_power
-from .orders import (
-    OrderTag,
-    filter_reaches_order,
-    validate_discriminant,
-    validate_negative_discriminant,
-)
+from .arith import SpfTable, factorize, sqrt_mod_prime_power
+
+
+class OrderTag(Enum):
+    O1 = "O1"  # Z[sqrt(D)]
+    O2 = "O2"  # Z[(1+sqrt(D))/2]
+
+
+def validate_discriminant(D: int):
+    """Require squarefree D > 1 with D = 1 (mod 4)."""
+    if D <= 1 or D % 4 != 1:
+        raise ValueError("D must be a squarefree integer > 1 with D = 1 mod 4")
+    if any(e > 1 for _, e in factorize(D)):
+        raise ValueError("D must be squarefree")
+
+
+def validate_negative_discriminant(D: int):
+    """Require squarefree D < 0 with D = 1 (mod 4)."""
+    if D >= 0 or D % 4 != 1:
+        raise ValueError("D must be a squarefree integer < 0 with D = 1 mod 4")
+    if any(e > 1 for _, e in factorize(-D)):
+        raise ValueError("D must be squarefree")
+
+
+def is_invertible(D: int, m: int, mu: int) -> bool:
+    """Invertibility of the O1 ideal I = (m, mu + sqrt(D)).
+
+    True iff m is odd or c = (mu^2 - D)/m is odd.  The complementary
+    roots (both c and m even) are exactly the ones belonging to O2.
+
+    Proof.  I is invertible iff I conj(I) = N(I) O1 = m O1.  conj(I) has
+    Z-basis {m, mu - sqrt(D)}, so I conj(I) is spanned by the four
+    products m^2, m (mu + sqrt(D)), m (mu - sqrt(D)) and mu^2 - D = m c,
+    that is by m times {m, c, mu + sqrt(D), mu - sqrt(D)}.  The rational
+    integers in the span of those four are g Z with g = gcd(m, 2 mu, c)
+    (a combination of the two irrational ones is rational only as a
+    multiple of their sum 2 mu), and mu + sqrt(D) is in it, so
+    I conj(I) = m (Z g + Z (mu + sqrt(D))).  This is m O1 exactly when
+    g = 1, and g is the content of the form (m, -2 mu, c) of I
+    (`orders.form_of_root`).  An odd prime p dividing g divides m, c and
+    mu, so p^2 divides mu^2 - m c = D, which is squarefree; so g = 1 iff
+    g is odd, that is iff m or c is odd.
+    """
+    if (mu * mu - D) % m:
+        raise ValueError("mu^2 = D (mod m) violated")
+    return m % 2 == 1 or ((D - mu * mu) // m) % 2 == 1
+
+
+def filter_reaches_order(D: int, order: OrderTag, n: int, nu: int) -> bool:
+    """Does some root of the order meet the filter m = 0, mu = nu (mod n)?
+
+    Needs nu^2 = D (mod n).  Always true for O1; for O2 true unless n is
+    even and (D - nu^2)/n is odd.
+
+    Proof.  Let n be even and (D - nu^2)/n odd, and let (m, mu) be a
+    filtered root, mu = nu + k n.  Then (D - mu^2)/n =
+    (D - nu^2)/n - 2 k nu - k^2 n is odd, and it equals
+    (m/n) (D - mu^2)/m, so (D - mu^2)/m is odd and the root is of O1.
+    In every other case the filter holds a root (m, mu) of the order:
+    - O1, n odd: (n, nu), m odd.  O1, n even: (n 2^s, nu), 2^s the
+      power of 2 in (D - nu^2)/n, so (D - nu^2)/(n 2^s) is odd.
+    - O2, n even: (n, nu), with m and (D - nu^2)/n even.  O2, n odd:
+      (2n, nu') for nu' the odd one of nu, nu + n; D = 1 (mod 4) makes
+      D - nu'^2 a multiple of 4, and of n, so (D - nu'^2)/(2n) is even.
+    These carriers are the witnesses of the termination proof in
+    `geodesics.least_filtered_root`.
+    """
+    return order is OrderTag.O1 or n % 2 == 1 or (D - nu * nu) // n % 2 == 0
 
 
 M_LIMIT = 2**31   # every modulus bound M stays below this
@@ -67,8 +135,9 @@ class RootFilter:
             raise ValueError("need n >= 1")
         object.__setattr__(self, "nu", self.nu % self.n)
 
-    def accepts(self, m: int, mu: int) -> bool:
-        return m % self.n == 0 and mu % self.n == self.nu
+    def accepts(self, m, mu):
+        """m = 0 and mu = nu (mod n), for ints or elementwise for arrays."""
+        return (m % self.n == 0) & (mu % self.n == self.nu)
 
     def validate_for(self, D: int):
         if (self.nu * self.nu - D) % self.n:
@@ -91,7 +160,7 @@ class RootSequence:
         return self.mus / self.ms
 
     def class_tags(self) -> np.ndarray:
-        """True where the root belongs to O1."""
+        """True where the root belongs to O1 (`is_invertible` per root)."""
         tags = self.ms % 2 == 1
         even = np.flatnonzero(~tags)     # q = (D - mu^2)/m only where needed
         mu = self.mus[even]
@@ -204,7 +273,7 @@ def _sieve(D, M, filt):
     nz = np.flatnonzero(rho)
     ms = np.repeat(nz, rho[nz])
     if filt.n > 1:
-        keep = (ms % filt.n == 0) & (mus % filt.n == filt.nu)
+        keep = filt.accepts(ms, mus)
         ms, mus = ms[keep], mus[keep]
     return RootSequence(D, ms, mus)
 
@@ -352,7 +421,7 @@ def first_n(D: int, N: int, filt: RootFilter = None,
     first_sieve_bound and doubles, at most 24 times, until each class has
     N roots.  The roots of m <= M are the prefix m <= M of the sequence,
     so each class's first N roots do not depend on the M that finds them.
-    A class that no filtered root reaches (`orders.filter_reaches_order`)
+    A class that no filtered root reaches (`filter_reaches_order`)
     raises SequenceExhausted before any sieve.
     """
     if N < 1:

@@ -14,7 +14,6 @@ O(n) data however many pairs there are.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,8 +86,7 @@ def _point_data(points):
 
 
 def pair_correlation(points, lo: float = 0.0, hi: float = 5.0,
-                     bins: int = 100, N: int = None,
-                     threads: int = None) -> PairCorrResult:
+                     bins: int = 100, N: int = None) -> PairCorrResult:
     """Histogram of N*(x_i - x_j) mod N over ordered pairs i != j.
 
     `points` is a RootSequence (exact integer differences) or an array
@@ -105,9 +103,8 @@ def pair_correlation(points, lo: float = 0.0, hi: float = 5.0,
     so the sources still walking are a shrinking prefix and the pairs
     are never held all at once.  Of each translate only the points some
     window reaches are kept, n plus the wrapped neighbours.  So the
-    memory is O(n), plus O(_CHUNK) per thread, whatever the number of
-    pairs, and the work is O(pairs + n).  Chunk histograms are summed
-    as integers, so the counts do not depend on `threads`.
+    memory is O(n + _CHUNK), whatever the number of pairs, and the work
+    is O(pairs + n).  Chunk histograms are summed as integers.
 
     The walk pairs each source with every point of its run, its own
     copies x_j + k included.  Those self pairs are taken out afterwards:
@@ -214,12 +211,7 @@ def pair_correlation(points, lo: float = 0.0, hi: float = 5.0,
             out += binned(starts[:walking] + t, [c[:walking] for c in src])
         return out[1:-1]
 
-    chunks = range(0, n, _CHUNK)
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            parts = list(ex.map(do_chunk, chunks))
-    else:
-        parts = [do_chunk(c) for c in chunks]
+    parts = [do_chunk(c) for c in range(0, n, _CHUNK)]
     hist.counts = np.sum(parts, axis=0, dtype=np.int64)
     return PairCorrResult(hist, N)
 

@@ -18,7 +18,7 @@ eps = (t + u sqrt(Delta))/2 (`stabilizer_by_unit`), and a cone walk that
 stops when it closes on that stabilizer (`cones_closing_on`).
 
 The package holds an ideal as its root (m, mu) and its form, and decides
-invertibility by the closed form of I conj(I) (`orders.is_invertible`).
+invertibility by the closed form of I conj(I) (`roots.is_invertible`).
 The ideal layer here keeps ideals in Hermite normal form and multiplies
 them (`IdealHNF`, `ideal_mul`), names the class of a root by reducing its
 form into a cycle (`class_of_root`), and starts a base geodesic at a
@@ -31,7 +31,6 @@ root off the class's Zagier cones.
 import functools
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
@@ -56,12 +55,14 @@ from georoots.forms import (
 )
 from georoots.orders import (
     OrderMismatch,
-    OrderTag,
-    filter_reaches_order,
     form_of_root,
-    is_invertible,
     narrow_class_group,
     totally_positive_fundamental_unit,
+)
+from georoots.roots import (
+    OrderTag,
+    filter_reaches_order,
+    is_invertible,
 )
 from georoots.statistics import (
     _WINDOW_EPS,
@@ -689,8 +690,8 @@ _BLOCK = 1 << 16
 
 
 def pair_correlation_by_block(points, lo: float = 0.0, hi: float = 5.0,
-                              bins: int = 100, N: int = None,
-                              threads: int = None) -> PairCorrResult:
+                              bins: int = 100,
+                              N: int = None) -> PairCorrResult:
     """`statistics.pair_correlation`, materialising every pair of a block.
 
     Each block of _BLOCK sources lists all its (source, neighbour) pairs
@@ -741,11 +742,6 @@ def pair_correlation_by_block(points, lo: float = 0.0, hi: float = 5.0,
         keep = (idx >= 0) & (idx < bins) & ((tgt % n) != rep_src)
         return np.bincount(idx[keep].astype(np.int64), minlength=bins)
 
-    blocks = range(0, n, _BLOCK)
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            parts = list(ex.map(do_block, blocks))
-    else:
-        parts = [do_block(b) for b in blocks]
+    parts = [do_block(b) for b in range(0, n, _BLOCK)]
     hist.counts = np.sum(parts, axis=0, dtype=np.int64)
     return PairCorrResult(hist, N)

@@ -17,8 +17,8 @@ from georoots.cli import main
 from georoots.density import H, omega
 from georoots.geodesics import base_geodesic_set, enumerate_tops
 from georoots.negdisc import enumerate_orbit_points, sieve_roots_neg
-from georoots.orders import OrderTag, is_invertible, unit_relation
-from georoots.roots import RootFilter, sieve_roots
+from georoots.orders import unit_relation
+from georoots.roots import OrderTag, RootFilter, is_invertible, sieve_roots
 from georoots.statistics import ks_uniform, pair_correlation
 from oracles import ideal_conjugate, ideal_from_root, ideal_mul
 

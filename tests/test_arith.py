@@ -23,7 +23,8 @@ from georoots.forms import (
     zagier_reduced_forms,
     zagier_step,
 )
-from georoots.orders import OrderTag, totally_positive_fundamental_unit
+from georoots.orders import totally_positive_fundamental_unit
+from georoots.roots import OrderTag
 from quadnum import QuadNum
 
 

@@ -160,22 +160,29 @@ def test_commands_load_only_their_layers(argv):
     loaded = set(json.loads(lines[-1]))
     assert "georoots.roots" in loaded
     assert not loaded & {"georoots.density", "georoots.geodesics",
-                         "georoots.negdisc"}
+                         "georoots.negdisc", "georoots.orders",
+                         "georoots.forms"}
 
 
 def test_layers_import_no_fractions_or_decimal():
     """Exact arithmetic is on integers: the CLI and its layers load
     neither `fractions` nor the `decimal` module it imports, so a fresh
-    process does not compile them."""
-    script = ("import sys\n"
-              "import georoots.cli, georoots.roots, georoots.geodesics, "
-              "georoots.density\n"
-              "print(sorted({'fractions', 'decimal'} & set(sys.modules)))")
+    process does not compile them.  The empirical layers stand alone:
+    they load neither the form and class-group layers nor a thread
+    pool."""
     env = {**os.environ, "PYTHONPATH": str(SRC)}
-    proc = subprocess.run([sys.executable, "-c", script],
-                          capture_output=True, text=True, env=env,
-                          check=True)
-    assert proc.stdout == "[]\n"
+    for layers, banned in [
+        ("georoots.cli, georoots.roots, georoots.geodesics, "
+         "georoots.density", {"fractions", "decimal"}),
+        ("georoots.roots, georoots.statistics, georoots.csvio",
+         {"georoots.orders", "georoots.forms", "concurrent.futures"}),
+    ]:
+        script = (f"import sys\nimport {layers}\n"
+                  f"print(sorted({banned!r} & set(sys.modules)))")
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, env=env,
+                              check=True)
+        assert proc.stdout == "[]\n", layers
 
 
 # ------------------------------------------------------------- paircorr
@@ -249,31 +256,16 @@ def test_paircorr_class_subsequence(capsys):
     assert [int(r[1]) for r in rows] == res.histogram.counts.tolist()
 
 
-def test_threads_env_fallback(monkeypatch, capsys):
-    argv = ["paircorr", "--D", "5", "--N", "300", "--bins", "20"]
-    _, base, _ = run_cli(argv, capsys)
-    monkeypatch.setenv("GEOROOTS_THREADS", "3")
-    code, again, _ = run_cli(argv, capsys)
-    assert code == 0
-    assert again == base          # thread count never changes the bytes
-    monkeypatch.setenv("GEOROOTS_THREADS", "zebra")
-    code, _, err = run_cli(argv, capsys)
-    assert code == 2 and "GEOROOTS_THREADS" in err
-
-
-def test_threads_flag_must_be_positive(capsys):
-    code, _, err = run_cli(
-        ["paircorr", "--D", "5", "--N", "4", "--threads", "0"], capsys)
-    assert code == 2
-    assert "threads" in err
-
-
+# no subcommand takes --threads: the pair correlation has one sequential
+# code path
 @pytest.mark.parametrize("argv", [
     ["roots", "--D", "5", "--M", "11"],
     ["density", "--D", "5"],
     ["verify", "--D", "5"],
     ["units", "--D", "5"],
     ["classgroup", "--D", "5"],
+    ["paircorr", "--D", "5", "--N", "4"],
+    ["figure", "1"],
 ])
 def test_threads_only_on_commands_that_use_them(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -282,25 +274,19 @@ def test_threads_only_on_commands_that_use_them(argv, capsys):
     assert "unrecognized arguments: --threads" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv", [
-    ["paircorr", "--D", "5", "--N", "4"],
-    ["figure", "1"],
-])
-def test_threads_accepted_where_used(argv, monkeypatch):
-    monkeypatch.delenv("GEOROOTS_THREADS", raising=False)
-    args = config_from_args(build_parser().parse_args([*argv, "--threads",
-                                                       "2"]))
-    assert args.threads == 2
-    monkeypatch.setenv("GEOROOTS_THREADS", "3")
-    assert config_from_args(build_parser().parse_args(argv)).threads == 3
-
-
 def test_threads_env_ignored_by_commands_without_threads(monkeypatch,
                                                          capsys):
+    paircorr = ["paircorr", "--D", "5", "--N", "300", "--bins", "20"]
+    monkeypatch.delenv("GEOROOTS_THREADS", raising=False)
+    code, base, _ = run_cli(paircorr, capsys)
+    assert code == 0
     monkeypatch.setenv("GEOROOTS_THREADS", "zebra")
     code, out, err = run_cli(["roots", "--D", "5", "--M", "11"], capsys)
     assert code == 0 and err == ""
     assert parse_csv(out)[0]["count"] == "8"
+    code, out, err = run_cli(paircorr, capsys)
+    assert code == 0 and err == ""
+    assert out == base
 
 
 # -------------------------------------------------------------- density
@@ -612,7 +598,7 @@ def test_figure_files_and_reproducibility(tmp_path, capsys):
     assert float(erows[0][0]) == 0.025 and float(erows[-1][0]) == 4.975
 
     first = emp.read_bytes(), th.read_bytes()
-    code, _, _ = run_cli(argv + ["--threads", "2"], capsys)
+    code, _, _ = run_cli(argv, capsys)
     assert code == 0
     assert (emp.read_bytes(), th.read_bytes()) == first
 

@@ -35,7 +35,8 @@ from georoots.density import (
 )
 from georoots.forms import act, mat_mul
 from georoots.geodesics import BudgetExceeded, base_geodesic_set
-from georoots.orders import OrderTag, form_of_root
+from georoots.orders import form_of_root
+from georoots.roots import OrderTag
 from oracles import (
     Geodesic,
     SharedEndpoint,

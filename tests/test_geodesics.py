@@ -28,8 +28,8 @@ from georoots.geodesics import (
     stabilizer_generator,
     zagier_cones,
 )
-from georoots.orders import OrderTag, form_of_root, is_invertible
-from georoots.roots import RootFilter, sieve_roots
+from georoots.orders import form_of_root
+from georoots.roots import OrderTag, RootFilter, is_invertible, sieve_roots
 from oracles import (
     Geodesic,
     NotRootGeodesic,

@@ -13,8 +13,7 @@ from georoots.negdisc import (
     sieve_roots_neg,
     validate_negative_discriminant,
 )
-from georoots.orders import OrderTag
-from georoots.roots import RootFilter
+from georoots.roots import OrderTag, RootFilter
 from oracles import TopPoint, point_of_root
 
 

@@ -33,8 +33,7 @@ from georoots.negdisc import (
     enumerate_orbit_points,
     sieve_roots_neg,
 )
-from georoots.orders import OrderTag
-from georoots.roots import RootFilter, sieve_roots
+from georoots.roots import OrderTag, RootFilter, sieve_roots
 from oracles import (
     gamma0_coset_transversal,
     gamma0_generators,

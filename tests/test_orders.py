@@ -19,18 +19,21 @@ from georoots.forms import (
 from georoots.geodesics import BaseGeodesicSet, least_filtered_root
 from georoots.orders import (
     OrderMismatch,
-    OrderTag,
-    filter_reaches_order,
     form_of_root,
-    is_invertible,
     narrow_class_group,
     totally_positive_fundamental_unit,
     unit_relation,
     unit_str,
+)
+from georoots.roots import (
+    OrderTag,
+    RootFilter,
+    _sieve,
+    filter_reaches_order,
+    is_invertible,
     validate_discriminant,
     validate_negative_discriminant,
 )
-from georoots.roots import RootFilter, _sieve
 from oracles import (
     IdealHNF,
     class_of_root,
@@ -142,7 +145,7 @@ CLOSED_FORM_DS = [D for D in range(5, 89, 4)
 
 def test_norm_ideal_closed_form_matches_oracle(capsys):
     """I conj(I) = m (Z g + Z (mu + sqrt(D))), g the content of the form
-    (m, -2 mu, c) of I (proof in `orders.is_invertible`), is the product
+    (m, -2 mu, c) of I (proof in `roots.is_invertible`), is the product
     the HNF oracle computes, and g = 1 exactly for the invertible roots.
     `verify`'s ideal_norm_parity check reads the same content."""
     assert len(CLOSED_FORM_DS) == 16

@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 from georoots.arith import SpfTable, sqrt_mod
 from georoots.cli import _first_n_points
 from georoots.negdisc import sieve_roots_neg
-from georoots.orders import OrderTag
 import georoots.roots as roots
 from georoots.roots import (
+    OrderTag,
     RootFilter,
     SequenceExhausted,
     _sieve,
@@ -120,11 +120,20 @@ def test_take_n_first_four_d17():
 
 
 def test_take_n_filtered():
-    seq = take_n(5, 10, RootFilter(4, 1))
+    filt = RootFilter(4, 1)
+    seq = take_n(5, 10, filt)
     assert (seq.ms % 4 == 0).all() and (seq.mus % 4 == 1).all()
     assert len(seq) == 10
     first = brute(5, 200, 4, 1)[:10]
     assert list(zip(seq.ms.tolist(), seq.mus.tolist())) == first
+    # one rule for scalars and arrays
+    full = sieve_roots(5, 200)
+    mask = filt.accepts(full.ms, full.mus)
+    assert mask.dtype == bool
+    assert mask.tolist() == [filt.accepts(int(m), int(mu))
+                             for m, mu in zip(full.ms, full.mus)]
+    assert list(zip(full.ms[mask].tolist(), full.mus[mask].tolist())) == \
+        brute(5, 200, 4, 1)
 
 
 def _records(seq):

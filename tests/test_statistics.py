@@ -99,14 +99,6 @@ def test_matches_brute_force_on_floats():
     assert fast.histogram.counts.tolist() == res.tolist()
 
 
-def test_threads_do_not_change_counts(monkeypatch):
-    monkeypatch.setattr(statistics, "_CHUNK", 256)   # 8 chunks
-    seq = take_n(5, 2000)
-    a = pair_correlation(seq, 0.0, 5.0, 100)
-    b = pair_correlation(seq, 0.0, 5.0, 100, threads=4)
-    assert a.histogram.counts.tolist() == b.histogram.counts.tolist()
-
-
 CHUNK = 64
 # (n, N, lo, hi, bins): n around one and three chunks; windows on both
 # sides, to the right only, away from 0, and reaching several translates
@@ -147,15 +139,17 @@ def _points(kind, n):
     return rng.random(n)
 
 
-@pytest.mark.parametrize("threads", [1, 2, 4])
+# chunks of CHUNK // split sources: the chunk histograms sum to the same
+# counts wherever the chunk boundaries fall
+@pytest.mark.parametrize("split", [1, 2, 4])
 @pytest.mark.parametrize("kind", ["roots", "O2", "floats", "tied_roots",
                                   "tied_floats"])
 @pytest.mark.parametrize("n,N,lo,hi,bins", BLOCK_ORACLE_CASES)
 def test_matches_block_oracle(monkeypatch, n, N, lo, hi, bins, kind,
-                              threads):
-    monkeypatch.setattr(statistics, "_CHUNK", CHUNK)
+                              split):
+    monkeypatch.setattr(statistics, "_CHUNK", CHUNK // split)
     pts = _points(kind, n)
-    got = pair_correlation(pts, lo, hi, bins, N=N, threads=threads)
+    got = pair_correlation(pts, lo, hi, bins, N=N)
     want = pair_correlation_by_block(pts, lo, hi, bins, N=N)
     assert got.n_points == want.n_points
     assert got.histogram.counts.tolist() == want.histogram.counts.tolist()
