@@ -7,12 +7,7 @@ import sys
 import numpy as np
 
 from georoots.roots import take_n
-from georoots.statistics import (
-    count_distribution,
-    counting_function,
-    ks_uniform,
-    pair_correlation,
-)
+from georoots.statistics import pair_correlation
 
 FAILS = 0
 
@@ -39,7 +34,10 @@ def main():
     pts = take_n(D, N)
     print(f"first {N} roots for D = {D} (largest modulus {int(pts.ms[-1])})")
 
-    ks = ks_uniform(pts)
+    # Kolmogorov-Smirnov distance of the sorted x = mu/m to the uniform law
+    xs = np.sort(pts.mus / pts.ms)
+    grid = np.arange(N) / N
+    ks = float(max(np.max(grid + 1.0 / N - xs), np.max(xs - grid)))
     ok_line(ks < 0.02, "KS distance to the uniform law",
             f"{ks:.5f} at N = {N}")
 
@@ -49,21 +47,30 @@ def main():
     print("pair correlation on [0, 5], 25 bins  (flat = Poisson at height 1)")
     for c, v in zip(res.histogram.centers(), vals):
         print(f"  {c:5.2f}  {v:7.4f}  {bar(v / 2)}")
-    ok_line(abs(res.r2_total() - float(vals.sum()) * 0.2) < 1e-9,
+    r2_total = float(res.histogram.counts.sum()) / N
+    ok_line(abs(r2_total - float(vals.sum()) * 0.2) < 1e-9,
             "r2 total = sum of bins * width")
     # the density dips below 1 near zero (repulsion) and recovers
     ok_line(vals[:2].mean() < vals[-5:].mean(),
             "repulsion near zero relative to the tail",
             f"{vals[:2].mean():.3f} vs {vals[-5:].mean():.3f}")
 
-    # windows of length L/N catch L points on average
+    # windows [x, x + L/N) catch L points on average: count them at 4000
+    # equispaced x with a random offset
     L = 2.0
-    dist = count_distribution(pts, N, (0.0, L), sample_count=4000, seed=1)
+    u = np.random.default_rng(1).random()
+    starts = (np.arange(4000) + u) / 4000
+    ends = starts + L / N
+    counts = np.searchsorted(xs, ends % 1.0) - np.searchsorted(xs, starts)
+    counts = np.where(ends >= 1.0, counts + N, counts)  # wrapped past 1
+    dist = np.bincount(counts) / 4000
     mean = float(np.dot(np.arange(len(dist)), dist))
     ok_line(abs(mean - L) < 0.15, "mean window count = window length",
             f"{mean:.3f} vs {L}")
     x = 0.3217
-    k = counting_function(pts, x, N, (0.0, L))
+    # the k with x_j - k in [x, x + L/N), summed over j
+    d = xs - x
+    k = int(np.sum(np.floor(d) - np.floor(d - L / N)))
     print(f"\n  window of length {L}/N at x = {x}: {k} roots")
 
     print()

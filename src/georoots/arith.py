@@ -60,7 +60,7 @@ def _pollard_rho(n: int) -> int:
         c += 1
 
 
-class SpfTable:
+def spf_table(limit: int) -> np.ndarray:
     """Smallest-prime-factor table for 2..limit < 2^31, as int32.
 
     spf starts as the identity (0, 1 and the primes are their own
@@ -69,18 +69,16 @@ class SpfTable:
     order of p, so the smallest prime factor writes last.  Every
     composite m has spf(m)^2 <= m, so it is overwritten.
     """
-
-    def __init__(self, limit: int):
-        if limit >= 2**31:
-            raise ValueError("SpfTable holds int32: limit must be < 2^31")
-        spf = np.arange(max(limit, 1) + 1, dtype=np.int32)
-        r = math.isqrt(limit) if limit > 0 else 0
-        if r >= 2:
-            small = SpfTable(r).spf
-            primes = np.flatnonzero(small == np.arange(r + 1))[2:]
-            for p in primes[::-1].tolist():
-                spf[p * p::p] = p
-        self.spf = spf
+    if limit >= 2**31:
+        raise ValueError("spf_table holds int32: limit must be < 2^31")
+    spf = np.arange(max(limit, 1) + 1, dtype=np.int32)
+    r = math.isqrt(limit) if limit > 0 else 0
+    if r >= 2:
+        small = spf_table(r)
+        primes = np.flatnonzero(small == np.arange(r + 1))[2:]
+        for p in primes[::-1].tolist():
+            spf[p * p::p] = p
+    return spf
 
 
 def factorize(n: int) -> Factorization:

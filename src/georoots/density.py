@@ -28,9 +28,13 @@ Floats enter at these places only:
 - kappa, from log eps2 (`BaseGeodesicSet.lengths`, `kappa_and_vol`);
 - `_SigmaFrame.log_lam`, read only by `_canon`'s step guess, which
   exact integer sign tests then correct, so it decides nothing.
-A totally positive unit above 10^308 overflows the float conversions of
-eps2, log_lam and q (the overflow FOUND lines in CHANGES.md, pinned by
-the strict xfail `test_density_with_a_324_digit_unit`).
+No float conversion of a unit remains: both logs go through
+`geodesics.log_surd`, which shifts a unit above 2^1000 into the float
+range first and adds the shift back as a multiple of log 2 (its error
+bound is in its docstring), and a probe compares |B| exactly with twice
+the prune bound before it forms the float q.  So a totally positive
+unit above 10^308 (D = 100057 has one of 324 digits) is walked like any
+other, and below 2^1000 every float is the one computed before.
 
 `H` is the one evaluator of both flavours: it takes a term's (sign, q)
 and an array of v, and `omega` calls it once per term on the whole
@@ -55,7 +59,7 @@ import numpy as np
 
 from .arith import factorize
 from .forms import MAT_ID, act, mat_inv, mat_mul
-from .geodesics import BaseGeodesicSet, BudgetExceeded
+from .geodesics import BaseGeodesicSet, BudgetExceeded, log_surd
 
 
 class DomainError(ValueError):
@@ -161,8 +165,8 @@ class _SigmaFrame:
         up, down = (sig, sig_inv) if v > 0 else (sig_inv, sig)
         self.A, self.B, self.disc = A, B, B * B - 4 * A * C
         self.u, self.v = tr * tr - 2, abs(v)
-        self.log_lam = 2.0 * math.log((self.u + self.v
-                                       * math.sqrt(self.disc)) / 2.0)
+        self.log_lam = 2.0 * log_surd(self.u, self.v, math.sqrt(self.disc),
+                                      2.0)
         self._up = [MAT_ID, up]
         self._down = [MAT_ID, down]
 
@@ -301,8 +305,12 @@ def _translates(chains, g, ell, normal, den, prune):
     a hit yields the one state the whole scan would, a miss yields
     nothing, as three misses in each direction would.  A probe tests the
     float q = B/den itself, not B against den * prune, so it decides as
-    the q of act(g, sigma^t G) would."""
+    the q of act(g, sigma^t G) would.  It first tests |B| <= 2 prune den
+    (an int-float comparison, exact in Python): a B above that has a
+    float q above prune, so the result is the same, and a B too large
+    for a float never reaches the division."""
     l0, l1, l2 = ell
+    cap = 2 * prune * den
     stop = 1 if normal else _T_CAP + 1
     for (chain, mat), t0 in zip(chains, (0, 1)):
         misses = 0
@@ -310,7 +318,8 @@ def _translates(chains, g, ell, normal, den, prune):
             if t == len(chain):
                 chain.append(act(mat, chain[-1]))
             a, b, c = chain[t]
-            if abs((l0 * a + l1 * b + l2 * c) / den) <= prune:
+            B = l0 * a + l1 * b + l2 * c
+            if abs(B) <= cap and abs(B / den) <= prune:
                 misses = 0
                 yield act(g, chain[t])
             else:

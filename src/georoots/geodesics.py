@@ -193,14 +193,30 @@ class BaseGeodesicSet:
     eps2: tuple             # (a, b, c): eps2 = (a + b sqrt(D))/c
     unit_relation: str      # "Equal" or "Cube"
 
-    @property
-    def h(self):
-        return len(self.geodesics)
-
     def lengths(self):
         a, b, c = self.eps2
-        le = 2.0 * math.log((a + b * self.D ** 0.5) / c)
+        le = 2.0 * log_surd(a, b, self.D ** 0.5, c)
         return [le * g.length_mult for g in self.geodesics]
+
+
+def log_surd(a: int, b: int, root: float, c) -> float:
+    """log((a + b sqrt d) / c) for integers a >= b >= 0 of any size,
+    given root = sqrt d as a float.
+
+    With k = max(bit_length(a) - 1000, 0) it is the float expression
+    log(((a >> k) + (b >> k) root) / c) + k log 2.  For a < 2^1000, k = 0
+    and this is the plain expression, bit for bit (adding 0.0 changes no
+    float).  For k > 0 no conversion overflows, since a >> k < 2^1001,
+    and the shift moves the value by almost nothing: a >> k = floor(a /
+    2^k) lies in (a/2^k - 1, a/2^k], and so does b >> k for b, so with
+    S = a + b sqrt d, S' = (a >> k) + (b >> k) sqrt d satisfies
+    S/2^k - (1 + sqrt d) < S' <= S/2^k.  As S >= a >= 2^(999 + k), the
+    relative error of S' 2^k is below (1 + sqrt d) 2^-999, and so is,
+    up to a factor 2, the absolute error of the log: far below one ulp
+    of a log of at least 999 log 2.
+    """
+    k = max(a.bit_length() - 1000, 0)
+    return math.log(((a >> k) + (b >> k) * root) / c) + k * math.log(2.0)
 
 
 def least_filtered_root(D: int, order: OrderTag, rep,

@@ -47,7 +47,7 @@ from enum import Enum
 
 import numpy as np
 
-from .arith import SpfTable, factorize, sqrt_mod_prime_power
+from .arith import factorize, spf_table, sqrt_mod_prime_power
 
 
 class OrderTag(Enum):
@@ -155,10 +155,6 @@ class RootSequence:
     def __len__(self):
         return len(self.ms)
 
-    def normalized(self) -> np.ndarray:
-        """x_j = mu_j / m_j as float64 in [0, 1)."""
-        return self.mus / self.ms
-
     def class_tags(self) -> np.ndarray:
         """True where the root belongs to O1 (`is_invertible` per root)."""
         tags = self.ms % 2 == 1
@@ -195,7 +191,7 @@ def _sieve(D, M, filt):
         raise ValueError("modulus bound too large for 64-bit root math")
     if M < 1:
         return RootSequence(D, np.empty(0, np.int64), np.empty(0, np.int64))
-    spf = SpfTable(max(M, 2)).spf[:M + 1]
+    spf = spf_table(max(M, 2))[:M + 1]
     s = max(math.isqrt(M), 2)
 
     # pass 1: root counts.  Odd primes above sqrt(M) occur only as m = p.

@@ -1,16 +1,16 @@
-"""Empirical fine-scale statistics of sequences mod 1.
+"""Empirical fine-scale statistics of root sequences mod 1.
 
-The central object is the pair correlation of the first N points: the
-histogram of N * (x_i - x_j) over ordered pairs i != j, with differences
-taken on the circle.  When the points arrive as roots (mu, m) the
-differences are formed from exact integer cross products, so which pairs
-land in which bin is reproducible bit for bit; only the final binning
-happens in double precision.
+The central object is the pair correlation of the first N roots: the
+histogram of N * (x_i - x_j) over ordered pairs i != j of the
+normalized roots x = mu/m, with differences taken on the circle.  The
+differences are formed from exact integer cross products, so which
+pairs land in which bin is reproducible bit for bit; only the final
+binning happens in double precision.
 
 The pairs are never listed.  With the points sorted, the neighbours of
 each point within the window form one run of the translated point set,
 and `pair_correlation` walks all runs offset by offset, so it holds
-O(n) data however many pairs there are.
+O(N) data however many pairs there are.
 """
 
 import math
@@ -59,40 +59,19 @@ class PairCorrResult:
         """Per-bin density: pairs / (N * bin width)."""
         return self.histogram.counts / (self.n_points * self.histogram.width)
 
-    def r2_total(self) -> float:
-        """Plain pair-count measure of the whole range: #pairs / N."""
-        return float(self.histogram.counts.sum()) / self.n_points
 
+def pair_correlation(points: RootSequence, lo: float = 0.0, hi: float = 5.0,
+                     bins: int = 100) -> PairCorrResult:
+    """Histogram of N*(x_i - x_j) mod N over ordered pairs i != j of the
+    N roots `points`, x = mu/m.
 
-def bin_index(delta: float, lo: float, width: float) -> int:
-    """The shared binning rule: floor((delta-lo)/width) in doubles.
-
-    Values landing exactly on a representable bin edge go to the bin
-    starting there (to the right).
-    """
-    return int(math.floor((delta - lo) / width))
-
-
-def _point_data(points):
-    """(xs sorted, exact (ms, mus) or None, n)."""
-    if isinstance(points, RootSequence):
-        ms = np.asarray(points.ms, dtype=np.int64)
-        mus = np.asarray(points.mus, dtype=np.int64)
-        xs = mus / ms
-        order = np.argsort(xs)
-        return xs[order], (ms[order], mus[order]), len(xs)
-    xs = np.asarray(points, dtype=np.float64) % 1.0
-    return np.sort(xs), None, len(xs)
-
-
-def pair_correlation(points, lo: float = 0.0, hi: float = 5.0,
-                     bins: int = 100, N: int = None) -> PairCorrResult:
-    """Histogram of N*(x_i - x_j) mod N over ordered pairs i != j.
-
-    `points` is a RootSequence (exact integer differences) or an array
-    of floats in [0, 1).  N defaults to the number of points and is both
-    the difference scale and the normalization.  Pair counting is exact;
-    see bin_index for the edge rule.
+    N is both the difference scale and the normalization.  Pair
+    counting is exact: x_i + k - x_j is formed as the integer fraction
+    ((mu_i + k m_i) m_j - mu_j m_i) / (m_i m_j), and only then divided
+    out and scaled by N in doubles, to delta, which goes to bin
+    floor((delta - lo) / width) in doubles.  So a delta exactly on a
+    representable bin edge goes to the bin starting there (to the
+    right).
 
     The neighbours of source j are the points of the integer translates
     in its window [x_j + lo/N, x_j + hi/N) (widened by _WINDOW_EPS), and
@@ -102,9 +81,9 @@ def pair_correlation(points, lo: float = 0.0, hi: float = 5.0,
     whose run is longer than t is paired with its neighbour start_j + t,
     so the sources still walking are a shrinking prefix and the pairs
     are never held all at once.  Of each translate only the points some
-    window reaches are kept, n plus the wrapped neighbours.  So the
-    memory is O(n + _CHUNK), whatever the number of pairs, and the work
-    is O(pairs + n).  Chunk histograms are summed as integers.
+    window reaches are kept, N plus the wrapped neighbours.  So the
+    memory is O(N + _CHUNK), whatever the number of pairs, and the work
+    is O(pairs + N).  Chunk histograms are summed as integers.
 
     The walk pairs each source with every point of its run, its own
     copies x_j + k included.  Those self pairs are taken out afterwards:
@@ -116,18 +95,21 @@ def pair_correlation(points, lo: float = 0.0, hi: float = 5.0,
     The counts do not depend on the order that sorting gives to equal
     x.  The run of j is the set of indices whose translated x lies in
     j's window, a condition on values only, and a pair's difference is
-    formed from the two points' own (m, mu) or x.  Swapping two points
-    with equal x permutes the indices of the sorted and the translated
+    formed from the two points' own (m, mu).  Swapping two points with
+    equal x permutes the indices of the sorted and the translated
     arrays, and with them the sources and the members of every run, but
     not the multiset of (source, neighbour) point pairs that are binned,
     nor which of them are self pairs.  Each pair is binned once in
     either order, so the histogram is the same.
     """
-    xs, exact, n = _point_data(points)
-    if n < 2:
+    ms = np.asarray(points.ms, dtype=np.int64)
+    mus = np.asarray(points.mus, dtype=np.int64)
+    xs = mus / ms
+    order = np.argsort(xs)
+    xs, ms, mus = xs[order], ms[order], mus[order]
+    N = len(xs)
+    if N < 2:
         raise ValueError("need at least two points")
-    if N is None:
-        N = n
     hist = Histogram(lo, hi, bins)
     if not (hi > lo) or bins < 1:
         return PairCorrResult(hist, N)
@@ -143,31 +125,21 @@ def pair_correlation(points, lo: float = 0.0, hi: float = 5.0,
     cuts = [(k, *np.searchsorted(xs + k, reach)) for k in shifts]
     ats = np.cumsum([0] + [b - a for _, a, b in cuts])
     xs_ext = np.concatenate([xs[a:b] + k for k, a, b in cuts])
-    if exact is not None:
-        ms, mus = exact
-        ms_ext = np.concatenate([ms[a:b] for _, a, b in cuts])
-        mus_ext = np.concatenate([mus[a:b] + k * ms[a:b]
-                                  for k, a, b in cuts])
+    ms_ext = np.concatenate([ms[a:b] for _, a, b in cuts])
+    mus_ext = np.concatenate([mus[a:b] + k * ms[a:b] for k, a, b in cuts])
 
-    # the columns of the sources that a difference is formed from
-    cols = (ms, mus) if exact is not None else (xs,)
-
-    def binned(tgt, src):
+    def binned(tgt, m_s, mu_s):
         """Histogram, with an outer bin on each side, of the pairs of
         neighbours tgt (indices into the translated arrays) and sources
-        whose `cols` entries are src."""
+        (m_s, mu_s)."""
         # x_i - x_j with i the neighbour tgt and j the source
-        if exact is not None:
-            m_t, (m_s, mu_s) = ms_ext[tgt], src
-            num = mus_ext[tgt]
-            num *= m_s
-            num -= mu_s * m_t
-            m_t *= m_s
-            delta = num / m_t
-            delta *= N
-        else:
-            delta = xs_ext[tgt] - src[0]
-            delta *= N
+        m_t = ms_ext[tgt]
+        num = mus_ext[tgt]
+        num *= m_s
+        num -= mu_s * m_t
+        m_t *= m_s
+        delta = num / m_t
+        delta *= N
         return histogram(delta)
 
     def histogram(delta):
@@ -184,7 +156,7 @@ def pair_correlation(points, lo: float = 0.0, hi: float = 5.0,
     zero = histogram(np.zeros(1))
 
     def do_chunk(c0):
-        c1 = min(c0 + _CHUNK, n)
+        c1 = min(c0 + _CHUNK, N)
         starts = np.searchsorted(xs_ext, xs[c0:c1] + wlo, side="left")
         ends = np.searchsorted(xs_ext, xs[c0:c1] + whi, side="left")
         # self pairs: source j's copy in the cut (k, a, b) is at
@@ -199,74 +171,19 @@ def pair_correlation(points, lo: float = 0.0, hi: float = 5.0,
                 out -= np.count_nonzero(hit) * zero
             else:
                 hit = np.flatnonzero(hit)
-                out -= binned(own[hit], [c[src[hit]] for c in cols])
+                out -= binned(own[hit], ms[src[hit]], mus[src[hit]])
         # longest runs first: the sources still walking at offset t
         # are the first live[t]
         counts = ends - starts
         order = np.argsort(counts)[::-1]
         src, starts = order + c0, starts[order]
         live = len(order) - np.cumsum(np.bincount(counts))[:-1]
-        src = [c[src] for c in cols]
+        m_src, mu_src = ms[src], mus[src]
         for t, walking in enumerate(live):
-            out += binned(starts[:walking] + t, [c[:walking] for c in src])
+            out += binned(starts[:walking] + t, m_src[:walking],
+                          mu_src[:walking])
         return out[1:-1]
 
-    parts = [do_chunk(c) for c in range(0, n, _CHUNK)]
+    parts = [do_chunk(c) for c in range(0, N, _CHUNK)]
     hist.counts = np.sum(parts, axis=0, dtype=np.int64)
     return PairCorrResult(hist, N)
-
-
-def counting_function(points, x: float, N: int, interval) -> int:
-    """#{j: N*(x_j - x - k) in [lo, hi) for some integer k}."""
-    lo, hi = interval
-    if not hi > lo:
-        return 0
-    if isinstance(points, RootSequence):
-        d = points.normalized() - x
-    else:
-        d = np.asarray(points, dtype=np.float64) - x
-    # integers k in the half-open slab (d - hi/N, d - lo/N]
-    return int(np.sum(np.floor(d - lo / N) - np.floor(d - hi / N)))
-
-
-def _sorted_x(points) -> np.ndarray:
-    """The points x in [0, 1), sorted: mu/m for a RootSequence, else the
-    floats mod 1."""
-    if isinstance(points, RootSequence):
-        return np.sort(points.normalized())
-    return np.sort(np.asarray(points, dtype=np.float64) % 1.0)
-
-
-def count_distribution(points, N: int, interval, sample_count: int,
-                       seed: int = 0) -> np.ndarray:
-    """Empirical P(count = k) over equispaced windows with random offset.
-
-    Slides the interval x + I/N over sample_count positions x =
-    (i + u)/sample_count, u uniform from the seed, and tabulates how
-    many points fall inside each time.  Returns the probability vector.
-    """
-    lo, hi = interval
-    pts = _sorted_x(points)
-    npts = len(pts)
-    u = np.random.default_rng(seed).random()
-    xs = (np.arange(sample_count) + u) / sample_count
-    if not hi > lo:
-        return np.array([1.0])
-    whole, frac = divmod(hi - lo, N)
-    base = int(whole) * npts
-    a = (xs + lo / N) % 1.0
-    b = a + frac / N
-    ins = np.searchsorted(pts, b % 1.0) - np.searchsorted(pts, a)
-    ins = np.where(b >= 1.0, ins + npts, ins)   # window wrapped past 1
-    counts = base + ins
-    return np.bincount(counts) / sample_count
-
-
-def ks_uniform(points) -> float:
-    """Kolmogorov-Smirnov statistic against the uniform law on [0,1)."""
-    pts = _sorted_x(points)
-    n = len(pts)
-    if n == 0:
-        raise ValueError("need at least one point")
-    grid = np.arange(n) / n
-    return float(max(np.max(grid + 1.0 / n - pts), np.max(pts - grid)))

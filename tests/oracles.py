@@ -64,12 +64,7 @@ from georoots.roots import (
     filter_reaches_order,
     is_invertible,
 )
-from georoots.statistics import (
-    _WINDOW_EPS,
-    Histogram,
-    PairCorrResult,
-    _point_data,
-)
+from georoots.statistics import _WINDOW_EPS, Histogram, PairCorrResult
 from quadnum import QuadNum
 
 
@@ -690,19 +685,21 @@ _BLOCK = 1 << 16
 
 
 def pair_correlation_by_block(points, lo: float = 0.0, hi: float = 5.0,
-                              bins: int = 100,
-                              N: int = None) -> PairCorrResult:
+                              bins: int = 100) -> PairCorrResult:
     """`statistics.pair_correlation`, materialising every pair of a block.
 
     Each block of _BLOCK sources lists all its (source, neighbour) pairs
     at once through np.repeat over the full integer translates of the
     point set, so its memory grows with the number of pairs.
     """
-    xs, exact, n = _point_data(points)
-    if n < 2:
+    ms = np.asarray(points.ms, dtype=np.int64)
+    mus = np.asarray(points.mus, dtype=np.int64)
+    xs = mus / ms
+    order = np.argsort(xs)
+    xs, ms, mus = xs[order], ms[order], mus[order]
+    N = len(xs)
+    if N < 2:
         raise ValueError("need at least two points")
-    if N is None:
-        N = n
     hist = Histogram(lo, hi, bins)
     if not (hi > lo) or bins < 1:
         return PairCorrResult(hist, N)
@@ -713,13 +710,11 @@ def pair_correlation_by_block(points, lo: float = 0.0, hi: float = 5.0,
     # [x + wlo, x + whi] with x in [0, 1)
     shifts = range(math.floor(wlo), math.floor(whi) + 2)
     xs_ext = np.concatenate([xs + k for k in shifts])
-    if exact is not None:
-        ms, mus = exact
-        ms_ext = np.tile(ms, len(shifts))
-        mus_ext = np.concatenate([mus + k * ms for k in shifts])
+    ms_ext = np.tile(ms, len(shifts))
+    mus_ext = np.concatenate([mus + k * ms for k in shifts])
 
     def do_block(b0):
-        b1 = min(b0 + _BLOCK, n)
+        b1 = min(b0 + _BLOCK, N)
         src = np.arange(b0, b1)
         starts = np.searchsorted(xs_ext, xs[b0:b1] + wlo, side="left")
         ends = np.searchsorted(xs_ext, xs[b0:b1] + whi, side="left")
@@ -732,16 +727,13 @@ def pair_correlation_by_block(points, lo: float = 0.0, hi: float = 5.0,
             np.concatenate([[0], np.cumsum(counts)[:-1]]), counts)
         tgt = np.repeat(starts, counts) + offs
         # x_i - x_j with i the found neighbor and j the block source
-        if exact is not None:
-            num = mus_ext[tgt] * ms[rep_src] - mus[rep_src] * ms_ext[tgt]
-            den = ms_ext[tgt] * ms[rep_src]
-            delta = N * (num / den)
-        else:
-            delta = N * (xs_ext[tgt] - xs[rep_src])
+        num = mus_ext[tgt] * ms[rep_src] - mus[rep_src] * ms_ext[tgt]
+        den = ms_ext[tgt] * ms[rep_src]
+        delta = N * (num / den)
         idx = np.floor((delta - lo) / width)
-        keep = (idx >= 0) & (idx < bins) & ((tgt % n) != rep_src)
+        keep = (idx >= 0) & (idx < bins) & ((tgt % N) != rep_src)
         return np.bincount(idx[keep].astype(np.int64), minlength=bins)
 
-    parts = [do_block(b) for b in range(0, n, _BLOCK)]
+    parts = [do_block(b) for b in range(0, N, _BLOCK)]
     hist.counts = np.sum(parts, axis=0, dtype=np.int64)
     return PairCorrResult(hist, N)

@@ -7,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from georoots.arith import (
-    SpfTable,
     crt_combine,
     factorize,
     is_probable_prime,
+    spf_table,
     sqrt_mod_prime_power,
     xgcd,
     xgcd_array,
@@ -47,14 +47,14 @@ def test_factorize_small_exhaustive():
 
 
 def test_spf_table_matches_factorize():
-    spf = SpfTable(10_000).spf
+    spf = spf_table(10_000)
     for n in range(2, 10_001):
         assert spf[n] == factorize(n)[0][0]
 
 
 def test_spf_table_rejects_limits_past_int32():
     with pytest.raises(ValueError):
-        SpfTable(2**31)
+        spf_table(2**31)
 
 
 def _spf_by_arange(limit):
@@ -72,7 +72,7 @@ def _spf_by_arange(limit):
 
 @pytest.mark.parametrize("limit", [1, 2, 3, 4, 97, 1000, 65_536, 123_457])
 def test_spf_table_equals_arange_construction(limit):
-    spf = SpfTable(limit).spf
+    spf = spf_table(limit)
     assert spf.dtype == np.int32    # every sieve bound is below 2^31
     assert np.array_equal(spf, _spf_by_arange(limit))
 

@@ -478,14 +478,12 @@ def test_coset_terms_complete_at_q_max_10():
         assert len(terms) == complete
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "FOUND line in CHANGES.md: a totally positive unit above 1e308 "
-    "overflows float conversions in BaseGeodesicSet.lengths, "
-    "_SigmaFrame.log_lam and the cross-ratio q = B/den"))
 def test_density_with_a_324_digit_unit(capsys):
-    """D = 100057 has eps1 = eps2 with 324 digits."""
+    """D = 100057 has eps1 = eps2 with 324 digits: the unit's logs and
+    the walk's probes take it without a float overflow."""
     assert main(["density", "--D", "100057", "--qmax", "2",
                  "--range", "1", "--step", "0.5"]) == 0
+    assert "# terms = 4602\n" in capsys.readouterr().out
 
 
 def _full_scan(base, calls):

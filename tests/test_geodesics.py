@@ -25,6 +25,7 @@ from georoots.geodesics import (
     cone_roots,
     enumerate_tops,
     extra_coset_copies,
+    log_surd,
     stabilizer_generator,
     zagier_cones,
 )
@@ -241,11 +242,11 @@ def test_filter_is_gamma0_invariant():
 
 def test_base_set_counts_and_lengths():
     b = base_geodesic_set(5, 1, 0)
-    assert b.h == 2 and b.unit_relation == "Cube"
+    assert len(b.geodesics) == 2 and b.unit_relation == "Cube"
     assert sorted(g.length_mult for g in b.geodesics) == [1, 3]
 
     b17 = base_geodesic_set(17, 1, 0)
-    assert b17.h == 2 and b17.unit_relation == "Equal"
+    assert len(b17.geodesics) == 2 and b17.unit_relation == "Equal"
     assert [g.length_mult for g in b17.geodesics] == [1, 1]
 
     # total length vs unit: 2 log eps1 + 2 log eps2
@@ -254,6 +255,37 @@ def test_base_set_counts_and_lengths():
     assert sum(b.lengths()) == pytest.approx(8 * math.log(eps2))
     assert sum(b17.lengths()) == pytest.approx(
         4 * math.log(float(QuadNum(17, *b17.eps2))))
+
+
+def test_lengths_of_a_324_digit_unit_match_mpmath():
+    """D = 100057: eps2 has 324 digits, past the float range, and
+    `lengths` still agrees with a 50-digit log."""
+    import mpmath
+    b = base_geodesic_set(100057)
+    a, bb, c = b.eps2
+    assert a.bit_length() > 1024
+    with mpmath.workdps(50):
+        want = 2 * mpmath.log((a + bb * mpmath.sqrt(b.D)) / c)
+        for g, got in zip(b.geodesics, b.lengths()):
+            assert got == pytest.approx(float(want * g.length_mult),
+                                        rel=1e-15)
+
+
+def test_log_surd_across_the_shift():
+    """log_surd against mpmath for b of 990 to 1098 bits and a within 2
+    of b sqrt d, so a runs across 2^1000, where the shift starts, and
+    2^1024, where the plain float expression would overflow."""
+    import mpmath
+    rng = random.Random(7)
+    for d in (5, 17, 100057):
+        root = d ** 0.5
+        for bits in range(990, 1100, 3):
+            b = rng.getrandbits(bits) | 1 << (bits - 1)
+            a = math.isqrt(d * b * b) + rng.randrange(3)
+            c = rng.choice((1, 2))
+            with mpmath.workdps(50):
+                want = float(mpmath.log((a + b * mpmath.sqrt(d)) / c))
+            assert log_surd(a, b, root, c) == pytest.approx(want, rel=1e-15)
 
 
 def test_base_set_splitting_cases():
@@ -269,7 +301,7 @@ def test_base_set_splitting_cases():
     }
     for (D, n, nu), (h, s) in cases.items():
         b = base_geodesic_set(D, n, nu)
-        assert (b.h, b.s) == (h, s), (D, n, nu)
+        assert (len(b.geodesics), b.s) == (h, s), (D, n, nu)
 
 
 def test_base_set_tripled_length_case():

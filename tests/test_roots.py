@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from georoots.arith import SpfTable, sqrt_mod
+from georoots.arith import spf_table, sqrt_mod
 from georoots.cli import _first_n_points
 from georoots.negdisc import sieve_roots_neg
 import georoots.roots as roots
@@ -82,7 +82,7 @@ def test_sieve_ordering_and_range():
     key = s.ms * (s.ms.max() + 1) + s.mus
     assert (np.diff(key) > 0).all()           # strictly (m, mu)-ascending
     assert (s.mus >= 0).all() and (s.mus < s.ms).all()
-    x = s.normalized()
+    x = s.mus / s.ms
     assert (x >= 0).all() and (x < 1).all()
 
 
@@ -109,7 +109,7 @@ def test_take_n_pinned():
         Fraction(0), Fraction(1, 2), Fraction(1, 4), Fraction(3, 4),
         Fraction(0), Fraction(1, 2), Fraction(4, 11), Fraction(7, 11)]
     assert len(take_n(5, 1)) == 1
-    assert take_n(5, 1).normalized().tolist() == [0.0]
+    assert take_n(5, 1).mus.tolist() == [0]
 
 
 def test_take_n_first_four_d17():
@@ -283,7 +283,7 @@ def test_first_n_unreachable_class_fails_before_sieve(D, n, nu, monkeypatch):
 
 def _primes_above_root(M):
     """The primes p with sqrt(M) < p <= M, as the sieve solves them."""
-    spf = SpfTable(M).spf
+    spf = spf_table(M)
     s = math.isqrt(M)
     return np.flatnonzero(spf[s + 1:] > s) + (s + 1)
 
