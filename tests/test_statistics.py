@@ -128,21 +128,23 @@ def test_integer_oracle_matches_fraction_oracle(D, n, nu, N):
 
 
 CHUNK = 64
-# (n, lo, hi, bins): n around one and three chunks; windows on both
-# sides, to the right only, away from 0, and reaching several translates
+# (n, N, lo, hi, bins): n around one and three chunks; windows on both
+# sides, to the right only, away from 0, and reaching several translates.
+# A case with N set gives its window in units of N (x_i - x_j), and the
+# test scales lo and hi by n/N, so the windows reach the same translates.
 BLOCK_ORACLE_CASES = [
-    (CHUNK - 1, -5.0, 5.0, 100),
-    (CHUNK, 0.0, 5.0, 100),
-    (CHUNK + 1, 1.5, 4.0, 7),
-    (3 * CHUNK + 5, -5.0, 5.0, 100),
-    (3 * CHUNK + 5, 0.0, 1576.0, 37),     # windows [0, 8) in x
-    (3 * CHUNK + 5, -50.0, 3 * (3 * CHUNK + 5), 61),
-    (3 * CHUNK, -2.0, 3.0, 1),
-    (CHUNK + 1, 2.0, 2.0, 5),
+    (CHUNK - 1, None, -5.0, 5.0, 100),
+    (CHUNK, None, 0.0, 5.0, 100),
+    (CHUNK + 1, None, 1.5, 4.0, 7),
+    (3 * CHUNK + 5, None, -5.0, 5.0, 100),
+    (3 * CHUNK + 5, 50, 0.0, 400.0, 37),       # windows [0, 8) in x
+    (3 * CHUNK + 5, None, -50.0, 3 * (3 * CHUNK + 5), 61),
+    (3 * CHUNK, None, -2.0, 3.0, 1),
+    (CHUNK + 1, None, 2.0, 2.0, 5),
     # tiny N: windows reach a point's own translates
-    (2, -5.0, 5.0, 10),
-    (3, 0.0, 7.0, 14),
-    (3, -9.0, 9.0, 12),                   # windows [-3, 3) in x
+    (2, None, -5.0, 5.0, 10),
+    (3, None, 0.0, 7.0, 14),
+    (3, 1, -3.0, 3.0, 12),                     # windows [-3, 3) in x
 ]
 
 # distinct roots of D = 5 with equal x, each next to its twin
@@ -155,20 +157,31 @@ def _points(kind, n):
         return take_n(5, n)
     if kind == "O2":
         return first_n(5, n, classes=("O2",))[0]
-    # tied_roots
-    seq = take_n(5, n + len(TIED_ROOTS))
-    rest = [r for r in zip(seq.ms.tolist(), seq.mus.tolist())
-            if r not in TIED_ROOTS]
-    ms, mus = np.array((TIED_ROOTS + rest)[:n], dtype=np.int64).T
-    return RootSequence(5, ms, mus)
+    if kind == "tied_roots":
+        seq = take_n(5, n + len(TIED_ROOTS))
+        rest = [r for r in zip(seq.ms.tolist(), seq.mus.tolist())
+                if r not in TIED_ROOTS]
+        ms, mus = np.array((TIED_ROOTS + rest)[:n], dtype=np.int64).T
+        return RootSequence(5, ms, mus)
+    # tied_floats: random points of the grid of 1/8, as the exact
+    # fractions k/8, so equal points repeat and differences land on bin
+    # edges.  pair_correlation reads only (m, mu), so these need not be
+    # roots of the sequence's D.
+    rng = np.random.default_rng(n)
+    mus = np.sort(np.round(rng.random(n) * 8).astype(np.int64) % 8)
+    return RootSequence(5, np.full(n, 8, dtype=np.int64), mus)
 
 
 # chunks of CHUNK // split sources: the chunk histograms sum to the same
 # counts wherever the chunk boundaries fall
 @pytest.mark.parametrize("split", [1, 2, 4])
-@pytest.mark.parametrize("kind", ["roots", "O2", "tied_roots"])
-@pytest.mark.parametrize("n,lo,hi,bins", BLOCK_ORACLE_CASES)
-def test_matches_block_oracle(monkeypatch, n, lo, hi, bins, kind, split):
+@pytest.mark.parametrize("kind", ["roots", "O2", "tied_roots",
+                                  "tied_floats"])
+@pytest.mark.parametrize("n,N,lo,hi,bins", BLOCK_ORACLE_CASES)
+def test_matches_block_oracle(monkeypatch, n, N, lo, hi, bins, kind,
+                              split):
+    if N is not None:
+        lo, hi = lo * n / N, hi * n / N
     monkeypatch.setattr(statistics, "_CHUNK", CHUNK // split)
     pts = _points(kind, n)
     got = pair_correlation(pts, lo, hi, bins)
