@@ -252,7 +252,10 @@ def _check(checks, name, ok, detail):
 def _check_orbit_equals_sieve(checks, got, seq):
     """The orbit walk `got` found each sieved root exactly once; returns
     the sieved roots as a set of (m, mu)."""
-    sieve_set = {(int(m), int(mu)) for m, mu in zip(seq.ms, seq.mus)}
+    # a memoryview of the int64 arrays iterates as Python ints, with no
+    # numpy scalar per row and no list copy (the two lists of tolist()
+    # would raise the command's peak RSS)
+    sieve_set = set(zip(memoryview(seq.ms), memoryview(seq.mus)))
     _check(checks, "orbit_equals_sieve",
            got.roots == sieve_set and got.duplicates == 0,
            {"orbit": len(got.roots), "sieve": len(sieve_set),

@@ -26,6 +26,11 @@ filtered root of its class built as a carrier ideal of the filter times
 an auxiliary ideal of coprime norm found by a bounded search
 (`class_shift_representative`), where the package reads the least such
 root off the class's Zagier cones.
+
+The package sums the H rows of the density in place, on runs of the
+sorted grid (`density.H`).  The sum here evaluates each term's whole row
+into fresh arrays, masks and all, and adds it to the total
+(`H_row`, `omega_by_rows`).
 """
 
 import functools
@@ -39,7 +44,13 @@ import numpy as np
 
 from georoots.arith import sqrt_mod, xgcd
 from georoots.csvio import fmt_cell, fmt_float
-from georoots.density import _canon, _SigmaFrame
+from georoots.density import (
+    DomainError,
+    _canon,
+    _SigmaFrame,
+    enumerate_coset_terms,
+    kappa_and_vol,
+)
 from georoots.forms import (
     MAT_ID,
     MAT_S,
@@ -737,3 +748,46 @@ def pair_correlation_by_block(points, lo: float = 0.0, hi: float = 5.0,
     parts = [do_block(b) for b in range(0, N, _BLOCK)]
     hist.counts = np.sum(parts, axis=0, dtype=np.int64)
     return PairCorrResult(hist, N)
+
+
+# ----------------------------------------------------------------------
+# the density's H sum, one fresh row per term
+
+def H_row(sign: int, q: float, v: np.ndarray) -> np.ndarray:
+    """H_+ (sign > 0) or H_- (sign < 0) at q on an array of v: one term's
+    row, with boolean masks over the whole array and a new array per
+    step."""
+    if abs(q) == 1.0:
+        raise DomainError("|q| = 1")
+    out = np.zeros_like(v)
+    if q > 1.0:
+        y = np.sqrt(v * v + q * q - 1.0)
+        out[:] = np.log((q + y) * (q - math.sqrt(q * q - 1.0)))
+        return out
+    thr = math.sqrt(2.0 - 2.0 * q)
+    if q < -1.0:
+        mask = (np.abs(v) > thr) if sign < 0 else np.zeros(v.shape, bool)
+    else:
+        mask = (v > thr) if sign > 0 else (v < -thr)
+    if mask.any():
+        vm = v[mask]
+        out[mask] = 2.0 * np.log(q + np.sqrt(vm * vm + q * q - 1.0))
+    return out
+
+
+def omega_by_rows(base, grid, q_max: float, mask=None, terms=None):
+    """The values of `density.omega`, with the H sum as one H_row per
+    term added to a zero total in the (q, sign, k, l) order."""
+    grid = np.asarray(grid, dtype=np.float64)
+    kappa, vol = kappa_and_vol(base, mask)
+    if terms is None:
+        terms, _ = enumerate_coset_terms(base, q_max, mask)
+    total = np.zeros_like(grid)
+    vk = grid / kappa
+    for t in sorted(terms, key=lambda t: (t.q, t.sign, t.k, t.l)):
+        total += H_row(t.sign, t.q, vk)
+    total /= 2.0 * math.pi * vol * grid * grid
+    edge = [t for t in terms if t.q >= q_max / 2]
+    dens = len(edge) / (q_max / 2)
+    total += dens / (8.0 * math.pi * vol * kappa * kappa * q_max)
+    return total

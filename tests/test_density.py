@@ -37,8 +37,10 @@ from georoots.forms import act, mat_mul
 from georoots.geodesics import BudgetExceeded, base_geodesic_set
 from georoots.orders import form_of_root
 from georoots.roots import OrderTag
+from georoots.statistics import Histogram
 from oracles import (
     Geodesic,
+    H_row,
     SharedEndpoint,
     apply_gamma,
     cross_ratio_q,
@@ -46,6 +48,7 @@ from oracles import (
     gamma0_generators,
     geodesic_from_root,
     mat_pow,
+    omega_by_rows,
     sigma_canonical,
 )
 from quadnum import QuadNum
@@ -188,6 +191,8 @@ def test_H_domain_errors():
         for sign in (+1, -1):
             with pytest.raises(DomainError):
                 H(sign, q, np.linspace(-5.0, 5.0, 11))
+            with pytest.raises(DomainError):
+                H([1, sign, 1], [0.5, q, 3.0], np.linspace(-5.0, 5.0, 11))
     q = 0.5
     with pytest.raises(DomainError):
         H_raw_plus(q, math.sqrt(2.0 - 2.0 * q))
@@ -215,6 +220,43 @@ def test_raw_matches_simplified_sample():
         assert H_raw_plus(q, v) == pytest.approx(H_plus(q, v), abs=1e-12)
         assert H_raw_minus(q, v) == pytest.approx(H_minus(q, v), abs=1e-12)
         checked += 1
+
+
+@st.composite
+def h_terms(draw):
+    """(signs, qs, v): a few terms away from |q| = 1, drawn from a few q
+    values so that equal terms often follow each other, and a v array
+    that holds +-sqrt(2 - 2q) of each q < 1 exactly, with its
+    neighbours, so the strict masks and the run bounds meet at their
+    edges, and may hold NaN and +-inf, which sort to the ends."""
+    pool = draw(st.lists(st.floats(-12.0, 12.0).filter(
+        lambda q: abs(q) != 1.0), min_size=1, max_size=4))
+    n = draw(st.integers(1, 8))
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
+    qs = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    v = draw(st.lists(st.floats(-15.0, 15.0)
+                      | st.sampled_from((math.nan, math.inf, -math.inf)),
+                      max_size=40))
+    for q in pool:
+        if q < 1.0:
+            thr = math.sqrt(2.0 - 2.0 * q)
+            for x in (thr, -thr):
+                v += [x, np.nextafter(x, math.inf), np.nextafter(x, -math.inf)]
+    v = draw(st.permutations(v))
+    return signs, qs, np.array(v, dtype=np.float64)
+
+
+@given(h_terms())
+def test_H_rows_match_the_oracle_bitwise(case):
+    """Each term's row is the row-per-term oracle's, byte for byte, and a
+    call with several terms is the in-order sum of their single rows."""
+    signs, qs, v = case
+    total = np.zeros_like(v)
+    for sign, q in zip(signs, qs):
+        row = H(sign, q, v)
+        assert row.tobytes() == H_row(sign, q, v).tobytes()
+        total += row
+    assert H(signs, qs, v).tobytes() == total.tobytes()
 
 
 # ----------------------------------------------------------------------
@@ -816,6 +858,29 @@ def test_omega_independent_of_term_order():
     a = omega(base, grid, q_max=20.0, terms=terms)
     b = omega(base, grid, q_max=20.0, terms=shuffled)
     assert a.omega.tobytes() == b.omega.tobytes()
+
+
+def _sweep_grids():
+    fine = default_grid(-5.0, 5.0, 0.001, v_min=0.001)
+    coarse = default_grid(-5.0, 5.0, 0.01, v_min=0.01)
+    return {"step 0.001": fine, "step 0.01": coarse,
+            "figure bins": Histogram(0.0, 5.0, 100).centers(),
+            "shuffled": np.random.default_rng(22).permutation(coarse),
+            "negative": default_grid(-5.0, -0.01, 0.01)}
+
+
+@pytest.mark.parametrize("D", [5, 13, 17, 21, 65])
+def test_omega_matches_row_per_term_sum_bitwise(D):
+    """The in-place H sum gives the bytes of one fresh row per term, for
+    every class and on sorted, shuffled and one-sided grids."""
+    base = base_geodesic_set(D)
+    for cls in ("total", "O1", "O2"):
+        mask = _class_mask(base, cls)
+        terms, _ = enumerate_coset_terms(base, 10.0, mask)
+        for name, grid in _sweep_grids().items():
+            got = omega(base, grid, q_max=10.0, mask=mask, terms=terms)
+            want = omega_by_rows(base, grid, 10.0, mask, terms)
+            assert got.omega.tobytes() == want.tobytes(), (cls, name)
 
 
 def test_omega_mask_uses_restricted_kappa():
