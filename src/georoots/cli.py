@@ -12,11 +12,20 @@ classgroup  narrow class representatives (definite classes for D < 0)
 
 Exit codes: 0 success, 1 runtime failure, 2 invalid configuration.
 
+A georoots process runs without cyclic garbage collection: `entry`, the
+entry point of the console script and of `python -m georoots.cli`,
+switches the collector off before main() and freezes the heap before
+exit.  A command makes a constant amount of cyclic garbage, however
+large its input, so nothing piles up (`entry` gives the argument).
+Importing this module, and calling main() in process, leave the
+collector as it was.
+
 The parsed argparse namespace is the run configuration: each command
 receives it after config_from_args has checked its options.
 """
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -42,13 +51,10 @@ def _root_filter(args):
 
 
 def _check_discriminant(D: int):
-    from .roots import validate_discriminant, validate_negative_discriminant
+    from .roots import validate_either_sign
 
     try:
-        if D < 0:
-            validate_negative_discriminant(D)
-        else:
-            validate_discriminant(D)
+        validate_either_sign(D)
     except ValueError as e:
         raise ConfigError(str(e))
 
@@ -113,14 +119,6 @@ def _check_bounds(args):
 # ----------------------------------------------------------------------
 # shared helpers
 
-def _sieve_fn(D):
-    if D < 0:
-        from .negdisc import sieve_roots_neg
-        return sieve_roots_neg
-    from .roots import sieve_roots
-    return sieve_roots
-
-
 def _first_n_points(args):
     """First N roots, restricted to one order's subsequence if asked."""
     from .roots import first_n
@@ -145,8 +143,9 @@ def _class_mask(base, class_filter):
 
 def cmd_roots(args) -> int:
     from .csvio import write_table
+    from .roots import sieve_roots
 
-    seq = _sieve_fn(args.D)(args.D, args.M, _root_filter(args))
+    seq = sieve_roots(args.D, args.M, _root_filter(args))
     meta = {"command": "roots", "D": args.D, "n": args.n, "nu": args.nu,
             "M": args.M, "count": len(seq)}
     write_table(args.out, args.format, meta, ("m", "mu", "class"),
@@ -465,5 +464,27 @@ def main(argv=None) -> int:
         return 1
 
 
+def entry():
+    """The process entry point: the `georoots` console script and
+    `python -m georoots.cli`.
+
+    main() runs with the cyclic garbage collector off, so no collection
+    runs while numpy and the layers load; the heap is frozen before exit,
+    so the collections CPython makes at shutdown skip every object the
+    run made.  That is safe because a command leaves a constant amount of
+    cyclic garbage, whatever its N, M, q_max or grid: about 400 objects,
+    nearly all of them the argparse parser and its help formatters, as
+    the layers hold their data in arrays, tuples and dataclasses without
+    back references (tests/test_cli.py checks the count at sizes 10x
+    apart).  The OS reclaims the frozen heap at exit; sys.exit, unlike
+    os._exit, still runs the atexit handlers and the final flushes.
+    In-process callers of main() keep the collector as they have it.
+    """
+    gc.disable()
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

@@ -18,11 +18,13 @@ off = cumsum(rho) and rho(m) the number of roots.  Each m > 1 splits as
 m = q * m2, q = p^e the full power of its smallest prime p, every prime
 of m2 above p; so rho(m) = rho(q) rho(m2), and the roots mod m are the
 CRT combinations of the roots mod q and mod m2.  An odd prime p > sqrt(M)
-only occurs as m = p; all of those are solved at once by a vectorised
-Euler test and Tonelli-Shanks, whose non-squares come from quadratic
-reciprocity: (c/p) for a small prime c is a table lookup on p mod 4c
-(`_non_squares`).  The primes p <= sqrt(M), and 2, are walked in
-descending order, so rho(m2) is always known first:
+only occurs as m = p.  Quadratic reciprocity serves them twice, each
+time as table lookups: (D/p) is a product of lookups on p mod l, one per
+prime l of D, which drops the half of them where D has no root
+(`_square_mask`); the rest are solved at once by a vectorised Euler test
+and Tonelli-Shanks, whose non-squares come from (c/p) for small primes
+c, a lookup on p mod 4c (`_non_squares`).  The primes p <= sqrt(M), and
+2, are walked in descending order, so rho(m2) is always known first:
 
 1. pass one fills rho and omega(m), the number of distinct primes of m.
    The cofactors m2 of every power of p come from one scan of the
@@ -69,6 +71,15 @@ def validate_negative_discriminant(D: int):
         raise ValueError("D must be a squarefree integer < 0 with D = 1 mod 4")
     if any(e > 1 for _, e in factorize(-D)):
         raise ValueError("D must be squarefree")
+
+
+def validate_either_sign(D: int):
+    """validate_discriminant or validate_negative_discriminant, by the sign
+    of D."""
+    if D < 0:
+        validate_negative_discriminant(D)
+    else:
+        validate_discriminant(D)
 
 
 def is_invertible(D: int, m: int, mu: int) -> bool:
@@ -178,8 +189,9 @@ class RootSequence:
 
 def sieve_roots(D: int, M: int,
                 filt: RootFilter = RootFilter()) -> RootSequence:
-    """All filtered roots with modulus m <= M, ordered by (m, mu)."""
-    validate_discriminant(D)
+    """All filtered roots with modulus m <= M, ordered by (m, mu), for
+    either sign of D."""
+    validate_either_sign(D)
     return _sieve(D, M, filt)
 
 
@@ -196,7 +208,9 @@ def _sieve(D, M, filt):
 
     # pass 1: root counts.  Odd primes above sqrt(M) occur only as m = p.
     big = np.flatnonzero(spf[s + 1:] > s) + (s + 1)
-    r = _sqrt_mod_primes(_mod_each(D, big), big)
+    r = np.full_like(big, -1)
+    sq = _square_mask(D, big)
+    r[sq] = _sqrt_mod_primes(_mod_each(D, big[sq]), big[sq])
     rho = np.zeros(M + 1, np.int16)   # at most 4 * 2^8 roots below 2^31
     rho[1] = 1
     rho[big] = np.sign(r) + 1         # r = -1: no root, r = 0: p | D
@@ -350,6 +364,37 @@ def _sqrt_mod_primes(a, p):
     return r
 
 
+def _square_mask(D, p):
+    """True per odd prime p where D is a square or 0 mod p, that is where
+    chi_D(p) = (D/p) is not -1; all True when the tables would cost more
+    than the Euler powers they save.
+
+    Proof.  Write D = eps l_1 ... l_k with eps = +-1 and distinct odd
+    primes l_i (D is squarefree and odd).  For p not dividing D, quadratic
+    reciprocity gives (D/p) = (eps/p) prod (p/l_i) (-1)^((p-1)/2 (l_i-1)/2)
+    = (eps/p) (-1)^((p-1)/2 t) prod (p/l_i), with t the number of l_i = 3
+    (mod 4).  As prod l_i = (-1)^t (mod 4) and D = 1 (mod 4), eps = (-1)^t:
+    for eps = 1 both signs are 1, and for eps = -1, t is odd and
+    (-1/p) = (-1)^((p-1)/2) cancels the other sign.  So
+    (D/p) = prod (p/l_i), and (p/l) depends on p mod l alone: it is read
+    off one table of the squares mod l per prime l of D.  At p = l the
+    table reads 0 and p is kept, as D = 0 (mod p) has the root 0.  A table
+    costs O(l), so the mask is all True if some l exceeds the number of
+    primes it would sort.
+    """
+    ells = [l for l, _ in factorize(abs(D))]
+    if max(ells) > len(p):
+        return np.ones(len(p), bool)
+    chi = np.ones(len(p), np.int8)
+    for l in ells:
+        x = np.arange(l, dtype=np.int64)
+        table = np.full(l, -1, np.int8)
+        table[x * x % l] = 1
+        table[0] = 0
+        chi *= table[p % l]
+    return chi >= 0
+
+
 def _two_order(t, p):
     """Least k >= 0 with t^(2^k) = 1 (mod p), for t of 2-power order."""
     k = np.zeros_like(t)
@@ -424,10 +469,7 @@ def first_n(D: int, N: int, filt: RootFilter = None,
         raise ValueError("N >= 1 required")
     if not classes or not set(classes) <= {"total", "O1", "O2"}:
         raise ValueError(f"classes {classes} are not total, O1 or O2")
-    if D < 0:
-        validate_negative_discriminant(D)
-    else:
-        validate_discriminant(D)
+    validate_either_sign(D)
     if filt is None:
         filt = RootFilter()
     filt.validate_for(D)

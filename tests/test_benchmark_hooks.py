@@ -50,7 +50,7 @@ def test_tracer_boundary_names_exist(layer, names):
 TRACED = [
     (["roots", "--D", "5", "--M", "3000"], "roots._sieve",
      {"roots.sieve_calls": 1, "roots.moduli_sieved": 3000}),
-    (["roots", "--D", "-15", "--M", "2000"], "negdisc.sieve_roots_neg", {}),
+    (["roots", "--D", "-15", "--M", "2000"], "roots.sieve_roots", {}),
     (["paircorr", "--D", "5", "--N", "3000", "--bins", "10", "--class",
       "O2"], "statistics.pair_correlation", {}),
     (["density", "--D", "5", "--qmax", "5", "--step", "0.1", "--class",

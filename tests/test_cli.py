@@ -1,6 +1,7 @@
 """End-to-end checks of the command line, run in process via main(argv)."""
 
 import argparse
+import gc
 import hashlib
 import json
 import math
@@ -147,6 +148,7 @@ print(json.dumps(sorted(m for m in sys.modules if m.startswith("georoots"))))
 
 @pytest.mark.parametrize("argv", [
     ["roots", "--D", "5", "--M", "30"],
+    ["roots", "--D", "-15", "--M", "30"],
     ["paircorr", "--D", "5", "--N", "20", "--bins", "2"],
 ])
 def test_commands_load_only_their_layers(argv):
@@ -690,3 +692,120 @@ def test_figure_needs_two_points_before_work(monkeypatch, tmp_path, capsys):
     assert out == "" and err.startswith("error:") and "N >= 2" in err
     assert bounds == []
     assert list(tmp_path.iterdir()) == []
+
+
+# ------------------------------------------------------- process entry
+#
+# `entry` runs main() with the cyclic collector off and freezes the heap
+# before exit.  That is sound only while a command's cyclic garbage does
+# not grow with its input.
+
+CYCLE_COMMANDS = {
+    "roots_5": "roots --D 5 --M {M} --out {out}/t",
+    "roots_-15": "roots --D -15 --M {M} --out {out}/t",
+    "paircorr_O2": "paircorr --D 5 --N {N} --class O2 --out {out}/t",
+    "density": "density --D 5 --qmax {q} --step {step} --out {out}/t",
+    "verify_5": "verify --D 5 --M {Mv} --out {out}/t",
+    "verify_-15": "verify --D -15 --M {Mv} --out {out}/t",
+    "figure_3": "figure 3 --N {N} --outdir {out}",
+}
+
+
+@pytest.mark.parametrize("template", CYCLE_COMMANDS.values(),
+                         ids=CYCLE_COMMANDS.keys())
+def test_cyclic_garbage_does_not_grow_with_the_input(template, tmp_path,
+                                                     capsys):
+    def run(k):
+        argv = template.format(M=2000 * k, N=300 * k, q=5 * k,
+                               step=0.1 / k, Mv=300 * k, out=tmp_path)
+        assert main(argv.split()) == 0
+
+    run(1)        # load the layers and fill the caches a first run fills
+    run(10)
+    was = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        found = []
+        for k in (1, 10):
+            run(k)
+            found.append(gc.collect())
+    finally:
+        if was:
+            gc.enable()
+    assert found[0] == found[1] > 0
+
+
+def _python(args, **kwargs):
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          env=env, timeout=600, **kwargs)
+
+
+# the module run as a script, and the console script's wrapper
+LAUNCHERS = {
+    "module": ["-m", "georoots.cli"],
+    "console": ["-c", "import sys; from georoots.cli import entry; "
+                "sys.argv[0] = 'georoots'; sys.exit(entry())"],
+}
+
+
+@pytest.mark.parametrize("launcher", sorted(LAUNCHERS))
+@pytest.mark.parametrize("argv", [
+    ["roots", "--D", "5", "--M", "3000"],
+    ["roots", "--D", "-15", "--M", "2000", "--format", "json"],
+    ["density", "--D", "5", "--qmax", "5", "--step", "0.1"],
+    ["verify", "--D", "5", "--M", "500"],
+    ["verify", "--D", "-15", "--M", "500"],
+], ids=lambda a: "_".join(a[:3]))
+def test_entry_prints_what_main_prints(argv, launcher, capsys):
+    proc = _python([*LAUNCHERS[launcher], *argv])
+    assert proc.returncode == 0, proc.stderr.decode()
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert proc.stdout == out.encode() and proc.stderr == b""
+
+
+@pytest.mark.parametrize("launcher", sorted(LAUNCHERS))
+def test_entry_exits_2_on_a_config_error(launcher):
+    proc = _python([*LAUNCHERS[launcher], "roots", "--D", "6", "--M", "10"])
+    assert proc.returncode == 2
+    assert proc.stdout == b"" and b"mod 4" in proc.stderr
+
+
+# the layer fails under `python -m georoots.cli`; the failure reports
+# whether the collector ran, and an atexit handler whether the heap froze
+INJECTED_FAILURE = """
+import atexit, gc, runpy, sys
+import georoots.roots
+
+def fail(*args):
+    raise RuntimeError(f"collector enabled: {gc.isenabled()}")
+
+georoots.roots.sieve_roots = fail
+atexit.register(lambda: print("frozen:", gc.get_freeze_count() > 0,
+                              file=sys.stderr))
+sys.argv = ["georoots", "roots", "--D", "5", "--M", "10"]
+runpy.run_module("georoots.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+def test_entry_exits_1_on_a_runtime_failure():
+    proc = _python(["-c", INJECTED_FAILURE])
+    assert proc.returncode == 1
+    assert proc.stdout == b""
+    assert proc.stderr.decode().splitlines() == [
+        "failure: RuntimeError: collector enabled: False", "frozen: True"]
+
+
+def test_main_and_import_leave_the_collector_as_they_found_it(capsys):
+    proc = _python(["-c", "import gc, georoots.cli; print(gc.isenabled())"])
+    assert proc.stdout == b"True\n"
+    was = gc.isenabled()
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            code, _, _ = run_cli(["roots", "--D", "5", "--M", "11"], capsys)
+            assert code == 0 and gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from georoots.arith import spf_table, sqrt_mod
+from georoots.arith import factorize, spf_table, sqrt_mod
 from georoots.cli import _first_n_points
 from georoots.negdisc import sieve_roots_neg
 import georoots.roots as roots
@@ -342,3 +342,30 @@ def test_non_squares_are_least(monkeypatch):
     # with a short table most primes go through the Euler fallback
     monkeypatch.setattr(roots, "_TABLE_PRIMES", (2, 3))
     assert roots._non_squares(p).tolist() == want
+
+
+def _mask_off(D, p):
+    return np.ones(len(p), bool)
+
+
+# D of both signs with one to four primes.  The mask is skipped where a
+# prime of D exceeds the primes above sqrt(M): D = -7919 at M <= 10^4
+# (1204 primes), and D = 13, 17, 65, 1105 at M = 50 (11 primes)
+@pytest.mark.parametrize("D", [5, 13, 17, 21, 65, 1105, -3, -7, -15, -35,
+                               -1155, -7919])
+def test_square_mask_keeps_the_sieve_bytes(D, monkeypatch):
+    for M in (50, 10_000, 100_000):
+        p = _primes_above_root(M)
+        mask = roots._square_mask(D, p)
+        if max(q for q, _ in factorize(abs(D))) > len(p):
+            assert mask.all()
+        else:   # exactly Euler's criterion: D is a square or 0 mod p
+            assert mask.tolist() == [pow(D, q // 2, q) != q - 1
+                                     for q in p.tolist()]
+            assert not mask.all()
+        got = _sieve(D, M, RootFilter())
+        with monkeypatch.context() as mp:   # the kernel without the mask
+            mp.setattr(roots, "_square_mask", _mask_off)
+            want = _sieve(D, M, RootFilter())
+        assert got.ms.tobytes() == want.ms.tobytes()
+        assert got.mus.tobytes() == want.mus.tobytes()
