@@ -207,23 +207,11 @@ def sqrt_mod_prime_power(D: int, p: int, e: int) -> list[int]:
     return sorted(out)
 
 
-def xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, s, t) with g = gcd(a, b) = s a + t b (extended Euclid)."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    return old_r, old_s, old_t
-
-
 def xgcd_array(a: np.ndarray, b: np.ndarray):
-    """Elementwise xgcd of int64 arrays: the (g, s, t) that xgcd returns.
+    """Extended Euclid on int64 arrays: (g, s, t) with g = gcd(a, b) =
+    s a + t b elementwise.
 
-    Runs the same Euclid steps on every pair at once and retires a pair
+    Runs the Euclid steps on every pair at once and retires a pair
     when its remainder reaches zero, so each pair costs its own number of
     steps.
     """

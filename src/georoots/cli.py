@@ -10,7 +10,11 @@ verify      correspondence test battery with a JSON report
 units       totally positive fundamental units of the two orders
 classgroup  narrow class representatives (definite classes for D < 0)
 
-Exit codes: 0 success, 1 runtime failure, 2 invalid configuration.
+Exit codes: 0 success, 1 runtime failure, 2 invalid input
+(`georoots.InputError`).  Each input rule has one owner, which raises
+InputError before any sieve or walk: config_from_args checks the
+options (bins, M, N >= 2, outdir, range, step, qmax), and the layers
+check D, the filter (n, nu), the order class and the first-N bound.
 
 A georoots process runs without cyclic garbage collection: `entry`, the
 entry point of the console script and of `python -m georoots.cli`,
@@ -21,7 +25,8 @@ Importing this module, and calling main() in process, leave the
 collector as it was.
 
 The parsed argparse namespace is the run configuration: each command
-receives it after config_from_args has checked its options.
+receives it after config_from_args has checked its options, and hands
+D, n and nu to the layers as given.
 """
 
 import argparse
@@ -31,89 +36,42 @@ import math
 import os
 import sys
 
+from . import InputError
+
 # Each command imports the layers it uses when it runs, so start-up loads
 # none of them and `roots` or `paircorr` never load the walks.
-
-
-class ConfigError(ValueError):
-    """Invalid run configuration; reported with exit code 2."""
 
 
 def _root_filter(args):
     from .roots import RootFilter
 
-    try:
-        filt = RootFilter(args.n, args.nu)
-        filt.validate_for(args.D)
-    except ValueError as e:
-        raise ConfigError(str(e))
-    return filt
-
-
-def _check_discriminant(D: int):
-    from .roots import validate_either_sign
-
-    try:
-        validate_either_sign(D)
-    except ValueError as e:
-        raise ConfigError(str(e))
+    return RootFilter(args.n, args.nu)
 
 
 def config_from_args(args):
     """Check the options args's subcommand declares, in place; returns
-    args.  An option the subcommand lacks is neither checked nor added."""
+    args.  An option the subcommand lacks is neither checked nor added.
+    The layers check D, the filter, the order class and N's bound."""
+    from .roots import M_LIMIT
+
     opts = vars(args)
-    if "D" in opts:
-        _check_discriminant(args.D)
-    if "n" in opts:
-        _root_filter(args)
-        _check_class_reachable(args)
     for name in ("bins", "M", "N"):
         if name in opts and opts[name] < 1:
-            raise ConfigError(f"{name} must be >= 1")
-    _check_bounds(args)
+            raise InputError(f"{name} must be >= 1")
+    if "M" in opts and args.M >= M_LIMIT:   # before verify's orbit walk
+        raise InputError("M must be below 2^31 (64-bit root arithmetic)")
     if "outdir" in opts and not os.path.isdir(args.outdir):
-        raise ConfigError(f"outdir {args.outdir!r} is not a directory")
+        raise InputError(f"outdir {args.outdir!r} is not a directory")
     for name in ("range", "step", "qmax"):
         if name in opts and not math.isfinite(opts[name]):
-            raise ConfigError(f"{name} must be finite")
+            raise InputError(f"{name} must be finite")
     if any(opts[name] <= 0 for name in ("range", "step") if name in opts):
-        raise ConfigError("range and step must be positive")
+        raise InputError("range and step must be positive")
     if "qmax" in opts and args.qmax <= 1:
-        raise ConfigError("qmax must exceed 1")
+        raise InputError("qmax must exceed 1")
     if "N" in opts and args.N < 2:
-        raise ConfigError("need N >= 2 for pair statistics")
+        raise InputError("need N >= 2 for pair statistics")
     return args
-
-
-def _check_class_reachable(args):
-    """A filtered order class holds roots at all; checked before any sieve
-    since the first-N search would otherwise double its bound forever."""
-    from .roots import OrderTag, filter_reaches_order
-
-    cls = vars(args).get("class_filter", "total")
-    if cls != "total" and not filter_reaches_order(args.D, OrderTag(cls),
-                                                   args.n, args.nu):
-        raise ConfigError(f"no {cls} root has m = 0 (mod {args.n}) and "
-                          f"mu = {args.nu} (mod {args.n})")
-
-
-def _check_bounds(args):
-    """Every modulus bound a command will sieve first stays below 2^31."""
-    from .roots import M_LIMIT, first_sieve_bound
-
-    opts = vars(args)
-    if "M" in opts and args.M >= M_LIMIT:
-        raise ConfigError("M must be below 2^31 (64-bit root arithmetic)")
-    if "N" not in opts:
-        return
-    if "figure" in opts:            # figures sieve at level n = 1
-        n, classes = 1, _FIGURES[args.figure][1]
-    else:
-        n, classes = args.n, (args.class_filter,)
-    if first_sieve_bound(args.N, n, classes) >= M_LIMIT:
-        raise ConfigError("N too large: its first modulus bound reaches "
-                          "2^31 (64-bit root arithmetic)")
 
 
 # ----------------------------------------------------------------------
@@ -134,7 +92,7 @@ def _class_mask(base, class_filter):
     side = "I" if class_filter == "O1" else "J"
     mask = [i for i, g in enumerate(base.geodesics) if g.source[0] == side]
     if not mask:
-        raise ConfigError(f"no {class_filter} geodesics for this base set")
+        raise InputError(f"no {class_filter} geodesics for this base set")
     return mask
 
 
@@ -177,10 +135,10 @@ def cmd_density(args) -> int:
     from .geodesics import base_geodesic_set
 
     if args.D < 0:
-        raise ConfigError("the theoretical density needs D > 0")
+        raise InputError("the theoretical density needs D > 0")
     grid = default_grid(-args.range, args.range, args.step, v_min=args.step)
     if not grid.size:
-        raise ConfigError("range and step leave no nonzero v on the grid")
+        raise InputError("range and step leave no nonzero v on the grid")
     base = base_geodesic_set(args.D)
     mask = _class_mask(base, args.class_filter)
     tab = omega(base, grid, q_max=args.qmax, mask=mask)
@@ -349,7 +307,7 @@ def cmd_units(args) -> int:
     from .orders import unit_relation, unit_str
 
     if args.D < 0:
-        raise ConfigError("unit relation diagnostics need D > 0")
+        raise InputError("unit relation diagnostics need D > 0")
     u = unit_relation(args.D)
     meta = {"command": "units", "D": args.D}
     write_table(args.out, args.format, meta, ("eps1", "eps2", "relation"),
@@ -363,7 +321,7 @@ def cmd_classgroup(args) -> int:
     from .roots import OrderTag
 
     meta = {"command": "classgroup", "D": args.D}
-    if args.D > 0:
+    if args.D >= 0:
         from .orders import narrow_class_group as classes
 
         keys, header = ("h1_plus", "h2_plus"), ("side", "index", "m", "mu")
@@ -456,7 +414,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(config_from_args(args))
-    except ConfigError as e:
+    except InputError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except Exception as e:

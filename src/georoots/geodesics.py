@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import xgcd, xgcd_array
+from .arith import xgcd_array
 from .forms import MAT_ID, act, form_value, mat_mul, zagier_cycle
 from .orders import (
     OrderMismatch,
@@ -83,11 +83,18 @@ def extra_coset_copies(n: int):
     """Matrices of Gamma_0(n/2), one in each right coset of Gamma_0(n)
     inside it other than Gamma_0(n) itself, for even n.
 
-    With h = n/2 they are (u, -v, h, d) for u d + v h = 1 (xgcd(d, h)):
-    d = 1 always, and d = 2 too when h is odd.  Proof: gamma' gamma^-1
-    lies in Gamma_0(n) exactly when the bottom rows (c : d) of gamma and
-    gamma' agree in P^1(Z/n), i.e. (c', d') = lambda (c, d) mod n for a
-    unit lambda.  A matrix of Gamma_0(h) has c = 0 or h (mod n); c = 0 is
+    With h = n/2 they are (u, -v, h, d), of determinant u d + v h = 1:
+    d = 1 always, and d = 2 too when h is odd.  The pairs (u, v) are
+    - d = 1: (1, 0), as 1 * 1 + 0 * h = 1; for h = 1, (0, 1), as
+      0 * 1 + 1 * 1 = 1;
+    - d = 2, h odd: ((1 - h)/2, 1), integers as h is odd, with
+      (1 - h)/2 * 2 + 1 * h = 1.
+    They are the pairs extended Euclid returns for (d, h), so the base
+    sets built from them are the ones it gave.
+
+    Proof of the cosets: gamma' gamma^-1 lies in Gamma_0(n) exactly when
+    the bottom rows (c : d) of gamma and gamma' agree in P^1(Z/n), i.e.
+    (c', d') = lambda (c, d) mod n for a unit lambda.  A matrix of Gamma_0(h) has c = 0 or h (mod n); c = 0 is
     the identity coset.  Every unit is odd, so lambda h = h (mod n), and
     the rows (h : d) with gcd(d, h) = 1 fall into the unit orbits of d
     mod n, which are told apart by gcd(d, n), a divisor of 2.  If h is
@@ -98,10 +105,9 @@ def extra_coset_copies(n: int):
     if n % 2:
         raise ValueError("n must be even")
     h = n // 2
-    copies = []
-    for d in (1, 2) if h % 2 else (1,):
-        _, u, v = xgcd(d, h)
-        copies.append((u, -v, h, d))
+    copies = [(0, -1, 1, 1) if h == 1 else (1, 0, h, 1)]
+    if h % 2:
+        copies.append(((1 - h) // 2, -1, h, 2))
     return copies
 
 
@@ -290,9 +296,9 @@ def base_geodesic_set(D: int, n: int = 1, nu: int = 0) -> BaseGeodesicSet:
     satisfies such a filter (`roots.filter_reaches_order`).  Each class
     starts at its least filtered root (`least_filtered_root`).
     """
-    filt = RootFilter(n, nu % n)
+    filt = RootFilter(n, nu)
     filt.validate_for(D)
-    nu %= n
+    nu = filt.nu
     rel = unit_relation(D)
     cube = rel.relation == "Cube"
     geos = []

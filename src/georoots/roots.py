@@ -49,6 +49,7 @@ from enum import Enum
 
 import numpy as np
 
+from . import InputError
 from .arith import factorize, spf_table, sqrt_mod_prime_power
 
 
@@ -60,17 +61,17 @@ class OrderTag(Enum):
 def validate_discriminant(D: int):
     """Require squarefree D > 1 with D = 1 (mod 4)."""
     if D <= 1 or D % 4 != 1:
-        raise ValueError("D must be a squarefree integer > 1 with D = 1 mod 4")
+        raise InputError("D must be a squarefree integer > 1 with D = 1 mod 4")
     if any(e > 1 for _, e in factorize(D)):
-        raise ValueError("D must be squarefree")
+        raise InputError("D must be squarefree")
 
 
 def validate_negative_discriminant(D: int):
     """Require squarefree D < 0 with D = 1 (mod 4)."""
     if D >= 0 or D % 4 != 1:
-        raise ValueError("D must be a squarefree integer < 0 with D = 1 mod 4")
+        raise InputError("D must be a squarefree integer < 0 with D = 1 mod 4")
     if any(e > 1 for _, e in factorize(-D)):
-        raise ValueError("D must be squarefree")
+        raise InputError("D must be squarefree")
 
 
 def validate_either_sign(D: int):
@@ -132,8 +133,9 @@ M_LIMIT = 2**31   # every modulus bound M stays below this
 
 
 class SequenceExhausted(RuntimeError):
-    """first_n could not reach N roots (empty, finite or absurdly sparse
-    sequence)."""
+    """first_n's doubling bound reached 2^31 before every class had N
+    roots.  An input that cannot reach them at all raises InputError up
+    front."""
 
 
 @dataclass(frozen=True)
@@ -143,7 +145,7 @@ class RootFilter:
 
     def __post_init__(self):
         if self.n < 1:
-            raise ValueError("need n >= 1")
+            raise InputError("need n >= 1")
         object.__setattr__(self, "nu", self.nu % self.n)
 
     def accepts(self, m, mu):
@@ -152,7 +154,7 @@ class RootFilter:
 
     def validate_for(self, D: int):
         if (self.nu * self.nu - D) % self.n:
-            raise ValueError(f"nu^2 = D (mod n) fails for {self}")
+            raise InputError(f"nu^2 = D (mod n) fails for {self}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,7 +202,7 @@ def _sieve(D, M, filt):
     # negative-discriminant module reuses this directly
     filt.validate_for(D)
     if M >= M_LIMIT:
-        raise ValueError("modulus bound too large for 64-bit root math")
+        raise InputError("M must be below 2^31 (64-bit root arithmetic)")
     if M < 1:
         return RootSequence(D, np.empty(0, np.int64), np.empty(0, np.int64))
     spf = spf_table(max(M, 2))[:M + 1]
@@ -458,26 +460,36 @@ def first_n(D: int, N: int, filt: RootFilter = None,
 
     "total" names the whole sequence; "O1" and "O2" name the roots of
     each order (`RootSequence.class_tags`), order preserved.  One sieve
-    per bound serves every class: the bound M starts at
-    first_sieve_bound and doubles, at most 24 times, until each class has
-    N roots.  The roots of m <= M are the prefix m <= M of the sequence,
-    so each class's first N roots do not depend on the M that finds them.
-    A class that no filtered root reaches (`filter_reaches_order`)
-    raises SequenceExhausted before any sieve.
+    per bound serves every class: the bound M starts at 2 N n (4 N n when
+    one order's class is asked, at least 32) and doubles, while it stays
+    below 2^31, until each class has N roots.  The roots of m <= M are
+    the prefix m <= M of the sequence, so each class's first N roots do
+    not depend on the M that finds them.
+
+    Before any sieve, InputError rejects N < 1, an unknown class name, a
+    D or filter that breaks its rule, a class that no filtered root
+    reaches (`filter_reaches_order`; the doubling would never end) and a
+    first bound of 2^31 or more.  SequenceExhausted means only that the
+    doubling reached 2^31 first.
     """
     if N < 1:
-        raise ValueError("N >= 1 required")
+        raise InputError("N >= 1 required")
     if not classes or not set(classes) <= {"total", "O1", "O2"}:
-        raise ValueError(f"classes {classes} are not total, O1 or O2")
+        raise InputError(f"classes {classes} are not total, O1 or O2")
     validate_either_sign(D)
     if filt is None:
         filt = RootFilter()
     filt.validate_for(D)
+    n, nu = filt.n, filt.nu
     for c in set(classes) - {"total"}:
-        if not filter_reaches_order(D, OrderTag(c), filt.n, filt.nu):
-            raise SequenceExhausted(f"no {c} root of D={D} meets {filt}")
-    M = first_sieve_bound(N, filt.n, classes)
-    for _ in range(24):
+        if not filter_reaches_order(D, OrderTag(c), n, nu):
+            raise InputError(f"no {c} root has m = 0 (mod {n}) and "
+                             f"mu = {nu} (mod {n})")
+    M = max(32, (2 if set(classes) == {"total"} else 4) * N * n)
+    if M >= M_LIMIT:
+        raise InputError("N too large: its first modulus bound reaches "
+                         "2^31 (64-bit root arithmetic)")
+    while M < M_LIMIT:
         seq = _sieve(D, M, filt)
         heads = _class_heads(seq, classes, N)
         del seq                        # freed before the next bound
@@ -504,12 +516,6 @@ def _class_heads(seq, classes, N):
                 else np.flatnonzero(tags == (c == "O1"))[:N])
         heads.append(RootSequence(seq.D, seq.ms[rows], seq.mus[rows]))
     return tuple(heads)
-
-
-def first_sieve_bound(N: int, n: int, classes) -> int:
-    """The bound M of first_n's first sieve for N roots of each of
-    `classes` at level n (twice as far when one order's class is asked)."""
-    return max(32, (2 if set(classes) == {"total"} else 4) * N * n)
 
 
 def take_n(D: int, N: int, filt: RootFilter = None) -> RootSequence:

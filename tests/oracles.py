@@ -27,6 +27,11 @@ an auxiliary ideal of coprime norm found by a bounded search
 (`class_shift_representative`), where the package reads the least such
 root off the class's Zagier cones.
 
+The package runs extended Euclid only on arrays (`arith.xgcd_array`)
+and writes the Gamma_0(n) coset copies in closed form
+(`geodesics.extra_coset_copies`).  The scalar loop here (`xgcd`) is
+the reference for both, and the ideal layer below runs it.
+
 The package sums the H rows of the density in place, on runs of the
 sorted grid (`density.H`).  The sum here evaluates each term's whole row
 into fresh arrays, masks and all, and adds it to the total
@@ -42,7 +47,7 @@ from math import gcd, isqrt
 
 import numpy as np
 
-from georoots.arith import sqrt_mod, xgcd
+from georoots.arith import sqrt_mod
 from georoots.csvio import fmt_cell, fmt_float
 from georoots.density import (
     DomainError,
@@ -368,6 +373,19 @@ def class_reps_by_search(D: int, order: OrderTag):
                 f = zagier_reduce(form_of_root(D, m, mu, order))[1]
                 found.setdefault(cycle_of[f], (m, mu))
     return list(found.values())
+
+
+def xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, s, t) with g = gcd(a, b) = s a + t b (extended Euclid)."""
+    old_r, r = a, b
+    old_s, s = 1, 0
+    old_t, t = 0, 1
+    while r:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_s, s = s, old_s - q * s
+        old_t, t = t, old_t - q * t
+    return old_r, old_s, old_t
 
 
 # ----------------------------------------------------------------------

@@ -12,7 +12,6 @@ from georoots.arith import (
     is_probable_prime,
     spf_table,
     sqrt_mod_prime_power,
-    xgcd,
     xgcd_array,
 )
 from georoots.forms import (
@@ -25,6 +24,7 @@ from georoots.forms import (
 )
 from georoots.orders import totally_positive_fundamental_unit
 from georoots.roots import OrderTag
+from oracles import xgcd
 from quadnum import QuadNum
 
 

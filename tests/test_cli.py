@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from georoots.cli import build_parser, config_from_args, main
+from georoots.cli import main
 from georoots.csvio import fmt_float
 from georoots.negdisc import sieve_roots_neg
 from georoots.roots import RootFilter, sieve_roots
@@ -572,10 +572,22 @@ def test_modulus_bound_too_large_is_a_config_error(cmd, capsys):
     ["figure", "1", "--N", str(2**30 - 1)],
     ["figure", "3", "--N", str(2**29 - 1)],
 ])
-def test_largest_accepted_n(argv):
-    # the first bound is 2^31 - 2 or - 4: configuration accepts it
-    cfg = config_from_args(build_parser().parse_args(argv))
-    assert cfg.N == int(argv[argv.index("--N") + 1])
+def test_largest_accepted_n(argv, monkeypatch, capsys):
+    # the first bound is 2^31 - 2 or - 4: first_n accepts it and starts
+    # the sieve, which the stub stops
+    from georoots import roots
+
+    bounds = []
+
+    def stop(D, M, filt):
+        bounds.append(M)
+        raise RuntimeError("sieve stopped")
+
+    monkeypatch.setattr(roots, "_sieve", stop)
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1 and out == ""
+    assert err == "failure: RuntimeError: sieve stopped\n"
+    assert len(bounds) == 1 and 2**31 - 4 <= bounds[0] < 2**31
 
 
 # --------------------------------------------------------------- figure

@@ -29,7 +29,7 @@ from georoots.geodesics import (
     stabilizer_generator,
     zagier_cones,
 )
-from georoots.orders import form_of_root
+from georoots.orders import form_of_root, unit_relation
 from georoots.roots import OrderTag, RootFilter, is_invertible, sieve_roots
 from oracles import (
     Geodesic,
@@ -43,6 +43,7 @@ from oracles import (
     geodesic_from_root,
     stabilizer_by_unit,
     top_of,
+    xgcd,
 )
 from quadnum import QuadNum
 
@@ -198,6 +199,15 @@ def test_extra_coset_copies_distinct():
             assert w[2] % n != 0   # genuinely different cosets
 
 
+def test_extra_coset_copies_are_the_xgcd_ones():
+    # the closed forms are the (u, -v, h, d) of u d + v h = 1 that
+    # extended Euclid gives for (d, h), so the base sets keep their bytes
+    for h in range(1, 5000):
+        want = [(u, -v, h, d) for d in ((1, 2) if h % 2 else (1,))
+                for _, u, v in [xgcd(d, h)]]
+        assert extra_coset_copies(2 * h) == want, h
+
+
 def _gamma0_index(n):
     # [SL2(Z) : Gamma_0(n)] = n * prod(1 + 1/p)
     for p, _ in factorize(n):
@@ -286,6 +296,39 @@ def test_log_surd_across_the_shift():
             with mpmath.workdps(50):
                 want = float(mpmath.log((a + b * mpmath.sqrt(d)) / c))
             assert log_surd(a, b, root, c) == pytest.approx(want, rel=1e-15)
+
+
+# Real D whose unit eps2 = (a + b sqrt D)/c has an a of 999, 1002, 1023,
+# 1024 and 1026 bits: across 2^1000, where log_surd starts to shift, and
+# across 2^1024, past which a float overflows (eps2 itself is about
+# 2^1023.8 for D = 68713 and 2^1024.6 for D = 65089).  A scan over D
+# found them in under 5 s.
+REAL_BIG_UNITS = {75193: 999, 48073: 1002, 68713: 1023, 65089: 1024,
+                  42793: 1026}
+
+
+def test_log_surd_on_real_units_across_the_shift():
+    import mpmath
+    for D, bits in REAL_BIG_UNITS.items():
+        u = unit_relation(D)
+        assert u.eps2[0].bit_length() == bits
+        for a, b, c in (u.eps1, u.eps2):
+            with mpmath.workdps(50):
+                want = float(mpmath.log((a + b * mpmath.sqrt(D)) / c))
+            assert log_surd(a, b, D ** 0.5, c) == pytest.approx(want,
+                                                                rel=1e-15)
+
+
+@pytest.mark.parametrize("D", [68713, 65089])
+def test_lengths_on_each_side_of_2_to_the_1024(D):
+    import mpmath
+    b = base_geodesic_set(D)
+    a, bb, c = b.eps2
+    with mpmath.workdps(50):
+        want = 2 * mpmath.log((a + bb * mpmath.sqrt(D)) / c)
+        for g, got in zip(b.geodesics, b.lengths()):
+            assert got == pytest.approx(float(want * g.length_mult),
+                                        rel=1e-15)
 
 
 def test_base_set_splitting_cases():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from georoots import InputError
 from georoots.arith import factorize, spf_table, sqrt_mod
 from georoots.cli import _first_n_points
 from georoots.negdisc import sieve_roots_neg
@@ -15,6 +16,7 @@ import georoots.roots as roots
 from georoots.roots import (
     OrderTag,
     RootFilter,
+    RootSequence,
     SequenceExhausted,
     _sieve,
     first_n,
@@ -275,8 +277,23 @@ def test_first_n_unreachable_class_fails_before_sieve(D, n, nu, monkeypatch):
 
     monkeypatch.setattr(roots, "_sieve", no_sieve)
     for classes in (("O2",), ("total", "O2"), ("O1", "O2")):
-        with pytest.raises(SequenceExhausted, match="no O2 root"):
+        with pytest.raises(InputError, match="no O2 root"):
             first_n(D, 10, RootFilter(n, nu), classes)
+
+
+def test_first_n_doubles_only_below_2_to_the_31(monkeypatch):
+    # a sieve that never finds enough roots: the bound doubles while it
+    # stays below 2^31, and then first_n gives up with SequenceExhausted
+    bounds = []
+
+    def empty(D, M, filt):
+        bounds.append(M)
+        return RootSequence(D, np.empty(0, np.int64), np.empty(0, np.int64))
+
+    monkeypatch.setattr(roots, "_sieve", empty)
+    with pytest.raises(SequenceExhausted, match="fewer than 10 roots"):
+        first_n(5, 10)
+    assert bounds == [32 << k for k in range(26)]
 
 
 # ------------------------------------------- vectorised number theory
