@@ -9,6 +9,7 @@ class InputError(ValueError):
     """An input breaks a rule, and is rejected before any work: D is not
     a squarefree D = 1 (mod 4) of the sign the call needs, a filter lacks
     nu^2 = D (mod n), the filter reaches no root of an order class, a
-    modulus bound reaches 2^31, or a CLI option is out of range.  The
-    owner of each rule raises it, and the CLI reports it with exit code
-    2."""
+    modulus bound reaches 2^31 or an orbit walk's is below 1, the coset
+    walk's qmax is not finite or not above 1, or a CLI option is out of
+    range.  The owner of each rule raises it, and the CLI reports it with
+    exit code 2."""

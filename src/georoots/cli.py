@@ -15,6 +15,8 @@ Exit codes: 0 success, 1 runtime failure, 2 invalid input
 InputError before any sieve or walk: config_from_args checks the
 options (bins, M, N >= 2, outdir, range, step, qmax), and the layers
 check D, the filter (n, nu), the order class and the first-N bound.
+The walks check qmax and M >= 1 as well (`config_from_args` says why
+the CLI keeps its copies).
 
 A georoots process runs without cyclic garbage collection: `entry`, the
 entry point of the console script and of `python -m georoots.cli`,
@@ -51,7 +53,13 @@ def _root_filter(args):
 def config_from_args(args):
     """Check the options args's subcommand declares, in place; returns
     args.  An option the subcommand lacks is neither checked nor added.
-    The layers check D, the filter, the order class and N's bound."""
+    The layers check D, the filter, the order class and N's bound.
+
+    qmax and M >= 1 are checked here too, though `enumerate_coset_terms`
+    and the orbit walks raise the same InputError: `density` and
+    `verify` build `base_geodesic_set` before either walk runs, and its
+    least filtered roots already enumerate cones, so only a check here
+    rejects those inputs before any work."""
     from .roots import M_LIMIT
 
     opts = vars(args)

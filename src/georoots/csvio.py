@@ -54,8 +54,6 @@ def fmt_cell(x) -> str:
 def _json_value(x):
     if isinstance(x, float):
         return float(fmt_float(x))
-    if isinstance(x, (list, tuple)):
-        return [_json_value(v) for v in x]
     return x
 
 

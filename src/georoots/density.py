@@ -66,7 +66,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import factorize
+from . import InputError
 from .forms import MAT_ID, act, mat_inv, mat_mul
 from .geodesics import BaseGeodesicSet, BudgetExceeded, log_surd
 
@@ -171,17 +171,17 @@ def _eval_row(sign, q, vs, v2, end, row):
 # ----------------------------------------------------------------------
 # kappa and volume
 
-def gamma0_index(n: int) -> int:
-    idx = n
-    for p, _ in factorize(n):
-        idx += idx // p
-    return idx
-
-
 def kappa_and_vol(base: BaseGeodesicSet, mask=None):
     """(kappa, vol): vol of the quotient surface and the length scale
-    kappa = (total length of the selected geodesics)/(2 pi vol)."""
-    vol = (math.pi / 3.0) * gamma0_index(base.n)
+    kappa = (total length of the selected geodesics)/(2 pi vol).
+
+    The density is defined at level 1 only (see `omega`), where the
+    surface is SL_2(Z)\\H and vol = pi/3; a base set of level n > 1
+    raises ValueError.
+    """
+    if base.n != 1:
+        raise ValueError("density validated for n=1 only")
+    vol = math.pi / 3.0
     lengths = base.lengths()
     if mask is not None:
         lengths = [lengths[i] for i in mask]
@@ -402,7 +402,8 @@ def enumerate_coset_terms(base: BaseGeodesicSet, q_max: float,
     c_k (so states are double cosets), keeping terms with |q| <= q_max
     and expanding while |q| stays under _MARGIN*q_max + 25.  The walk is
     level 1 only, like the density sum it feeds (see `omega`): a base set
-    of level n > 1 raises ValueError, and so does q_max outside (1, inf).
+    of level n > 1 raises ValueError, and q_max outside (1, inf) raises
+    InputError.
     The pruning by _MARGIN and _T_CAP is heuristic; an exact double-coset
     construction would replace it.  Identity/reversal cosets (gamma c_l
     = c_k or its reverse) are excluded per the sum's side condition.
@@ -445,8 +446,10 @@ def enumerate_coset_terms(base: BaseGeodesicSet, q_max: float,
     """
     if base.n != 1:
         raise ValueError("coset walk supports n=1 only")
-    if not 1.0 < q_max < math.inf:
-        raise ValueError("q_max must be finite and exceed 1")
+    if not math.isfinite(q_max):
+        raise InputError("qmax must be finite")
+    if q_max <= 1:
+        raise InputError("qmax must exceed 1")
     data = _geodesic_data(base)
     idx = range(len(data)) if mask is None else sorted(mask)
     prune = _MARGIN * q_max + 25.0
@@ -545,9 +548,9 @@ def omega(base: BaseGeodesicSet, grid: np.ndarray = None,
     Only the full modular group (n=1) is supported: for proper
     congruence levels the geodesic lengths entering kappa can differ
     between the two orders and the formula's status there is unsettled.
+    `kappa_and_vol` owns that rule: a base set of level n > 1 raises
+    ValueError there, after the grid is checked.
     """
-    if base.n != 1:
-        raise ValueError("density validated for n=1 only")
     if grid is None:
         grid = default_grid()
     grid = np.asarray(grid, dtype=np.float64)

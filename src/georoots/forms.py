@@ -39,13 +39,11 @@ def mat_det(g: Mat) -> int:
 
 
 def mat_inv(g: Mat) -> Mat:
-    """Inverse of a determinant +-1 integer matrix."""
-    d = mat_det(g)
-    if d == 1:
-        return (g[3], -g[1], -g[2], g[0])
-    if d == -1:
-        return (-g[3], g[1], g[2], -g[0])
-    raise ValueError("matrix is not unimodular")
+    """Inverse of a matrix of SL_2(Z); any other determinant raises
+    ValueError."""
+    if mat_det(g) != 1:
+        raise ValueError("matrix is not in SL_2(Z)")
+    return (g[3], -g[1], -g[2], g[0])
 
 
 def disc(f: Form) -> int:

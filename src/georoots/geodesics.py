@@ -13,11 +13,11 @@ in their Gamma_0(n) orbits exactly, as the primitive lattice points of
 the Zagier-reduced cones of each base form.
 
 One Zagier walk of a base form f (`forms.zagier_cycle`) gives both its
-symmetry and its cones: the closing automorph E and -1 generate the
-proper automorphs of f, so the Gamma_0(n) stabilizer is E^j for the
-least j in {1, 3} that lands in Gamma_0(n) (`stabilizer_generator`),
-and the walk's bases moved by E^0 .. E^(j-1) tile the positive sector
-of f modulo that stabilizer (`zagier_cones`).  `base_geodesic_set` keeps
+symmetry and its cones, and `symmetry` is its one reader: the closing
+automorph E and -1 generate the proper automorphs of f, so the
+Gamma_0(n) stabilizer is E^j for the least j in {1, 3} that lands in
+Gamma_0(n), and the walk's bases moved by E^0 .. E^(j-1) tile the
+positive sector of f modulo that stabilizer.  `base_geodesic_set` keeps
 both on each `BaseGeodesic`, so each base form is walked once.
 """
 
@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import InputError
 from .arith import xgcd_array
 from .forms import MAT_ID, act, form_value, mat_mul, zagier_cycle
 from .orders import (
@@ -45,12 +46,14 @@ class BudgetExceeded(RuntimeError):
 # ----------------------------------------------------------------------
 # stabilizers
 
-def stabilizer_generator(f, n: int = 1):
-    """Generator (sigma, j) of the Gamma_0(n) stabilizer of the geodesic
-    of the primitive indefinite form f, up to sign.
+def symmetry(f, n: int = 1):
+    """(sigma, j, cones): the generator sigma of the Gamma_0(n) stabilizer
+    of the geodesic of the primitive indefinite form f, up to sign, and
+    the cones that tile its positive sector modulo sigma, read off one
+    Zagier walk of f (`forms.zagier_cycle`).
 
-    sigma = E^j for the automorph E that closes the Zagier cycle of f
-    (`forms.zagier_cycle`), and j in {1, 3} is least with n | sigma_21.
+    Stabilizer.  sigma = E^j for the automorph E that closes the Zagier
+    cycle of f, and j in {1, 3} is least with n | sigma_21.
     E = A(eps)^(+-1) for the totally positive fundamental unit eps of
     the order of discriminant disc f, and +-E^Z are all the proper
     automorphs of f (`orders.totally_positive_fundamental_unit`); they
@@ -59,18 +62,26 @@ def stabilizer_generator(f, n: int = 1):
     in Gamma_0(n), and the geodesic's length in Gamma_0(n)\\H is
     2 j log(eps).  A j of 3 is least: E^2 in Gamma_0(n) would put
     E = E^3 E^-2 there too.  Any other j raises RuntimeError.
+
+    Cones.  cones = (U_0 .. U_{jK-1}), the bases of the Zagier cones of
+    f over j periods of its cycle, as matrices (p, q, r, s) with columns
+    u_i = (p, r) and u_{i+1} = (q, s).  f is primitive and indefinite
+    with non-square discriminant.  Each g_i = f o U_i is reduced, hence
+    positive on the closed quadrant, and the half-open cones
+    {x u_i + y u_{i+1}: x > 0, y >= 0} of all i tile the sector P where
+    f > 0.  One cycle of K reduced forms advances U by E,
+    U_{i+tK} = E^t U_i, so the first j periods are the walk's K bases
+    moved by E^0 .. E^(j-1).  They tile P modulo E^j = sigma, and so
+    modulo sigma* = sigma^-1 once.
     """
-    sigma, j, _ = _symmetry(f, n)
-    return sigma, j
-
-
-def _symmetry(f, n):
-    """(sigma, j, cones): `stabilizer_generator(f, n)` and
-    `zagier_cones(f, j)`, read off one Zagier walk of f."""
     _, bases, E = zagier_cycle(f)
     for j, g in ((1, E), (3, mat_mul(E, mat_mul(E, E)))):
         if g[2] % n == 0:
-            return g, j, tuple(_periods(bases, E, j))
+            cones = list(bases)
+            for _ in range(j - 1):
+                bases = [mat_mul(E, U) for U in bases]
+                cones += bases
+            return g, j, tuple(cones)
     raise RuntimeError(
         f"no stabilizer power j in {{1,3}} lands in Gamma_0({n}) "
         f"for the form {f}")
@@ -126,7 +137,7 @@ def _splitting_number(n, relation):
     b + 2a p q + 2b q r + 2c r s is b (mod n), as n | 2a and n | 2r.  So
     the copies act(g, f), one g per right coset of Gamma_0(n) in
     Gamma_0(h) (the identity and `extra_coset_copies`), all meet the
-    filter.  The proper automorphs of f are +-E^Z (`stabilizer_generator`),
+    filter.  The proper automorphs of f are +-E^Z (`symmetry`),
     so act(g', f) lies in the Gamma_0(n)-orbit of act(g, f) exactly when
     Gamma_0(n) g' = Gamma_0(n) g E^i for some i: the copies fall into the
     orbits of E acting on the cosets by right multiplication, and the
@@ -179,7 +190,7 @@ class BaseGeodesic:
     stabilizer: tuple      # generates its Gamma_0(n) stabilizer, up to sign
     j_stab: int            # stabilizer realizes eps_order^j_stab
     length_mult: int       # geodesic length = 2 * length_mult * log(eps2)
-    cones: tuple           # zagier_cones(form, j_stab), off the same walk
+    cones: tuple           # symmetry(form, n)'s cones, off the same walk
 
     @property
     def mult(self):
@@ -236,11 +247,11 @@ def least_filtered_root(D: int, order: OrderTag, rep,
     2 f(u) (O2), and two points give the same root exactly when an
     automorph of f that preserves P, a power of the closing automorph E,
     moves one to the other (`narrow_class_group`, `enumerate_tops` at
-    level 1).  The cones of one period tile P modulo E (`zagier_cones`),
-    so `cone_roots` over them lists each root of the class with m <= M
-    exactly once, and the least filtered one among them, when there is
-    one, is the least in the class.  M starts at n m0 and doubles until
-    there is one.
+    level 1).  The cones of one period, those of `symmetry(f)` at level
+    1, tile P modulo E, so `cone_roots` over them lists each root of the
+    class with m <= M exactly once, and the least filtered one among
+    them, when there is one, is the least in the class.  M starts at
+    n m0 and doubles until there is one.
 
     Termination: the class K holds a filtered root.  Let C be the ideal
     of the filtered root (m_C, mu_C) that `roots.filter_reaches_order`'s
@@ -273,7 +284,7 @@ def least_filtered_root(D: int, order: OrderTag, rep,
     mult = 1 if order is OrderTag.O1 else 2
     m0, mu0 = rep
     f = form_of_root(D, m0, mu0, order)
-    cones = [(f, U, mult) for U in zagier_cones(f, 1)]
+    cones = [(f, U, mult) for U in symmetry(f)[2]]
     M = filt.n * m0
     while True:
         ms, mus, _ = cone_roots(cones, M, 1, math.inf)
@@ -306,7 +317,7 @@ def base_geodesic_set(D: int, n: int = 1, nu: int = 0) -> BaseGeodesicSet:
     for k, rep in enumerate(narrow_class_group(D, OrderTag.O1)):
         m, mu = least_filtered_root(D, OrderTag.O1, rep, filt)
         f = form_of_root(D, m, mu, OrderTag.O1)
-        stab, j, cones = _symmetry(f, n)
+        stab, j, cones = symmetry(f, n)
         geos.append(BaseGeodesic(("I", k), m, mu, MAT_ID, f, stab, j,
                                  j * (3 if cube else 1), cones))
 
@@ -321,7 +332,7 @@ def base_geodesic_set(D: int, n: int = 1, nu: int = 0) -> BaseGeodesicSet:
             f = form_of_root(D, m, mu, OrderTag.O2)
             for conj in copies:
                 fc = act(conj, f)
-                stab, j, cones = _symmetry(fc, n)
+                stab, j, cones = symmetry(fc, n)
                 geos.append(BaseGeodesic(("J", l), m, mu, conj, fc, stab,
                                          j, j, cones))
 
@@ -389,47 +400,20 @@ def enumerate_tops(base: BaseGeodesicSet, M: int,
     +-<sigma*>, each once, and the tops are those with f0(v) > 0.
 
     The v with f0(v) > 0 fill two opposite open sectors +-P between the
-    irrational null lines of f0, swapped by -1.  `zagier_cones` tiles P
-    modulo sigma* by unimodular cones (each base geodesic holds them as
-    `cones`), and `cone_roots` reads off their primitive points; the
-    proofs sit there.  Work is counted in
+    irrational null lines of f0, swapped by -1.  The cones of `symmetry`
+    tile P modulo sigma* by unimodular cones (each base geodesic holds
+    them as `cones`), and `cone_roots` reads off their primitive points;
+    the proofs sit there.  Work is counted in
     candidates (lattice points of the cones); more than `budget` raises
-    BudgetExceeded before the candidate arrays are built.
+    BudgetExceeded before the candidate arrays are built.  M < 1 raises
+    InputError.
     """
     if M < 1:
-        raise ValueError("M >= 1 required")
+        raise InputError("M must be >= 1")
     cones = [(bg.form, U, bg.mult)
              for bg in base.geodesics for U in bg.cones]
     ms, mus, visited = cone_roots(cones, M, base.n, budget)
     return EnumerationResult.from_arrays(ms, mus, visited)
-
-
-def zagier_cones(f, j):
-    """Bases U_0 .. U_{jK-1} of the Zagier cones of f over j periods of
-    its cycle, as matrices (p, q, r, s) with columns u_i = (p, r) and
-    u_{i+1} = (q, s).
-
-    f is primitive and indefinite with non-square discriminant.  The
-    cones are those of the Zagier walk of `forms.zagier_cycle`: each
-    g_i = f o U_i is reduced, hence positive on the closed quadrant, and
-    the half-open cones {x u_i + y u_{i+1}: x > 0, y >= 0} of all i tile
-    the sector P where f > 0.  One cycle of K reduced forms advances U by
-    the closing automorph E, U_{i+tK} = E^t U_i, so the first j periods
-    are the walk's K bases moved by E^0 .. E^(j-1).  They tile P modulo
-    E^j, the stabilizer sigma of `stabilizer_generator`, and so modulo
-    sigma* = sigma^-1 once.
-    """
-    _, bases, E = zagier_cycle(f)
-    return _periods(bases, E, j)
-
-
-def _periods(bases, E, j):
-    """The bases of one period moved by E^0 .. E^(j-1)."""
-    cones = list(bases)
-    for _ in range(j - 1):
-        bases = [mat_mul(E, U) for U in bases]
-        cones += bases
-    return cones
 
 
 def cone_roots(cones, M, n, budget):
@@ -452,8 +436,10 @@ def cone_roots(cones, M, n, budget):
     U is unimodular; it is kept when also n | v_2.  Extended Euclid gives
     (x', y') with x y' - y x' = 1, hence w = x' u + y' u' with
     det[v w] = 1, and b = B(v, w) is the bilinear value of g at
-    (x, y), (x', y').  The root is m = mult * g(x, y) with mu = (-b // 2)
-    mod m for mult = 1 (disc 4D, b even) and -b mod m for mult = 2.
+    (x, y), (x', y').  The root is `orders.root_of_form` of the state's
+    form (g(x, y), b, .), elementwise: m = mult * g(x, y) with
+    mu = (-b // 2) mod m for mult = 1 (disc 4D, b even) and -b mod m for
+    mult = 2.
     Another w differs by a multiple of v and moves b by a multiple of
     2 g(x, y), which leaves mu alone.
 
@@ -501,8 +487,8 @@ def cone_roots(cones, M, n, budget):
     keep = one == 1
     row, x, y = row[keep], x[keep], y[keep]
     x1, y1 = -ty[keep], sx[keep]       # x y1 - y x1 = 1
-    A, B, C, mult = A[row], B[row], C[row], mult[row]
-    m = mult * ((A * x + B * y) * x + C * y * y)
+    A, B, C = A[row], B[row], C[row]
+    a = (A * x + B * y) * x + C * y * y
     b = 2 * A * x * x1 + B * (x * y1 + y * x1) + 2 * C * y * y1
-    mu = np.where(mult == 1, (-b // 2) % m, -b % m)
+    m, mu = root_of_form((a, b, None), mult[row])
     return m, mu, examined

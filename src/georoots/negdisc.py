@@ -11,6 +11,7 @@ sieve side is unchanged -- the local square-root solvers never look at
 the sign of D.
 """
 
+from . import InputError
 from .forms import MAT_ID, MAT_S, reduced_forms_definite
 from .geodesics import EnumerationResult, cone_roots
 from .roots import (
@@ -69,12 +70,12 @@ def enumerate_orbit_points(D: int, M: int, filt: RootFilter = RootFilter(),
     fundamental domain.  (Disc -4, the other such case, is not 4D or D
     for D = 1 mod 4.)  The filter then acts on each root; the level n
     never restricts v.  `cone_roots` reads off the points and counts the
-    candidates against `budget`.
+    candidates against `budget`.  M < 1 raises InputError.
     """
     validate_negative_discriminant(D)
     filt.validate_for(D)
     if M < 1:
-        raise ValueError("M >= 1 required")
+        raise InputError("M must be >= 1")
     cones = []
     for order, mult in ((OrderTag.O1, 1), (OrderTag.O2, 2)):
         for f in class_forms(D, order):

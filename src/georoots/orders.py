@@ -46,7 +46,8 @@ def root_of_form(f, mult: int):
     `form_of_root`.  mult is 1 for disc 4D (b is even), giving
     (a, -b/2 mod a), and 2 for disc D, giving (2a, -b mod 2a)."""
     a, b, _ = f
-    return mult * a, (-b * mult // 2) % (mult * a)
+    m = mult * a
+    return m, (-b * mult // 2) % m
 
 
 # ----------------------------------------------------------------------

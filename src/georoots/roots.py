@@ -176,14 +176,6 @@ class RootSequence:
         tags[even] = (self.D - mu * mu) // self.ms[even] % 2 != 0
         return tags
 
-    def head(self, N: int) -> "RootSequence":
-        return RootSequence(self.D, self.ms[:N], self.mus[:N])
-
-    def subset(self, keep) -> "RootSequence":
-        """Subsequence selected by a boolean mask (order preserved)."""
-        keep = np.asarray(keep, dtype=bool)
-        return RootSequence(self.D, self.ms[keep], self.mus[keep])
-
     def class_labels(self) -> np.ndarray:
         """'O1' or 'O2' per root, the order it belongs to."""
         return np.where(self.class_tags(), "O1", "O2")

@@ -36,6 +36,9 @@ The package sums the H rows of the density in place, on runs of the
 sorted grid (`density.H`).  The sum here evaluates each term's whole row
 into fresh arrays, masks and all, and adds it to the total
 (`H_row`, `omega_by_rows`).
+
+Two helpers cut a root sequence the way the tests split their pools:
+its first N roots (`head`) and the roots a mask selects (`subset`).
 """
 
 import functools
@@ -77,11 +80,23 @@ from georoots.orders import (
 )
 from georoots.roots import (
     OrderTag,
+    RootSequence,
     filter_reaches_order,
     is_invertible,
 )
 from georoots.statistics import _WINDOW_EPS, Histogram, PairCorrResult
 from quadnum import QuadNum
+
+
+def head(seq: RootSequence, N: int) -> RootSequence:
+    """The first N roots of seq."""
+    return RootSequence(seq.D, seq.ms[:N], seq.mus[:N])
+
+
+def subset(seq: RootSequence, keep) -> RootSequence:
+    """The roots of seq selected by a boolean mask, order preserved."""
+    keep = np.asarray(keep, dtype=bool)
+    return RootSequence(seq.D, seq.ms[keep], seq.mus[keep])
 
 
 @dataclass(frozen=True)
@@ -260,7 +275,7 @@ def automorph(f, t: int, u: int):
 
 
 def stabilizer_by_unit(D: int, f, n: int = 1):
-    """(sigma, j) of `geodesics.stabilizer_generator` for a form f of
+    """(sigma, j) of `geodesics.symmetry` for a form f of
     disc 4D or D, built from the order's totally positive fundamental
     unit eps = (t + u sqrt(disc f))/2: sigma = A(t, u) or its cube,
     whichever first lands in Gamma_0(n)."""

@@ -17,6 +17,7 @@ from georoots.csvio import fmt_float
 from georoots.negdisc import sieve_roots_neg
 from georoots.roots import RootFilter, sieve_roots
 from georoots.statistics import pair_correlation
+from oracles import head, subset
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -252,7 +253,7 @@ def test_paircorr_class_subsequence(capsys):
     meta, _, rows = parse_csv(out)
     assert meta["class"] == "O2"
     seq = sieve_roots(5, 4096)
-    sub = seq.subset(~seq.class_tags()).head(64)
+    sub = head(subset(seq, ~seq.class_tags()), 64)
     assert bool((sub.ms % 2 == 0).all())
     res = pair_correlation(sub, lo=-2.0, hi=2.0, bins=10)
     assert [int(r[1]) for r in rows] == res.histogram.counts.tolist()

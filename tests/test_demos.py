@@ -1,4 +1,5 @@
-"""The self-checking demos 01-05 run clean from a fresh interpreter.
+"""The self-checking demos 01-05 run clean from a fresh interpreter, and
+the import block of README's Library section resolves.
 
 Each demo prints PASS/FAIL lines and ends with "Result: COMPLETE" only
 when every check passed.
@@ -28,3 +29,11 @@ def test_demo_completes(demo):
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout.rstrip().splitlines()[-1] == "Result: COMPLETE"
+
+
+def test_readme_library_imports_resolve():
+    text = (ROOT / "README.md").read_text()
+    section = text.split("\n## Library\n", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    assert block.count("import") >= 5
+    exec(compile(block, "README.md", "exec"), {})

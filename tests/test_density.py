@@ -29,7 +29,6 @@ from georoots.density import (
     _surd_sign,
     default_grid,
     enumerate_coset_terms,
-    gamma0_index,
     kappa_and_vol,
     omega,
 )
@@ -327,12 +326,11 @@ def test_cross_ratio_agrees_with_form_pairing():
 
 
 # ----------------------------------------------------------------------
-# kappa, volume, index
+# kappa and volume
 
-def test_gamma0_index_values():
-    expect = {1: 1, 2: 3, 3: 4, 4: 6, 5: 6, 6: 12, 8: 12, 12: 24, 16: 24}
-    for n, idx in expect.items():
-        assert gamma0_index(n) == idx
+def test_kappa_and_vol_level_one_only():
+    with pytest.raises(ValueError, match="n=1 only"):
+        kappa_and_vol(base_geodesic_set(17, 2, 1))
 
 
 def test_kappa_and_vol_closed_forms():

@@ -26,8 +26,7 @@ from georoots.geodesics import (
     enumerate_tops,
     extra_coset_copies,
     log_surd,
-    stabilizer_generator,
-    zagier_cones,
+    symmetry,
 )
 from georoots.orders import form_of_root, unit_relation
 from georoots.roots import OrderTag, RootFilter, is_invertible, sieve_roots
@@ -143,21 +142,21 @@ def root_form(D, m, mu):
 
 
 def test_stabilizer_pinned_matrices():
-    g, j = stabilizer_generator(root_form(5, 1, 0))
+    g, j, _ = symmetry(root_form(5, 1, 0))
     assert g == (9, 20, 4, 9) and j == 1
     assert g[0] + g[3] == 18
 
-    g, j = stabilizer_generator(root_form(17, 2, 1))
+    g, j, _ = symmetry(root_form(17, 2, 1))
     assert g == (41, 64, 16, 25) and j == 1
     assert g[0] + g[3] == 66
 
     # narrow-order unit, trace 3
-    g, j = stabilizer_generator(root_form(5, 2, 1))
+    g, j, _ = symmetry(root_form(5, 2, 1))
     assert g == (2, 1, 1, 1) and j == 1
 
 
 def test_stabilizer_needs_cube_in_gamma0_2():
-    g, j = stabilizer_generator(root_form(5, 2, 1), n=2)
+    g, j, _ = symmetry(root_form(5, 2, 1), n=2)
     assert j == 3
     assert g == (13, 8, 8, 5)
     assert g[2] % 2 == 0
@@ -167,7 +166,7 @@ def test_stabilizer_fixes_endpoints_in_order():
     for D, m, mu, n in [(5, 1, 0, 1), (17, 2, 1, 1), (5, 2, 1, 2),
                         (13, 3, 4, 3), (65, 10, 5, 5)]:
         c = geodesic_from_root(D, m, mu)
-        g, _ = stabilizer_generator(root_form(D, m, mu), n)
+        g, _, _ = symmetry(root_form(D, m, mu), n)
         assert apply_gamma(g, c) == c
 
 
@@ -385,11 +384,12 @@ def test_base_sets_pinned():
                 count += 1
                 for g in base_geodesic_set(D, n, nu).geodesics:
                     assert act(g.stabilizer, g.form) == g.form
+                    assert symmetry(g.form, n) == (g.stabilizer, g.j_stab,
+                                                   g.cones)
                     # the unit oracle builds the same stabilizer and cones
                     assert (g.stabilizer, g.j_stab) == stabilizer_by_unit(
                         D, g.form, n)
-                    assert zagier_cones(g.form, g.j_stab) == \
-                        cones_closing_on(g.form, g.stabilizer) == \
+                    assert cones_closing_on(g.form, g.stabilizer) == \
                         list(g.cones)
                     # the endpoint oracle builds the same geodesic
                     assert form_geodesic(D, g.form, g.mult) == apply_gamma(

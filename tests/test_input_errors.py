@@ -2,11 +2,14 @@
 georoots.InputError before any sieve, orbit walk or coset walk, and the
 CLI reports it as `error: ...` with exit code 2."""
 
+import math
+
 import pytest
 
 from georoots import InputError, density, geodesics, negdisc, roots
 from georoots.cli import main
-from georoots.geodesics import base_geodesic_set
+from georoots.density import enumerate_coset_terms
+from georoots.geodesics import base_geodesic_set, enumerate_tops
 from georoots.negdisc import (
     class_forms,
     enumerate_orbit_points,
@@ -125,6 +128,10 @@ def test_single_error_exit_code_and_stderr(argv, err, work, capsys):
     assert work == []
 
 
+# built before any spy is installed: its least filtered roots run
+# `cone_roots`, which the `work` fixture forbids
+BASE5 = base_geodesic_set(5)
+
 LIBRARY_ERRORS = [
     (lambda: RootFilter(0), "n >= 1"),
     (lambda: sieve_roots(6, 10), "> 1"),
@@ -157,6 +164,10 @@ LIBRARY_ERRORS = [
     (lambda: class_forms(-27, OrderTag.O2), "squarefree"),
     (lambda: enumerate_orbit_points(5, 10), "< 0"),
     (lambda: enumerate_orbit_points(-15, 10, RootFilter(4, 2)), "nu\\^2"),
+    (lambda: enumerate_orbit_points(-15, 0), "M must be >= 1"),
+    (lambda: enumerate_tops(BASE5, 0), "M must be >= 1"),
+    (lambda: enumerate_coset_terms(BASE5, math.inf), "qmax must be finite"),
+    (lambda: enumerate_coset_terms(BASE5, 1.0), "qmax must exceed 1"),
 ]
 
 

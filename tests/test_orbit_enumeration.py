@@ -3,7 +3,7 @@ breadth-first walk they replaced as an oracle, and the exact work count.
 
 `geodesics.enumerate_tops` and `negdisc.enumerate_orbit_points` read the
 orbit tops off the primitive points of lattice cones; the proofs are in
-`geodesics.enumerate_tops`, `zagier_cones` and `cone_roots`.  The walk
+`geodesics.enumerate_tops`, `symmetry` and `cone_roots`.  The walk
 below is the former implementation: it expands each orbit by the
 generators of Gamma_0(n) from T-canonical forms, inside a corridor of
 leading coefficients up to safety*M*max(1, n^2/4).
@@ -26,7 +26,7 @@ from georoots.geodesics import (
     BudgetExceeded,
     base_geodesic_set,
     enumerate_tops,
-    zagier_cones,
+    symmetry,
 )
 from georoots.negdisc import (
     class_forms,
@@ -216,7 +216,8 @@ def test_budget_counts_exactly_the_candidates():
 def test_zagier_cones_walk_j_periods_of_reduced_forms(D, n, nu):
     for bg in base_geodesic_set(D, n, nu).geodesics:
         f0 = bg.form
-        cones = zagier_cones(f0, bg.j_stab)
+        sigma, j, cones = symmetry(f0, n)
+        assert (sigma, j, cones) == (bg.stabilizer, bg.j_stab, bg.cones)
         forms = []
         for U in cones:
             p, q, r, s = U

@@ -1,12 +1,11 @@
 """src holds what src uses.
 
 Every function, class and non-dunder method defined under src/georoots
-must be referenced by src code other than its own body.  The exceptions
-are the names the benchmark reads from outside (its tracer's BOUNDARY
-and its `from georoots... import` lines) and the short allowlist below,
-each entry with its reason.  The check is by name, so a reference to any
-attribute or variable of the same name counts: it can miss dead code,
-but it never flags live code.
+must be referenced by src code other than its own body.  The only
+exceptions are the names the benchmark reads from outside (its tracer's
+BOUNDARY and its `from georoots... import` lines).  The check is by
+name, so a reference to any attribute or variable of the same name
+counts: it can miss dead code, but it never flags live code.
 """
 
 import ast
@@ -16,17 +15,6 @@ from test_benchmark_hooks import BOUNDARY
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "georoots"
-
-# name -> why src keeps it though no src code references it
-ALLOWED = {
-    "stabilizer_generator": "the stated and proved form of the Gamma_0(n) "
-                            "stabilizer that _symmetry computes, checked "
-                            "against the oracle's generator search",
-    "RootSequence.head": "how the million-root acceptance pools are cut "
-                         "to their first N roots",
-    "RootSequence.subset": "how the acceptance and first-N tests split a "
-                           "pool into its order classes",
-}
 
 
 def _benchmark_names():
@@ -82,7 +70,5 @@ def _unreferenced():
 
 def test_src_defines_nothing_it_does_not_use():
     unused = _unreferenced()
-    dead = sorted(unused - _benchmark_names() - set(ALLOWED))
+    dead = sorted(unused - _benchmark_names())
     assert not dead, f"defined in src, referenced by no src code: {dead}"
-    stale = sorted(set(ALLOWED) - unused)
-    assert not stale, f"allowlisted but referenced by src: {stale}"
