@@ -15,8 +15,9 @@ Exit codes: 0 success, 1 runtime failure, 2 invalid input
 InputError before any sieve or walk: config_from_args checks the
 options (bins, M, N >= 2, outdir, range, step, qmax), and the layers
 check D, the filter (n, nu), the order class and the first-N bound.
-The walks check qmax and M >= 1 as well (`config_from_args` says why
-the CLI keeps its copies).
+The walks check qmax and M >= 1 as well, and `pair_correlation` bins,
+N >= 2 and a finite window (`config_from_args` says why the CLI keeps
+its copies).
 
 A georoots process runs without cyclic garbage collection: `entry`, the
 entry point of the console script and of `python -m georoots.cli`,
@@ -59,7 +60,9 @@ def config_from_args(args):
     and the orbit walks raise the same InputError: `density` and
     `verify` build `base_geodesic_set` before either walk runs, and its
     least filtered roots already enumerate cones, so only a check here
-    rejects those inputs before any work."""
+    rejects those inputs before any work.  For the same reason bins,
+    N >= 2 and a finite range are checked here though `pair_correlation`
+    raises the same InputError: it runs only after the first-N sieve."""
     from .roots import M_LIMIT
 
     opts = vars(args)

@@ -7,10 +7,13 @@ differences are formed from exact integer cross products, so which
 pairs land in which bin is reproducible bit for bit; only the final
 binning happens in double precision.
 
-The pairs are never listed.  With the points sorted, the neighbours of
-each point within the window form one run of the translated point set,
-and `pair_correlation` walks all runs offset by offset, so it holds
-O(N) data however many pairs there are.
+The pairs are never listed.  With the points sorted, the later
+neighbours of each point within the window form one forward run of the
+translated point set, and `pair_correlation` walks all runs offset by
+offset, so it holds O(N) data however many pairs there are.  Each
+unordered pair is met once, from its left end, and binned as delta and
+as -delta: its reversal's double is exactly -delta, as the integer
+numerator changes sign and every float step is odd.
 """
 
 import math
@@ -18,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import InputError
 from .roots import RootSequence
 
 # window inflation, in units of x, when pre-selecting candidate pairs;
@@ -60,10 +64,32 @@ class PairCorrResult:
         return self.histogram.counts / (self.n_points * self.histogram.width)
 
 
+def _sorted_exactly(ms: np.ndarray, mus: np.ndarray):
+    """x = mu/m, ms and mus sorted by the exact fractions mu/m.
+
+    Rounding is monotone, so sorting the doubles orders the fractions up
+    to runs of equal x.  With m < 2^31, distinct fractions differ by at
+    least 1/(m_i m_j) > 2^-62, so they share a double only when m_i m_j
+    exceeds 2^53, and the integers floor(mu 2^64 / m) order them
+    exactly; each run that holds a neighbouring pair out of exact order
+    is sorted by them."""
+    xs = mus / ms
+    order = np.argsort(xs)
+    xs, ms, mus = xs[order], ms[order], mus[order]
+    tied = np.flatnonzero(xs[1:] == xs[:-1])
+    tied = tied[mus[tied + 1] * ms[tied] < mus[tied] * ms[tied + 1]]
+    for a in set(np.searchsorted(xs, xs[tied]).tolist()):
+        b = np.searchsorted(xs, xs[a], side="right")
+        run = sorted(range(a, b),
+                     key=lambda i: (int(mus[i]) << 64) // int(ms[i]))
+        ms[a:b], mus[a:b] = ms[run], mus[run]
+    return xs, ms, mus
+
+
 def pair_correlation(points: RootSequence, lo: float = 0.0, hi: float = 5.0,
                      bins: int = 100) -> PairCorrResult:
     """Histogram of N*(x_i - x_j) mod N over ordered pairs i != j of the
-    N roots `points`, x = mu/m.
+    N roots `points`, x = mu/m in [0, 1).
 
     N is both the difference scale and the normalization.  Pair
     counting is exact: x_i + k - x_j is formed as the integer fraction
@@ -71,67 +97,98 @@ def pair_correlation(points: RootSequence, lo: float = 0.0, hi: float = 5.0,
     out and scaled by N in doubles, to delta, which goes to bin
     floor((delta - lo) / width) in doubles.  So a delta exactly on a
     representable bin edge goes to the bin starting there (to the
-    right).
+    right).  Non-finite lo or hi, bins < 1 and fewer than two points
+    raise InputError; lo >= hi counts nothing.
 
-    The neighbours of source j are the points of the integer translates
-    in its window [x_j + lo/N, x_j + hi/N) (widened by _WINDOW_EPS), and
-    as the points are sorted they form one run [start_j, end_j) of the
-    translated array.  The sources are taken _CHUNK at a time, ordered by
-    run length, and walked offset by offset: at offset t every source
-    whose run is longer than t is paired with its neighbour start_j + t,
-    so the sources still walking are a shrinking prefix and the pairs
-    are never held all at once.  Of each translate only the points some
-    window reaches are kept, N plus the wrapped neighbours.  So the
-    memory is O(N + _CHUNK), whatever the number of pairs, and the work
-    is O(pairs + N).  Chunk histograms are summed as integers.
+    Each unordered pair is walked once, from its left end, and binned
+    as delta and as -delta.  The points are sorted by their exact
+    fractions (`_sorted_exactly`) and laid end to end with their
+    translates by k = 1, 2, ..., so the translated array is sorted and
+    source j is its own copy at index j.  The pairs of j are its forward
+    run j+1 .. end_j - 1, the points after it below x_j + W, with
+    W = max(hi, -lo, 0)/N + _WINDOW_EPS: up to rounding, a pair can land
+    as delta only when delta < hi, and as -delta only when
+    delta <= -lo.  The widening by _WINDOW_EPS covers the rounding
+    generously, and a wider run is harmless, as every pair found is
+    binned exactly.  Of each translate only the points some run reaches are kept, those
+    below x_max + W.  Source j's own copies x_j + k, k >= 1, may lie in
+    its run; the copy by k sits at a known index of the translated
+    array, and each one in the run is binned by the same arithmetic,
+    for both signs, and subtracted.
 
-    The walk pairs each source with every point of its run, its own
-    copies x_j + k included.  Those self pairs are taken out afterwards:
-    the copy of source j in the translate by k sits at a known index of
-    the translated array, and it is in j's run exactly when that index
-    lies in [start_j, end_j); each such copy is binned by the same
-    arithmetic as the walk and subtracted from the chunk's histogram.
+    A forward pair has exact difference >= 0, so num >= 0 and
+    delta >= +0.0, and the binning is monotone in delta.  So delta is
+    binned unless +0.0 already lands past the last bin, and -delta
+    (<= -0.0) when lo < 0.  When lo > 0, -0.0 - lo = -lo lands before
+    the first bin, and so does every -delta.  When lo == 0, -delta lands
+    only if -delta / width floors to 0, that is for the ties, delta = 0,
+    whose -0.0 goes to bin 0 (a nonzero delta is at least
+    N/(m_i m_j) > 2^-62, far from underflow); they are counted, not
+    binned, so a one-sided window bins each pair once.
+
+    This bins the multiset of doubles that pairing each point with every
+    neighbour in both orders bins.  Reverse a pair (neighbour i at
+    translate k, source j): the pair (j at translate -k, source i) has
+    integer numerator exactly -num and the same denominator m_i m_j.
+    int64 -> float64 conversion, IEEE division and the product with N
+    are odd functions, so its double is exactly -delta.  Every ordered
+    pair i != j at translate k is one order of an unordered pair of
+    distinct translated points, and translating that pair so its left
+    end (the earlier in the translate-major sorted order) has k = 0
+    gives exactly one forward pair.
+
+    The sources are taken _CHUNK at a time, ordered by run length, and
+    walked offset by offset: at offset t every source whose run is
+    longer than t is paired with its neighbour j + 1 + t, so the sources
+    still walking are a shrinking prefix and the pairs are never held
+    all at once.  The memory is O(N + _CHUNK), whatever the number of
+    pairs, and the work is O(pairs + N).  Chunk histograms are summed as
+    integers.
 
     The counts do not depend on the order that sorting gives to equal
-    x.  The run of j is the set of indices whose translated x lies in
-    j's window, a condition on values only, and a pair's difference is
-    formed from the two points' own (m, mu).  Swapping two points with
-    equal x permutes the indices of the sorted and the translated
-    arrays, and with them the sources and the members of every run, but
-    not the multiset of (source, neighbour) point pairs that are binned,
-    nor which of them are self pairs.  Each pair is binned once in
-    either order, so the histogram is the same.
+    fractions.  Swapping two of them permutes the indices of the sorted
+    and the translated arrays, and with them the sources and the
+    members of every forward run.  A run is the set of later indices
+    whose translated x is below x_j + W, a condition on values only, and
+    a pair's delta is formed from the two points' own (m, mu).  The pair
+    of the two equal fractions has delta = +0.0 from either end, and
+    every other pair keeps its left end, so the multiset of binned
+    doubles, and with it the histogram, is the same.
     """
-    ms = np.asarray(points.ms, dtype=np.int64)
-    mus = np.asarray(points.mus, dtype=np.int64)
-    xs = mus / ms
-    order = np.argsort(xs)
-    xs, ms, mus = xs[order], ms[order], mus[order]
-    N = len(xs)
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise InputError("lo and hi must be finite")
+    if bins < 1:
+        raise InputError("bins must be >= 1")
+    N = len(points)
     if N < 2:
-        raise ValueError("need at least two points")
+        raise InputError("need N >= 2 for pair statistics")
     hist = Histogram(lo, hi, bins)
-    if not (hi > lo) or bins < 1:
+    if not hi > lo:
         return PairCorrResult(hist, N)
 
+    xs, ms, mus = _sorted_exactly(np.asarray(points.ms, dtype=np.int64),
+                                  np.asarray(points.mus, dtype=np.int64))
     width = (hi - lo) / bins
-    wlo, whi = lo / N - _WINDOW_EPS, hi / N + _WINDOW_EPS
-    # each translate xs + k, k in shifts, cut to the points xs[a:b] in
-    # [xs[0] + wlo, xs[-1] + whi), the union of all windows (float
-    # addition is monotone); it starts at index `at` of the translated
-    # array
-    reach = (xs[0] + wlo, xs[-1] + whi)
-    shifts = range(math.floor(wlo), math.floor(whi) + 2)
-    cuts = [(k, *np.searchsorted(xs + k, reach)) for k in shifts]
-    ats = np.cumsum([0] + [b - a for _, a, b in cuts])
-    xs_ext = np.concatenate([xs[a:b] + k for k, a, b in cuts])
-    ms_ext = np.concatenate([ms[a:b] for _, a, b in cuts])
-    mus_ext = np.concatenate([mus[a:b] + k * ms[a:b] for k, a, b in cuts])
+    W = max(hi, -lo, 0.0) / N + _WINDOW_EPS
+    # each translate xs + k, k >= 0, cut to the points xs[:b] below
+    # xs[-1] + W, the end of the last run (float addition is monotone);
+    # it starts at index `at` of the translated array, and the cut by 0
+    # is the whole of xs
+    cuts = [(k, np.searchsorted(xs + k, xs[-1] + W))
+            for k in range(math.floor(W) + 2)]
+    ats = np.cumsum([0] + [b for _, b in cuts])
+    xs_ext = np.concatenate([xs[:b] + k for k, b in cuts])
+    ms_ext = np.concatenate([ms[:b] for _, b in cuts])
+    mus_ext = np.concatenate([mus[:b] + k * ms[:b] for k, b in cuts])
+
+    # +0.0 is the least forward delta, so delta is binned unless +0.0
+    # already lands past the last bin (the binning is monotone)
+    plus = math.floor(-lo / width) < bins
 
     def binned(tgt, m_s, mu_s):
         """Histogram, with an outer bin on each side, of the pairs of
         neighbours tgt (indices into the translated arrays) and sources
-        (m_s, mu_s)."""
+        (m_s, mu_s), each as delta and as -delta."""
         # x_i - x_j with i the neighbour tgt and j the source
         m_t = ms_ext[tgt]
         num = mus_ext[tgt]
@@ -140,7 +197,15 @@ def pair_correlation(points: RootSequence, lo: float = 0.0, hi: float = 5.0,
         m_t *= m_s
         delta = num / m_t
         delta *= N
-        return histogram(delta)
+        if lo < 0:
+            out = histogram(-delta)
+        else:
+            out = np.zeros(bins + 2, dtype=np.int64)
+            if lo == 0:
+                out[1] = np.count_nonzero(delta == 0)
+        if plus:
+            out += histogram(delta)
+        return out
 
     def histogram(delta):
         """bincount of floor((delta - lo) / width) + 1, clipped to
@@ -152,35 +217,26 @@ def pair_correlation(points: RootSequence, lo: float = 0.0, hi: float = 5.0,
         delta += 1
         return np.bincount(delta.astype(np.intp), minlength=bins + 2)
 
-    # the source itself, its copy by 0: num = 0 and delta = 0.0 exactly
-    zero = histogram(np.zeros(1))
-
     def do_chunk(c0):
         c1 = min(c0 + _CHUNK, N)
-        starts = np.searchsorted(xs_ext, xs[c0:c1] + wlo, side="left")
-        ends = np.searchsorted(xs_ext, xs[c0:c1] + whi, side="left")
-        # self pairs: source j's copy in the cut (k, a, b) is at
-        # at + j - a, if a <= j < b, and the walk pairs it with j when
-        # it lies in j's run
         src = np.arange(c0, c1)
+        ends = np.searchsorted(xs_ext, xs[c0:c1] + W, side="left")
+        # self pairs: source j's copy in the cut (k, b), k >= 1, is at
+        # at + j if j < b, and lies in j's run when it is below end_j
         out = np.zeros(bins + 2, dtype=np.int64)
-        for (k, a, b), at in zip(cuts, ats):
-            own = at + src - a
-            hit = (a <= src) & (src < b) & (starts <= own) & (own < ends)
-            if k == 0:
-                out -= np.count_nonzero(hit) * zero
-            else:
-                hit = np.flatnonzero(hit)
-                out -= binned(own[hit], ms[src[hit]], mus[src[hit]])
+        for (_, b), at in zip(cuts[1:], ats[1:]):
+            hit = np.flatnonzero((src < b) & (at + src < ends))
+            out -= binned(at + src[hit], ms[src[hit]], mus[src[hit]])
         # longest runs first: the sources still walking at offset t
         # are the first live[t]
-        counts = ends - starts
-        order = np.argsort(counts)[::-1]
-        src, starts = order + c0, starts[order]
+        counts = ends - src - 1
+        order = np.argsort(counts.astype(np.min_scalar_type(counts.max())),
+                           kind="stable")[::-1]
+        src = order + c0
         live = len(order) - np.cumsum(np.bincount(counts))[:-1]
         m_src, mu_src = ms[src], mus[src]
         for t, walking in enumerate(live):
-            out += binned(starts[:walking] + t, m_src[:walking],
+            out += binned(src[:walking] + (1 + t), m_src[:walking],
                           mu_src[:walking])
         return out[1:-1]
 

@@ -18,6 +18,7 @@ from georoots.negdisc import (
 )
 from georoots.orders import narrow_class_group, unit_relation
 from georoots.roots import OrderTag, RootFilter, first_n, sieve_roots, take_n
+from georoots.statistics import pair_correlation
 
 
 @pytest.fixture
@@ -129,8 +130,10 @@ def test_single_error_exit_code_and_stderr(argv, err, work, capsys):
 
 
 # built before any spy is installed: its least filtered roots run
-# `cone_roots`, which the `work` fixture forbids
+# `cone_roots`, and the roots run the sieve, which the `work` fixture
+# forbids
 BASE5 = base_geodesic_set(5)
+ONE_ROOT, ROOTS = take_n(5, 1), take_n(5, 10)
 
 LIBRARY_ERRORS = [
     (lambda: RootFilter(0), "n >= 1"),
@@ -168,6 +171,13 @@ LIBRARY_ERRORS = [
     (lambda: enumerate_tops(BASE5, 0), "M must be >= 1"),
     (lambda: enumerate_coset_terms(BASE5, math.inf), "qmax must be finite"),
     (lambda: enumerate_coset_terms(BASE5, 1.0), "qmax must exceed 1"),
+    (lambda: pair_correlation(ONE_ROOT), "need N >= 2 for pair statistics"),
+    (lambda: pair_correlation(ROOTS, bins=0), "bins must be >= 1"),
+    (lambda: pair_correlation(ROOTS, bins=-3), "bins must be >= 1"),
+    (lambda: pair_correlation(ROOTS, lo=-math.inf), "must be finite"),
+    (lambda: pair_correlation(ROOTS, hi=math.inf), "must be finite"),
+    (lambda: pair_correlation(ROOTS, lo=math.nan), "must be finite"),
+    (lambda: pair_correlation(ROOTS, -math.inf, math.inf), "must be finite"),
 ]
 
 

@@ -119,6 +119,35 @@ def test_matches_brute_force_on_roots(D, n, nu, N):
             brute_pair_correlation(seq, lo, hi, bins)
 
 
+@pytest.mark.parametrize("lo,hi,bins", [(-4.0, -1.5, 5), (-5.0, 0.0, 20),
+                                         (-5.0, 0.0, 29)])
+def test_matches_brute_force_left_of_zero(lo, hi, bins):
+    seq = take_n(5, 120)
+    assert pair_correlation(seq, lo, hi, bins).histogram.counts.tolist() \
+        == brute_pair_correlation(seq, lo, hi, bins)
+
+
+# distinct fractions with m near 2^30 that round to one double, the
+# first above the second
+SHARED_DOUBLE = [(1073741827, 357913942), (1073741776, 357913925)]
+
+
+@pytest.mark.parametrize("first", [0, 1])
+def test_distinct_fractions_sharing_a_double(first):
+    # whichever comes first, the kernel walks their pair from the exactly
+    # smaller one, so on [0, 5) the pair lands once, as N times its
+    # positive difference
+    pair = [SHARED_DOUBLE[first], SHARED_DOUBLE[1 - first]]
+    ms, mus = np.array(pair + [(1, 0), (2, 1), (5, 2)], dtype=np.int64).T
+    seq = RootSequence(5, ms, mus)
+    assert mus[0] / ms[0] == mus[1] / ms[1]
+    for lo, hi, bins in [(0.0, 5.0, 20), (-5.0, 0.0, 29), (-1.0, 1.0, 2)]:
+        got = pair_correlation(seq, lo, hi, bins)
+        want = pair_correlation_by_block(seq, lo, hi, bins)
+        assert got.histogram.counts.tolist() == \
+            want.histogram.counts.tolist()
+
+
 @pytest.mark.parametrize("D,n,nu,N", [(5, 1, 0, 60), (17, 4, 1, 40)])
 def test_integer_oracle_matches_fraction_oracle(D, n, nu, N):
     seq = take_n(D, N, RootFilter(n, nu))
@@ -145,6 +174,12 @@ BLOCK_ORACLE_CASES = [
     (2, None, -5.0, 5.0, 10),
     (3, None, 0.0, 7.0, 14),
     (3, 1, -3.0, 3.0, 12),                     # windows [-3, 3) in x
+    # windows left of 0 and ending at 0, which bin only -delta; at 29
+    # bins +0.0 rounds into the last bin of [-5, 0), so ties count there
+    (CHUNK + 1, None, -4.0, -1.5, 7),
+    (CHUNK, None, -5.0, 0.0, 100),
+    (CHUNK, None, -5.0, 0.0, 29),
+    (3, 1, -3.0, -0.5, 10),                    # windows [-3, -0.5) in x
 ]
 
 # distinct roots of D = 5 with equal x, each next to its twin
@@ -194,9 +229,9 @@ def test_memory_is_linear_in_points():
     # The kernel holds n-length arrays (sorted xs, ms, mus; the cut
     # translates' xs, ms, mus and origin indices; while building them a
     # translate xs + k, the pieces of one concatenation and one k*ms
-    # temporary): at most 10 of 8 bytes each.  A chunk holds its starts,
-    # counts, order, sources, ms, mus, histogram and the transients of the
-    # two searches, and an offset step at most 8 more: 16 arrays of
+    # temporary): at most 10 of 8 bytes each.  A chunk holds its ends,
+    # counts, order, sources, ms, mus, histogram and the transients of its
+    # one search, and an offset step at most 8 more: 16 arrays of
     # _CHUNK int64/float64.  Pairs, about 2rn for the window [-r, r), are
     # never held, so the bound does not depend on r.
     n = 10**5
@@ -223,9 +258,12 @@ def test_symmetry_on_symmetric_range():
 
 
 def test_coincident_pairs_land_in_first_bin():
-    # x = 0 twice in the D=5 sequence: roots (1,0) and (5,0)
+    # x = 0 twice in the D=5 sequence: roots (1,0) and (5,0); the tie
+    # counts in both orders, as +0.0 and -0.0, when lo == 0
     seq = take_n(5, 6)
     res = pair_correlation(seq, 0.0, 5.0, 100)
+    assert res.histogram.counts.tolist() == \
+        brute_pair_correlation(seq, 0.0, 5.0, 100)
     assert res.histogram.counts[0] >= 2
 
 
