@@ -100,21 +100,20 @@ def pair_correlation(points: RootSequence, lo: float = 0.0, hi: float = 5.0,
     right).  Non-finite lo or hi, bins < 1 and fewer than two points
     raise InputError; lo >= hi counts nothing.
 
-    Each unordered pair is walked once, from its left end, and binned
-    as delta and as -delta.  The points are sorted by their exact
-    fractions (`_sorted_exactly`) and laid end to end with their
-    translates by k = 1, 2, ..., so the translated array is sorted and
-    source j is its own copy at index j.  The pairs of j are its forward
-    run j+1 .. end_j - 1, the points after it below x_j + W, with
-    W = max(hi, -lo, 0)/N + _WINDOW_EPS: up to rounding, a pair can land
-    as delta only when delta < hi, and as -delta only when
-    delta <= -lo.  The widening by _WINDOW_EPS covers the rounding
-    generously, and a wider run is harmless, as every pair found is
-    binned exactly.  Of each translate only the points some run reaches are kept, those
-    below x_max + W.  Source j's own copies x_j + k, k >= 1, may lie in
-    its run; the copy by k sits at a known index of the translated
-    array, and each one in the run is binned by the same arithmetic,
-    for both signs, and subtracted.
+    Each unordered pair is walked once, from its left end, and binned as
+    delta and as -delta.  The points are sorted by their exact fractions
+    (`_sorted_exactly`) and laid end to end with their translates by k = 1,
+    2, ..., so the translated array is sorted and source j is its own copy
+    at index j.  The pairs of j are its forward run j+1 .. end_j - 1, the
+    points after it below x_j + W, with W = max(hi, -lo, 0)/N + _WINDOW_EPS:
+    up to rounding, a pair can land as delta only when delta < hi, and as
+    -delta only when delta <= -lo.  The widening by _WINDOW_EPS covers the
+    rounding generously, and a wider run is harmless, as every pair found is
+    binned exactly.  Of each translate only the points some run reaches are
+    kept, those below x_max + W.  Source j's own copies x_j + k, k >= 1, may
+    lie in its run; the copy by k sits at a known index of the translated
+    array, and each one in the run is binned by the same arithmetic, for
+    both signs, and subtracted.
 
     A forward pair has exact difference >= 0, so num >= 0 and
     delta >= +0.0, and the binning is monotone in delta.  So delta is
