@@ -34,7 +34,6 @@ D, n and nu to the layers as given.
 
 import argparse
 import gc
-import json
 import math
 import os
 import sys
@@ -296,6 +295,8 @@ def _verify_negative(args, checks):
 
 
 def cmd_verify(args) -> int:
+    import json
+
     checks = []
     if args.D < 0:
         _verify_negative(args, checks)
@@ -443,9 +444,9 @@ def entry():
     run made.  That is safe because a command leaves a constant amount of
     cyclic garbage, whatever its N, M, q_max or grid: about 400 objects,
     nearly all of them the argparse parser and its help formatters, as
-    the layers hold their data in arrays, tuples and dataclasses without
-    back references (tests/test_cli.py checks the count at sizes 10x
-    apart).  The OS reclaims the frozen heap at exit; sys.exit, unlike
+    the layers hold their data in arrays, tuples, named tuples and
+    __slots__ records without back references (tests/test_cli.py checks
+    the count at sizes 10x apart).  The OS reclaims the frozen heap at exit; sys.exit, unlike
     os._exit, still runs the atexit handlers and the final flushes.
     In-process callers of main() keep the collector as they have it.
     """

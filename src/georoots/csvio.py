@@ -30,7 +30,6 @@ Cells are written as they are, without quoting, and a cell's text may
 not end in NUL (numpy's fixed-width strings drop it).
 """
 
-import json
 import sys
 from contextlib import contextmanager
 
@@ -153,6 +152,8 @@ def _text_cells(codes):
 
 
 def write_json(stream, meta: dict, columns, data):
+    import json
+
     head = json.dumps({"meta": {k: _json_value(v) for k, v in meta.items()},
                        "columns": list(columns)})
     stream.write(head[:-1] + ', "rows": [')

@@ -55,14 +55,15 @@ proper congruence levels the status of the sum is unsettled (see
 `omega`), so only level n = 1 is supported, and the double-coset walk
 moves by the fixed generators S^-1, T^-1 and T of SL_2(Z).  It reads
 the q of a candidate neighbour off the current state by one precomputed
-integer linear form per reference geodesic and generator, and applies a
-generator only to the neighbours it keeps.  Its pruning constants
+integer linear form per reference geodesic k, generator and stabilizer
+translate t, built once for all of k's walks, and applies a generator
+only to the neighbours it keeps.  Its pruning constants
 _MARGIN and _T_CAP are a heuristic, not a proof of completeness; an
 exact double-coset construction would delete them.
 """
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -191,8 +192,7 @@ def kappa_and_vol(base: BaseGeodesicSet, mask=None):
 # ----------------------------------------------------------------------
 # double-coset enumeration
 
-@dataclass(frozen=True)
-class CosetTerm:
+class CosetTerm(NamedTuple):
     q: float
     sign: int       # which H flavour the term feeds
     k: int          # index of the reference base geodesic
@@ -346,11 +346,28 @@ def _pairing(f, G):
     return b * G[1] - 2 * a * G[2] - 2 * c * G[0]
 
 
+_UNIT_FORMS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+
 def _linear_form(f, g):
     """The integer vector l with l . G = _pairing(f, act(g, G)) for every
     form G (see enumerate_coset_terms)."""
-    return tuple(_pairing(f, act(g, e))
-                 for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    return tuple(_pairing(f, act(g, e)) for e in _UNIT_FORMS)
+
+
+def _probes(f, g, sig):
+    """The probe table of f, g and the direction sig: the rows
+    [_linear_form(f, g)], to be grown by _next_row, and the columns
+    act(sig, e) of the 3x3 integer matrix S of F -> sig . F, e the unit
+    forms."""
+    return [_linear_form(f, g)], tuple(act(sig, e) for e in _UNIT_FORMS)
+
+
+def _next_row(row, cols):
+    """row . S for the matrix S whose columns are cols: the linear form
+    F -> row . (sig . F) (see _translates)."""
+    l0, l1, l2 = row
+    return tuple(l0 * a + l1 * b + l2 * c for a, b, c in cols)
 
 
 def _normalizes(g, sig, sig_inv):
@@ -358,34 +375,50 @@ def _normalizes(g, sig, sig_inv):
     return mat_mul(mat_mul(g, sig), mat_inv(g)) in (sig, sig_inv)
 
 
-def _translates(chains, g, ell, normal, den, prune):
-    """Neighbours act(g, sigma^t G) with |ell . sigma^t G| / den <= prune.
+def _translates(chains, g, probes, normal, den, prune):
+    """Neighbours act(g, sigma^t G) with |B| / den <= prune, where B =
+    _pairing(f_k, act(g, sigma^t G)).
 
     chains is ((up, sig), (down, sig_inv)): two lists that start at the
-    state G and hold sigma^t G and sigma^-t G, grown here as far as any
-    generator asks and shared by all three.  t runs over 0 <= |t| <=
-    _T_CAP, and a direction stops after three consecutive misses.  When
-    g normalizes <sigma> (normal, see _normalizes), every translate has
-    the q and the canonical state of act(g, G), so only t = 0 is tried:
-    a hit yields the one state the whole scan would, a miss yields
-    nothing, as three misses in each direction would.  A probe tests the
-    float q = B/den itself, not B against den * prune, so it decides as
-    the q of act(g, sigma^t G) would.  It first tests |B| <= 2 prune den
-    (an int-float comparison, exact in Python): a B above that has a
-    float q above prune, so the result is the same, and a B too large
-    for a float never reaches the division."""
-    l0, l1, l2 = ell
+    state G and hold sigma^t G and sigma^-t G, grown here only as far as
+    the hits of any generator reach and shared by all three.  probes is
+    one pair (rows, cols) of _probes per direction, shared by every
+    state of the reference geodesic k: rows[t] = l_{g,t} = l_g S^t, with
+    l_g = _linear_form(f_k, g) and S the matrix of F -> sigma . F, is
+    grown on demand by _next_row, so never past t = _T_CAP.
+
+    A probe is one dot product, B = l_{g,t} . G, and a miss builds
+    nothing: act is a left action, act(g, act(h, F)) = act(g h, F), and
+    linear in F, so F -> _pairing(f_k, act(g, F)) is F -> l_g . F, and
+    F -> sigma . F is F -> S F.  Hence l_{g,t} . G = l_g . (S^t G) =
+    _pairing(f_k, act(g, sigma^t G)) as integers.  A hit yields
+    act(g, sigma^t G), with sigma^t G read off the chain.
+
+    t runs over 0 <= |t| <= _T_CAP, and a direction stops after three
+    consecutive misses.  When g normalizes <sigma> (normal, see
+    _normalizes), every translate has the q and the canonical state of
+    act(g, G), so only t = 0 is tried: a hit yields the one state the
+    whole scan would, a miss yields nothing, as three misses in each
+    direction would.  A probe tests the float q = B/den itself, not B
+    against den * prune, so it decides as the q of act(g, sigma^t G)
+    would.  It first tests |B| <= 2 prune den (an int-float comparison,
+    exact in Python): a B above that has a float q above prune, so the
+    result is the same, and a B too large for a float never reaches the
+    division."""
+    a, b, c = chains[0][0][0]
     cap = 2 * prune * den
     stop = 1 if normal else _T_CAP + 1
-    for (chain, mat), t0 in zip(chains, (0, 1)):
+    for (chain, mat), (rows, cols), t0 in zip(chains, probes, (0, 1)):
         misses = 0
         for t in range(t0, stop):
-            if t == len(chain):
-                chain.append(act(mat, chain[-1]))
-            a, b, c = chain[t]
+            if t == len(rows):
+                rows.append(_next_row(rows[-1], cols))
+            l0, l1, l2 = rows[t]
             B = l0 * a + l1 * b + l2 * c
             if abs(B) <= cap and abs(B / den) <= prune:
                 misses = 0
+                while t >= len(chain):
+                    chain.append(act(mat, chain[-1]))
                 yield act(g, chain[t])
             else:
                 misses += 1
@@ -411,15 +444,25 @@ def enumerate_coset_terms(base: BaseGeodesicSet, q_max: float,
     (shared endpoints; none expected for distinct primitive geodesics).
 
     Expanding a state G tries act(g, sigma^t G) for each generator g
-    and stabilizer translate sigma^t G (see _translates), which are
-    built once per state and shared by the three generators.  Two facts
-    cut the arithmetic of a probe:
+    and stabilizer translate sigma^t G (see _translates).  Two facts cut
+    the arithmetic of a probe:
 
     - Linearity.  q = B/den with B = _pairing(f_k, .).  act(g, .) is
       linear in the coefficients of the form it acts on, and B is
-      linear, so B(act(g, F)) = l . F with l = _linear_form(f_k, g),
-      the values of the composite at the unit forms.  A probe costs one
-      dot product, and act(g, .) runs only on the translates kept.
+      linear, so B(act(g, F)) = l_g . F with l_g = _linear_form(f_k, g),
+      the values of the composite at the unit forms.  act is a left
+      action, so act(g, sigma^t G) = act(g, act(sigma, .)^t G), and
+      sigma^t G = S^t G for the integer matrix S of F -> sigma . F; so
+      B = l_{g,t} . G with l_{g,t} = l_g S^t, exactly.  The rows l_{g,t}
+      of each (k, direction, g) are built once, as far as any state
+      asks, and shared by every l and every state of k (_probes).  A
+      probe is one dot product with the state itself, so its B, its
+      float q and its decision are those of act(g, sigma^t G); sigma^t G
+      is built, on a chain shared by the state's three generators, and
+      act(g, .) run, only for the translates kept.  The three-miss stop,
+      the normalizer shortcut and the order of the yields depend on
+      those decisions alone, so the ordered term list is that of a walk
+      that formed every act(g, sigma^t G) it probed.
     - Normalizers.  Let g sigma g^-1 = sigma^e with e = +-1 (checked
       once per (k, g) by _normalizes; -sigma^e cannot occur, since
       conjugation keeps the trace and sigma is hyperbolic).  Then
@@ -461,8 +504,8 @@ def enumerate_coset_terms(base: BaseGeodesicSet, q_max: float,
         frame = _SigmaFrame(sig_k, sig_k_inv)
         canon_self = _canon(fk, frame)
         canon_rev = _canon((-fk[0], -fk[1], -fk[2]), frame)
-        moves = [(g, _linear_form(fk, g), _normalizes(g, sig_k, sig_k_inv))
-                 for g in _GENERATORS]
+        moves = [(g, (_probes(fk, g, sig_k), _probes(fk, g, sig_k_inv)),
+                  _normalizes(g, sig_k, sig_k_inv)) for g in _GENERATORS]
         for l in idx:
             fl, sl, _ = data[l]
             den_kl = sk * sl * base.D
@@ -492,8 +535,8 @@ def enumerate_coset_terms(base: BaseGeodesicSet, q_max: float,
                 if abs(q) > prune:
                     continue
                 chains = (([G], sig_k), ([G], sig_k_inv))
-                for g, ell, normal in moves:
-                    for Gt in _translates(chains, g, ell, normal, den_kl,
+                for g, probes, normal in moves:
+                    for Gt in _translates(chains, g, probes, normal, den_kl,
                                           prune):
                         C = _canon(Gt, frame)
                         if C not in seen:
@@ -505,8 +548,7 @@ def enumerate_coset_terms(base: BaseGeodesicSet, q_max: float,
 # ----------------------------------------------------------------------
 # the density itself
 
-@dataclass
-class DensityTable:
+class DensityTable(NamedTuple):
     """Density values on a v grid.  omega includes tail_estimate, a
     v-independent estimate of the mass beyond q_max."""
 

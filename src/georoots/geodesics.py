@@ -22,7 +22,7 @@ both on each `BaseGeodesic`, so each base form is walked once.
 """
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -180,8 +180,7 @@ def _splitting_number(n, relation):
 # ----------------------------------------------------------------------
 # the base set of geodesics for a congruence filter
 
-@dataclass(frozen=True)
-class BaseGeodesic:
+class BaseGeodesic(NamedTuple):
     source: tuple          # ("I", k) or ("J", l): order side and class index
     m: int                 # least root of its class that meets the filter
     mu: int
@@ -200,8 +199,7 @@ class BaseGeodesic:
         return 1 if self.source[0] == "I" else 2
 
 
-@dataclass(frozen=True, eq=False)
-class BaseGeodesicSet:
+class BaseGeodesicSet(NamedTuple):
     D: int
     n: int
     nu: int
@@ -370,8 +368,7 @@ def _check_base_tops(base: BaseGeodesicSet, filt: RootFilter):
 # ----------------------------------------------------------------------
 # orbit enumeration: every top of modulus <= M, exactly
 
-@dataclass
-class EnumerationResult:
+class EnumerationResult(NamedTuple):
     roots: set        # {(m, mu)}
     produced: int     # tops encountered, duplicates included
     duplicates: int   # produced - len(roots)

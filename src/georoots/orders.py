@@ -16,8 +16,8 @@ cycles of those forms, whose closing automorphs also give the units, so
 everything here terminates and is exact.
 """
 
-from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 from .forms import principal_form, zagier_cycle, zagier_cycles
 from .roots import OrderTag, validate_discriminant
@@ -107,8 +107,7 @@ def unit_str(D: int, eps: tuple) -> str:
     return core if c == 1 else f"({core})/{c}"
 
 
-@dataclass(frozen=True)
-class UnitData:
+class UnitData(NamedTuple):
     eps1: tuple  # (a, b, c) of `totally_positive_fundamental_unit`
     eps2: tuple
     relation: str  # "Equal" or "Cube"

@@ -44,7 +44,6 @@ CRT step, the modular powers) is below 2^62 and exact in int64.
 """
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -138,15 +137,27 @@ class SequenceExhausted(RuntimeError):
     front."""
 
 
-@dataclass(frozen=True)
 class RootFilter:
-    n: int = 1
-    nu: int = 0
+    """The congruence filter n | m, mu = nu (mod n); nu is kept reduced
+    mod n, and filters with equal (n, nu) are equal."""
 
-    def __post_init__(self):
-        if self.n < 1:
+    __slots__ = ("n", "nu")
+
+    def __init__(self, n: int = 1, nu: int = 0):
+        if n < 1:
             raise InputError("need n >= 1")
-        object.__setattr__(self, "nu", self.nu % self.n)
+        self.n, self.nu = n, nu % n
+
+    def __eq__(self, other):
+        if type(other) is not RootFilter:
+            return NotImplemented
+        return (self.n, self.nu) == (other.n, other.nu)
+
+    def __hash__(self):
+        return hash((self.n, self.nu))
+
+    def __repr__(self):
+        return f"RootFilter(n={self.n}, nu={self.nu})"
 
     def accepts(self, m, mu):
         """m = 0 and mu = nu (mod n), for ints or elementwise for arrays."""
@@ -157,13 +168,14 @@ class RootFilter:
             raise InputError(f"nu^2 = D (mod n) fails for {self}")
 
 
-@dataclass(frozen=True, eq=False)
 class RootSequence:
-    """Roots ordered by (m, mu), held columnwise for bulk statistics."""
+    """Roots ordered by (m, mu), held columnwise for bulk statistics:
+    ms (int64, ascending) and mus (int64)."""
 
-    D: int
-    ms: np.ndarray    # int64, ascending
-    mus: np.ndarray   # int64
+    __slots__ = ("D", "ms", "mus")
+
+    def __init__(self, D: int, ms: np.ndarray, mus: np.ndarray):
+        self.D, self.ms, self.mus = D, ms, mus
 
     def __len__(self):
         return len(self.ms)

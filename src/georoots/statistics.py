@@ -17,7 +17,7 @@ numerator changes sign and every float step is odd.
 """
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,18 +33,19 @@ _WINDOW_EPS = 1e-12
 _CHUNK = 1 << 15
 
 
-@dataclass
 class Histogram:
-    lo: float
-    hi: float
-    bins: int
-    counts: np.ndarray = None          # raw pair counts, int64
+    """bins equal bins on [lo, hi); counts holds the raw pair counts
+    (int64, zeros when not given)."""
 
-    def __post_init__(self):
-        if self.counts is None:
-            self.counts = np.zeros(self.bins, dtype=np.int64)
-        if len(self.counts) != self.bins:
+    __slots__ = ("lo", "hi", "bins", "counts")
+
+    def __init__(self, lo: float, hi: float, bins: int,
+                 counts: np.ndarray = None):
+        if counts is None:
+            counts = np.zeros(bins, dtype=np.int64)
+        if len(counts) != bins:
             raise ValueError("counts length != bins")
+        self.lo, self.hi, self.bins, self.counts = lo, hi, bins, counts
 
     @property
     def width(self) -> float:
@@ -54,8 +55,7 @@ class Histogram:
         return self.lo + (np.arange(self.bins) + 0.5) * self.width
 
 
-@dataclass
-class PairCorrResult:
+class PairCorrResult(NamedTuple):
     histogram: Histogram
     n_points: int
 

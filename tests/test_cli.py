@@ -167,6 +167,32 @@ def test_commands_load_only_their_layers(argv):
                          "georoots.forms"}
 
 
+LAZY_IMPORTS_SCRIPT = """
+import sys
+import georoots.cli
+georoots.cli.main(sys.argv[1:])
+print(sorted({"json", "dataclasses"} & set(sys.modules)), file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize("argv,loaded", [
+    (["roots", "--D", "5", "--M", "30"], []),
+    (["paircorr", "--D", "5", "--N", "20", "--bins", "2"], []),
+    (["density", "--D", "5", "--qmax", "3", "--range", "1", "--step", "0.5"],
+     []),
+    (["roots", "--D", "5", "--M", "30", "--format", "json"], ["json"]),
+    (["verify", "--D", "5", "--M", "30"], ["json"]),
+])
+def test_commands_load_json_only_to_write_it(argv, loaded):
+    """A CSV command loads neither json nor dataclasses; json output and
+    verify's report load json, and no command loads dataclasses."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-c", LAZY_IMPORTS_SCRIPT, *argv],
+                          capture_output=True, text=True, env=env,
+                          check=True)
+    assert proc.stderr == f"{loaded}\n"
+
+
 def test_layers_import_no_fractions_or_decimal():
     """Exact arithmetic is on integers: the CLI and its layers load
     neither `fractions` nor the `decimal` module it imports, so a fresh

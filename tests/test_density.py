@@ -26,6 +26,7 @@ from georoots.density import (
     _linear_form,
     _normalizes,
     _pq,
+    _probes,
     _surd_sign,
     default_grid,
     enumerate_coset_terms,
@@ -529,13 +530,13 @@ def test_density_with_a_324_digit_unit(capsys):
 def _full_scan(base, calls):
     """A stand-in for density._translates: every neighbor act(g, sigma^t G)
     with |t| <= 20 and |q| <= prune, q computed from act(g, .) and the
-    reference form (not from ell), with no three-miss stop and no
-    normalizer shortcut.  Each call is counted in calls."""
+    reference form (not from the probe rows), with no three-miss stop and
+    no normalizer shortcut.  Each call is counted in calls."""
     ref = {}
     for f, _, (sig, _) in _geodesic_data(base):
         assert ref.setdefault(sig, f) in (f, tuple(-x for x in f))
 
-    def scan(chains, g, ell, normal, den, prune):
+    def scan(chains, g, probes, normal, den, prune):
         calls.append(g)
         (up, sig), (_, sig_inv) = chains
         ak, bk, ck = ref[sig]
@@ -727,15 +728,57 @@ def test_translate_probe_tests_the_float_q():
                     if B == 0:
                         continue
                     q = abs(B / den)
-                    ell = _linear_form(fk, g)
+                    probes = (_probes(fk, g, sig), _probes(fk, g, sig_inv))
                     for prune, hit in ((q, True),
                                        (math.nextafter(q, 0.0), False)):
                         chains = (([G], sig), ([G], sig_inv))
-                        got = list(density._translates(chains, g, ell, True,
-                                                       den, prune))
+                        got = list(density._translates(chains, g, probes,
+                                                       True, den, prune))
                         assert got == ([act(g, G)] if hit else [])
                         disagree += (abs(B) <= den * prune) != hit
     assert disagree > 0
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.tuples(*[st.integers(-10**6, 10**6)] * 3))
+def test_probe_rows_are_B_after_the_translate(G):
+    """Row t of a probe table, grown by the walk's own _translates, is the
+    linear form of B for act(g, sigma^{+-t} G), for every generator g."""
+    chains = (([G], None), ([G], None))
+    for D in sorted(PINNED_TERMS):
+        for fk, _, (sig, sig_inv) in _pinned_data(D):
+            for g in density._GENERATORS:
+                probes = (_probes(fk, g, sig), _probes(fk, g, sig_inv))
+                # every probe misses: the rows grow to t = 2 and t = 3,
+                # and the chains not at all
+                assert not list(density._translates(chains, g, probes,
+                                                    False, 1, -1.0))
+                assert [len(rows) for rows, _ in probes] == [3, 4]
+                assert chains == (([G], None), ([G], None))
+                for (rows, cols), mat in zip(probes, (sig, sig_inv)):
+                    while len(rows) <= 8:
+                        rows.append(density._next_row(rows[-1], cols))
+                    H = G
+                    for row in rows:
+                        assert sum(x * y for x, y in zip(row, G)) == \
+                            _b_of(fk, act(g, H))
+                        H = act(mat, H)
+
+
+def test_probe_rows_stop_at_t_cap():
+    """A scan whose probes all hit grows each direction's rows to t =
+    _T_CAP, and a second state grows them no further."""
+    (fk, _, (sig, sig_inv)), _ = _pinned_data(5)
+    g = density._GENERATORS[2]
+    assert not _normalizes(g, sig, sig_inv)
+    probes = (_probes(fk, g, sig), _probes(fk, g, sig_inv))
+    for G in ((1, 3, 1), (-2, 1, 5)):
+        chains = (([G], sig), ([G], sig_inv))
+        got = list(density._translates(chains, g, probes, False, 1, 1e300))
+        assert len(got) == 2 * density._T_CAP + 1
+        assert got[density._T_CAP] == act(g, chains[0][0][density._T_CAP])
+        assert [len(rows) for rows, _ in probes] == [density._T_CAP + 1] * 2
+        assert [len(chain) for chain, _ in chains] == [density._T_CAP + 1] * 2
 
 
 def test_coset_term_q_is_exact_pair_invariant():

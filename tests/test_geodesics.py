@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import math
 import random
@@ -451,8 +450,7 @@ def test_check_base_tops_rejects_top_outside_filter():
 def test_check_base_tops_rejects_foreign_stabilizer():
     base = base_geodesic_set(5, 1, 0)
     g0, *rest = base.geodesics
-    bad = dataclasses.replace(
-        base, geodesics=(dataclasses.replace(g0, stabilizer=MAT_T), *rest))
+    bad = base._replace(geodesics=(g0._replace(stabilizer=MAT_T), *rest))
     with pytest.raises(RuntimeError, match="stabilizer does not fix"):
         _check_base_tops(bad, RootFilter(1, 0))
 
