@@ -11,13 +11,14 @@ units       totally positive fundamental units of the two orders
 classgroup  narrow class representatives (definite classes for D < 0)
 
 Exit codes: 0 success, 1 runtime failure, 2 invalid input
-(`georoots.InputError`).  Each input rule has one owner, which raises
-InputError before any sieve or walk: config_from_args checks the
-options (bins, M, N >= 2, outdir, range, step, qmax), and the layers
-check D, the filter (n, nu), the order class and the first-N bound.
-The walks check qmax and M >= 1 as well, and `pair_correlation` bins,
-N >= 2 and a finite window (`config_from_args` says why the CLI keeps
-its copies).
+(`georoots.InputError`), 141 stdout closed by its reader, as under
+`| head` (128 + SIGPIPE; no message).  Each input rule has one owner,
+which raises InputError before any sieve or walk: config_from_args
+checks the options (bins, M, N >= 2, outdir, range, step, qmax), and
+the layers check D, the filter (n, nu), the order class and the first-N
+bound.  The walks check qmax and M >= 1 as well, and `pair_correlation`
+bins, N >= 2 and a finite window (`config_from_args` says why the CLI
+keeps its copies).
 
 A georoots process runs without cyclic garbage collection: `entry`, the
 entry point of the console script and of `python -m georoots.cli`,
@@ -425,10 +426,19 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(config_from_args(args))
+        code = args.func(config_from_args(args))
+        sys.stdout.flush()          # a closed pipe fails here, not at exit
+        return code
     except InputError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # Point stdout at devnull, so the flush at exit drops what is
+        # still buffered instead of failing again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except Exception as e:
         print(f"failure: {type(e).__name__}: {e}", file=sys.stderr)
         return 1

@@ -14,20 +14,26 @@ single `stream.write`.  `write_json` encodes a block's rows with one
 `json.dumps` and writes the document's head and tail around them.
 
 A CSV block is laid out as one byte matrix with a row per table row and
-a fixed-width field per column (see `_block`).  How a column's cells get
-into their field depends on the column's type:
+a fixed-width field per column (see `_block`).  The matrix starts out
+filled with the pad byte 0xFF, which no UTF-8 text contains; each field
+overwrites the bytes its cells use, and dropping every pad byte leaves
+the block's CSV text.  How a column's cells get into their field depends
+on the column's type:
 
-- numpy integer arrays: digits by numpy arithmetic, right-aligned (digit
-  counts from the powers of ten, then one column of digits per power;
-  the magnitude is taken in uint64, so -2^63 needs no special case);
+- numpy integer arrays: digits by numpy arithmetic, right-aligned, one
+  column of digits per power of ten, with each leading zero left as pad
+  (the magnitude is taken in uint64, so -2^63 needs no special case; the
+  powers of ten place the '-' of negative cells);
 - numpy str arrays of ASCII text (labels such as 'O1'/'O2'): their
-  character codes are copied in, left-aligned;
+  character codes are copied in, left-aligned, and only the NUL padding
+  after a cell's last nonzero code becomes pad;
 - anything else (float arrays, lists, object arrays such as integers
   beyond int64, non-ASCII labels): `fmt_cell` per cell, which keeps
   floats on `.12g`, encoded as UTF-8 and copied in like labels.
 
-Cells are written as they are, without quoting, and a cell's text may
-not end in NUL (numpy's fixed-width strings drop it).
+Cells are written as they are, without quoting.  A cell's text may hold
+NUL but may not end in it (numpy's fixed-width strings drop trailing
+NULs).
 """
 
 import sys
@@ -38,6 +44,7 @@ import numpy as np
 BLOCK_ROWS = 1 << 14
 
 _POW10 = 10 ** np.arange(1, 20, dtype=np.uint64)   # 10 .. 10^19
+_PAD = np.uint8(0xFF)          # the pad byte: no UTF-8 text holds it
 
 
 def fmt_float(x: float) -> str:
@@ -82,27 +89,26 @@ def _block(cells, rows):
     """The bytes of `rows` rows: cells joined by ',', each row ended by '\\n'.
 
     Every column gets a field of fixed width in one (rows, width) byte
-    matrix, plus one separator byte; a boolean matrix marks the bytes
-    that belong to a cell, and reading the marked bytes in row-major
-    order gives the CSV text.
+    matrix, plus one separator byte.  The matrix starts out as _PAD and
+    each field overwrites only the bytes its cells use, so the bytes that
+    are not _PAD, read in row-major order, are the CSV text.
     """
     width = sum(w for w, _ in cells) + len(cells)
-    chars = np.empty((rows, width), np.uint8)
-    keep = np.ones((rows, width), bool)
+    chars = np.full((rows, width), _PAD, np.uint8)
     at = 0
     for w, fill in cells:
-        fill(chars[:, at:at + w], keep[:, at:at + w])
+        fill(chars[:, at:at + w])
         chars[:, at + w] = ord(",")
         at += w + 1
     chars[:, -1] = ord("\n")
-    return chars[keep]
+    return chars[chars != _PAD]
 
 
 def _cells(col):
     """(field width, fill) for one block of one column.
 
-    fill(chars, keep) writes the cells into a (rows, width) byte matrix
-    and marks in `keep` which of its bytes they use.
+    fill(chars) writes the cells into a (rows, width) byte matrix and
+    leaves _PAD in the bytes they do not use.
     """
     if isinstance(col, np.ndarray) and col.dtype.kind in "iu":
         return _int_cells(col)
@@ -119,36 +125,34 @@ def _int_cells(v):
     neg = v < 0
     mag = v.astype(np.uint64)
     np.negative(mag, out=mag, where=neg)   # 2^64 - (2^64 + v) = -v, exactly
-    ndig = np.searchsorted(_POW10, mag, side="right") + 1
-    digits = int(ndig.max())
+    digits = int(np.searchsorted(_POW10, mag.max(), side="right")) + 1
     width = digits + bool(neg.any())
 
-    def fill(chars, keep):
+    def fill(chars):
         u = mag
-        for k in range(1, digits + 1):        # leading zeros are not kept
+        for k in range(1, digits + 1):
             q = u // np.uint64(10)
-            chars[:, width - k] = u - q * np.uint64(10) + np.uint64(ord("0"))
+            d = (u - q * np.uint64(10)).astype(np.uint8) + np.uint8(ord("0"))
+            # u == 0 past the ones digit: a leading zero, left as pad
+            chars[:, width - k] = d if k == 1 else d | (u == 0) * _PAD
             u = q
-        chars[neg, width - 1 - ndig[neg]] = ord("-")
-        np.greater_equal(np.arange(width), width - (ndig + neg)[:, None],
-                         out=keep)
+        ndig = np.searchsorted(_POW10, mag[neg], side="right") + 1
+        chars[neg, width - 1 - ndig] = ord("-")
 
     return width, fill
 
 
 def _text_cells(codes):
     """Text given as a (rows, width) array of byte values, left-aligned
-    and padded with zeros."""
-    width = codes.shape[1]
-    lens = np.zeros(len(codes), np.int64)
-    for j in range(width):
-        lens[codes[:, j] != 0] = j + 1
+    and padded with zeros; the padding, the zeros after a cell's last
+    nonzero byte, becomes _PAD."""
+    def fill(chars):
+        tail = np.ones(len(codes), bool)
+        for j in reversed(range(codes.shape[1])):
+            tail &= codes[:, j] == 0
+            chars[:, j] = codes[:, j] | tail * _PAD
 
-    def fill(chars, keep):
-        chars[...] = codes
-        np.less(np.arange(width), lens[:, None], out=keep)
-
-    return width, fill
+    return codes.shape[1], fill
 
 
 def write_json(stream, meta: dict, columns, data):

@@ -812,6 +812,22 @@ def test_entry_exits_2_on_a_config_error(launcher):
     assert proc.stdout == b"" and b"mod 4" in proc.stderr
 
 
+@pytest.mark.parametrize("launcher", sorted(LAUNCHERS))
+def test_entry_exits_141_when_the_reader_closes_stdout(launcher):
+    # about 3 MB of CSV, far more than a pipe buffers, so the command is
+    # still writing when the pipe closes
+    argv = [sys.executable, *LAUNCHERS[launcher], "roots", "--D", "5",
+            "--M", "400000"]
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    with subprocess.Popen(argv, stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, env=env) as proc:
+        assert proc.stdout.readline() == b"# command = roots\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=600) == 141
+    assert err == b""
+
+
 # the layer fails under `python -m georoots.cli`; the failure reports
 # whether the collector ran, and an atexit handler whether the heap froze
 INJECTED_FAILURE = """

@@ -1,13 +1,15 @@
 """The column writer against the per-cell reference writer, byte for byte.
 
-`csvio.write_csv` formats whole blocks of integer and label columns with
-numpy; `oracles.write_csv_by_cell` is the plain loop it replaced.  The
-tables here mix every column kind the writer tells apart, with the
-integer extremes, the float specials and row counts around the block
-size.
+`csvio.write_csv` fills whole blocks of integer and label columns into a
+byte matrix with numpy, leaving the bytes no cell uses as the pad byte
+0xFF and dropping them at the end; `oracles.write_csv_by_cell` is the
+plain loop it replaced.  The tables here mix every column kind the
+writer tells apart, with the integer extremes, the float specials, text
+with interior NULs and row counts around the block size.
 """
 
 import io
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -51,6 +53,27 @@ def _object_column(n):
     as_array = st.booleans()
     return st.tuples(st.lists(cell, min_size=n, max_size=n), as_array).map(
         lambda t: np.array(t[0], dtype=object) if t[1] else t[0])
+
+
+# three cells each; each text column keeps its NULs off the cell ends
+EDGE_COLUMNS = {
+    "interior_nul": np.array(["\x00a", "a\x00b", "c"]),
+    "interior_nul_per_cell": ["\x00a", "a\x00b", "c"],
+    "non_ascii_nul": np.array(["é\x00x", "\x00é", "y"]),
+    "full_field_labels": np.array(["O1", "O2", "ab"]),
+    "all_zero": np.zeros(3, np.int64),
+    "int64_extremes": np.array([np.iinfo(np.int64).min,
+                                np.iinfo(np.int64).max, 0]),
+    "uint64_max": np.array([np.iinfo(np.uint64).max, 0, 1], np.uint64),
+    "negative_widths": np.array([-1, -4444, 22], np.int64),
+}
+
+
+def _tile(col, n):
+    """`col`'s cells repeated to n rows, keeping its type."""
+    if isinstance(col, np.ndarray):
+        return col[np.arange(n) % len(col)]
+    return [col[i % len(col)] for i in range(n)]
 
 
 COLUMN_KINDS = [_int_column(t) for t in
@@ -106,14 +129,57 @@ def test_block_boundaries_at_block_size(delta):
     small = np.arange(n) * 7 // 3
     labels = np.where(small % 3 == 0, "O1", "O2")
     floats = rng.standard_normal(n)
-    data = (small, ints, labels, floats)
+    data = (small, ints, labels, floats,
+            *(_tile(col, n) for col in EDGE_COLUMNS.values()))
+    header = [f"c{i}" for i in range(len(data))]
     got, want = _both(csvio.write_csv, write_csv_by_cell, {"n": n},
-                      ("a", "b", "c", "d"), data)
+                      header, data)
     assert got == want
     assert got.count("\n") == n + 2
     got, want = _both(csvio.write_json, write_json_by_cell, {"n": n},
-                      ("a", "b", "c", "d"), data)
+                      header, data)
     assert got == want
+
+
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("name", EDGE_COLUMNS)
+def test_edge_columns_match_per_cell_oracle(name, n):
+    # alone, and as the first and the last field of a row
+    col = _tile(EDGE_COLUMNS[name], n)
+    ints = np.arange(n) - 1
+    for data in ((col,), (col, ints), (ints, col)):
+        header = [f"c{i}" for i in range(len(data))]
+        got, want = _both(csvio.write_csv, write_csv_by_cell, {"n": n},
+                          header, data)
+        assert got == want
+        assert got.count("\n") == n + 2
+
+
+class _Discard:
+    def write(self, text):
+        return len(text)
+
+
+def _write_peak(blocks):
+    """tracemalloc's peak, in bytes, while write_csv writes `blocks` full
+    blocks of ten-digit integers and labels to a stream that keeps
+    nothing."""
+    n = blocks * csvio.BLOCK_ROWS
+    ints = 10**9 + np.arange(n, dtype=np.int64)
+    labels = np.where(ints % 3 == 0, "O1", "O2")
+    tracemalloc.start()
+    try:
+        csvio.write_csv(_Discard(), {"n": n}, ("m", "class"), (ints, labels))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_csv_memory_does_not_grow_with_the_table():
+    # one block's byte matrix: ten digits, a two-letter label, two separators
+    matrix = csvio.BLOCK_ROWS * (10 + 1 + 2 + 1)
+    # six more blocks, had they been held, would add six matrices at least
+    assert _write_peak(8) - _write_peak(2) < matrix
 
 
 def test_empty_table_and_ragged_columns():
