@@ -63,14 +63,14 @@ def config_from_args(args):
     rejects those inputs before any work.  For the same reason bins,
     N >= 2 and a finite range are checked here though `pair_correlation`
     raises the same InputError: it runs only after the first-N sieve."""
-    from .roots import M_LIMIT
+    from .roots import validate_modulus_bound
 
     opts = vars(args)
     for name in ("bins", "M", "N"):
         if name in opts and opts[name] < 1:
             raise InputError(f"{name} must be >= 1")
-    if "M" in opts and args.M >= M_LIMIT:   # before verify's orbit walk
-        raise InputError("M must be below 2^31 (64-bit root arithmetic)")
+    if "M" in opts:   # before verify's orbit walk
+        validate_modulus_bound(args.M)
     if "outdir" in opts and not os.path.isdir(args.outdir):
         raise InputError(f"outdir {args.outdir!r} is not a directory")
     for name in ("range", "step", "qmax"):
@@ -218,20 +218,27 @@ def _check(checks, name, ok, detail):
 
 
 def _check_orbit_equals_sieve(checks, got, seq):
-    """The orbit walk `got` found each sieved root exactly once; returns
-    the sieved roots as a set of (m, mu)."""
-    # a memoryview of the int64 arrays iterates as Python ints, with no
-    # numpy scalar per row and no list copy (the two lists of tolist()
-    # would raise the command's peak RSS)
-    sieve_set = set(zip(memoryview(seq.ms), memoryview(seq.mus)))
-    _check(checks, "orbit_equals_sieve",
-           got.roots == sieve_set and got.duplicates == 0,
-           {"orbit": len(got.roots), "sieve": len(sieve_set),
+    """The orbit walk `got` found each sieved root exactly once.
+
+    `got.roots` holds int64 arrays sorted by (m, mu) with no repeats
+    (`geodesics.EnumerationResult.from_arrays`), and so does the sieve's
+    `seq` (`roots.sieve_roots`).  Two such arrays are equal exactly when
+    they hold the same set of roots, so comparing them elementwise
+    compares the sets, and the walk's repeats are counted apart, in
+    `got.duplicates`."""
+    import numpy as np
+
+    roots = got.roots
+    same = np.array_equal(roots.ms, seq.ms) and \
+        np.array_equal(roots.mus, seq.mus)
+    _check(checks, "orbit_equals_sieve", same and got.duplicates == 0,
+           {"orbit": len(roots), "sieve": len(seq),
             "duplicates": got.duplicates})
-    return sieve_set
 
 
 def _verify_positive(args, checks):
+    import numpy as np
+
     from .forms import content
     from .geodesics import base_geodesic_set, enumerate_tops
     from .orders import (
@@ -246,16 +253,13 @@ def _verify_positive(args, checks):
     filt = _root_filter(args)
     base = base_geodesic_set(D, args.n, args.nu)
     got = enumerate_tops(base, M)
-    sieve_set = _check_orbit_equals_sieve(checks, got,
-                                          sieve_roots(D, M, filt))
+    seq = sieve_roots(D, M, filt)
+    _check_orbit_equals_sieve(checks, got, seq)
 
-    bound = min(M, 500)
+    # the roots with m <= 500 are a prefix, as seq.ms ascends
+    total = int(np.searchsorted(seq.ms, 500, "right"))
     bad = 0
-    total = 0
-    for m, mu in sieve_set:
-        if m > bound:
-            continue
-        total += 1
+    for m, mu in zip(seq.ms[:total].tolist(), seq.mus[:total].tolist()):
         inv = is_invertible(D, m, mu)
         # I conj(I) = m O1 iff the form's content is 1 (`is_invertible`)
         if (content(form_of_root(D, m, mu, OrderTag.O1)) == 1) != inv:

@@ -22,6 +22,7 @@ both on each `BaseGeodesic`, so each base form is walked once.
 """
 
 import math
+from collections.abc import Set
 from typing import NamedTuple
 
 import numpy as np
@@ -36,7 +37,12 @@ from .orders import (
     root_of_form,
     unit_relation,
 )
-from .roots import OrderTag, RootFilter, filter_reaches_order
+from .roots import (
+    OrderTag,
+    RootFilter,
+    filter_reaches_order,
+    validate_modulus_bound,
+)
 
 
 class BudgetExceeded(RuntimeError):
@@ -368,16 +374,71 @@ def _check_base_tops(base: BaseGeodesicSet, filt: RootFilter):
 # ----------------------------------------------------------------------
 # orbit enumeration: every top of modulus <= M, exactly
 
+class RootSet(Set):
+    """A read-only set of roots (m, mu), held as the sieve holds them
+    (`roots.RootSequence`): int64 arrays ms and mus sorted by (m, mu),
+    with no repeats.
+
+    It has len, `in` (a binary search), iteration in (m, mu) order, and
+    ==, <= and >= against any set; it builds a tuple only when iterated.
+    """
+
+    __slots__ = ("ms", "mus")
+
+    def __init__(self, ms, mus):
+        self.ms, self.mus = ms, mus
+
+    def __len__(self):
+        return len(self.ms)
+
+    def __iter__(self):
+        # memoryviews of int64 arrays iterate as Python ints
+        return zip(memoryview(self.ms), memoryview(self.mus))
+
+    def __contains__(self, root):
+        if not (isinstance(root, tuple) and len(root) == 2):
+            return False
+        m, mu = root
+        lo = np.searchsorted(self.ms, m)
+        hi = np.searchsorted(self.ms, m, "right")
+        i = lo + np.searchsorted(self.mus[lo:hi], mu)
+        return bool(i < hi and self.mus[i] == mu)
+
+    def __repr__(self):
+        return f"RootSet({len(self)} roots)"
+
+
 class EnumerationResult(NamedTuple):
-    roots: set        # {(m, mu)}
+    """What an orbit walk found: the distinct roots, held as the sieve
+    holds its roots (so `verify` compares the two as arrays), and the
+    walk's counts."""
+
+    roots: RootSet    # the distinct (m, mu) found
     produced: int     # tops encountered, duplicates included
     duplicates: int   # produced - len(roots)
     visited: int      # candidates examined: lattice points of the cones
 
     @classmethod
     def from_arrays(cls, ms, mus, visited):
-        roots = set(zip(ms.tolist(), mus.tolist()))
-        return cls(roots, len(ms), len(ms) - len(roots), visited)
+        """The result for the roots (ms[i], mus[i]), repeats included.
+
+        Each root packs into the int64 key m 2^32 + mu, exactly and in
+        (m, mu) order, since 0 <= mu < m < 2^31 (`roots.M_LIMIT`).  The
+        keys are sorted and adjacent repeats dropped, so `roots` holds
+        each distinct root once, in (m, mu) order.
+        """
+        keys = np.asarray(ms, dtype=np.int64) << 32
+        keys |= mus
+        keys.sort()
+        distinct = np.empty(len(keys), dtype=bool)
+        distinct[:1] = True
+        np.not_equal(keys[1:], keys[:-1], out=distinct[1:])
+        keys = keys[distinct]
+        del distinct
+        root_ms = keys >> 32
+        keys &= 0xFFFFFFFF          # now the mus
+        return cls(RootSet(root_ms, keys), len(ms), len(ms) - len(keys),
+                   visited)
 
 
 def enumerate_tops(base: BaseGeodesicSet, M: int,
@@ -402,11 +463,14 @@ def enumerate_tops(base: BaseGeodesicSet, M: int,
     them as `cones`), and `cone_roots` reads off their primitive points;
     the proofs sit there.  Work is counted in
     candidates (lattice points of the cones); more than `budget` raises
-    BudgetExceeded before the candidate arrays are built.  M < 1 raises
-    InputError.
+    BudgetExceeded before the candidate arrays are built.  M < 1 or
+    M >= 2^31 raises InputError before any work: the roots are int64
+    arithmetic, and `EnumerationResult.from_arrays` packs and sorts them
+    by the key m 2^32 + mu, as the sieve orders its roots.
     """
     if M < 1:
         raise InputError("M must be >= 1")
+    validate_modulus_bound(M)
     cones = [(bg.form, U, bg.mult)
              for bg in base.geodesics for U in bg.cones]
     ms, mus, visited = cone_roots(cones, M, base.n, budget)
@@ -430,7 +494,11 @@ def cone_roots(cones, M, n, budget):
     are enumerated together, one array entry per row, then per candidate.
 
     A candidate gives v = x u + y u', primitive iff gcd(x, y) = 1 because
-    U is unimodular; it is kept when also n | v_2.  Extended Euclid gives
+    U is unimodular; it is kept when also n | v_2.  The candidates are
+    filtered on n | v_2 and then on `np.gcd` before extended Euclid runs,
+    so `arith.xgcd_array` sees only the kept points (about 60 %, the
+    density 6/pi^2 of coprime pairs); it works elementwise, so the
+    kept rows, their order and their roots do not depend on it.  It gives
     (x', y') with x y' - y x' = 1, hence w = x' u + y' u' with
     det[v w] = 1, and b = B(v, w) is the bilinear value of g at
     (x, y), (x', y').  The root is `orders.root_of_form` of the state's
@@ -480,10 +548,10 @@ def cone_roots(cones, M, n, budget):
     if n > 1:
         keep = (x * rn[row] + y * sn[row]) % n == 0
         row, x, y = row[keep], x[keep], y[keep]
-    one, sx, ty = xgcd_array(x, y)     # sx x + ty y = one
-    keep = one == 1
+    keep = np.gcd(x, y) == 1
     row, x, y = row[keep], x[keep], y[keep]
-    x1, y1 = -ty[keep], sx[keep]       # x y1 - y x1 = 1
+    _, sx, ty = xgcd_array(x, y)       # sx x + ty y = 1
+    x1, y1 = -ty, sx                   # x y1 - y x1 = 1
     A, B, C = A[row], B[row], C[row]
     a = (A * x + B * y) * x + C * y * y
     b = 2 * A * x * x1 + B * (x * y1 + y * x1) + 2 * C * y * y1

@@ -20,6 +20,7 @@ from .roots import (
     RootSequence,
     _sieve,
     first_n,
+    validate_modulus_bound,
     validate_negative_discriminant,
 )
 
@@ -70,12 +71,15 @@ def enumerate_orbit_points(D: int, M: int, filt: RootFilter = RootFilter(),
     fundamental domain.  (Disc -4, the other such case, is not 4D or D
     for D = 1 mod 4.)  The filter then acts on each root; the level n
     never restricts v.  `cone_roots` reads off the points and counts the
-    candidates against `budget`.  M < 1 raises InputError.
+    candidates against `budget`; `EnumerationResult.from_arrays` sorts
+    the filtered roots by (m, mu) and drops repeats.  M < 1 or M >= 2^31
+    raises InputError before any work, as in `enumerate_tops`.
     """
     validate_negative_discriminant(D)
     filt.validate_for(D)
     if M < 1:
         raise InputError("M must be >= 1")
+    validate_modulus_bound(M)
     cones = []
     for order, mult in ((OrderTag.O1, 1), (OrderTag.O2, 2)):
         for f in class_forms(D, order):

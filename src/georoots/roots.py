@@ -131,6 +131,13 @@ def filter_reaches_order(D: int, order: OrderTag, n: int, nu: int) -> bool:
 M_LIMIT = 2**31   # every modulus bound M stays below this
 
 
+def validate_modulus_bound(M: int):
+    """InputError unless M < M_LIMIT: the roots' int64 arithmetic, and the
+    key m 2^32 + mu that orders them, need every modulus below 2^31."""
+    if M >= M_LIMIT:
+        raise InputError("M must be below 2^31 (64-bit root arithmetic)")
+
+
 class SequenceExhausted(RuntimeError):
     """first_n's doubling bound reached 2^31 before every class had N
     roots.  An input that cannot reach them at all raises InputError up
@@ -205,8 +212,7 @@ def _sieve(D, M, filt):
     # sign-agnostic core: the local solvers take D mod p^e, so the
     # negative-discriminant module reuses this directly
     filt.validate_for(D)
-    if M >= M_LIMIT:
-        raise InputError("M must be below 2^31 (64-bit root arithmetic)")
+    validate_modulus_bound(M)
     if M < 1:
         return RootSequence(D, np.empty(0, np.int64), np.empty(0, np.int64))
     spf = spf_table(max(M, 2))[:M + 1]

@@ -544,7 +544,9 @@ def test_verify_report_file(tmp_path, capsys):
 
 
 # Stdout digests of `verify`, recorded before stabilizers were rebuilt as
-# form automorphs; the orbit checks run every base set's cone walk.
+# form automorphs (the M = 100000 pair: before the orbit check compared
+# sorted arrays instead of sets); the orbit checks run every base set's
+# cone walk.
 VERIFY_SHA256 = [
     (["--D", "5", "--M", "23000"], "e02958d6779a452e6e27fcbeaed7c965"
      "6171b2133aae147f7cf4da987680cd59"),
@@ -558,6 +560,10 @@ VERIFY_SHA256 = [
      "af105a6c8cc271ec4e85c2d6e55c7c79dc1df24b8ea96a7381388a9362662dd3"),
     (["--D", "-3", "--M", "5000"], "6675388c4e8c3811f201ac90027d23c9"
      "0c813b63cf29412f197adc58bc6f4087"),
+    (["--D", "5", "--M", "100000"], "ef448caf0b3ca4415e6f2eb62b917921"
+     "9c2ad0783097429f576258e0b6dfba0c"),
+    (["--D", "-15", "--M", "100000"], "ad65d0cf2125b796be92790eebcfd80b"
+     "6931618581de1e6ed57f4eb7e2213353"),
 ]
 
 

@@ -168,7 +168,9 @@ LIBRARY_ERRORS = [
     (lambda: enumerate_orbit_points(5, 10), "< 0"),
     (lambda: enumerate_orbit_points(-15, 10, RootFilter(4, 2)), "nu\\^2"),
     (lambda: enumerate_orbit_points(-15, 0), "M must be >= 1"),
+    (lambda: enumerate_orbit_points(-15, 2**31), "2\\^31"),
     (lambda: enumerate_tops(BASE5, 0), "M must be >= 1"),
+    (lambda: enumerate_tops(BASE5, 2**31), "2\\^31"),
     (lambda: enumerate_coset_terms(BASE5, math.inf), "qmax must be finite"),
     (lambda: enumerate_coset_terms(BASE5, 1.0), "qmax must exceed 1"),
     (lambda: pair_correlation(ONE_ROOT), "need N >= 2 for pair statistics"),
